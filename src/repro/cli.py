@@ -456,13 +456,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         for timing in report.timings
     ] + [
         ("default speedup", f"{report.speedup_default:.2f}x", ""),
-        ("fast_pv speedup", f"{report.speedup_fast_pv:.2f}x", ""),
         ("default bit-identical", str(report.default_bit_identical), ""),
-        (
-            "fast_pv max |dV node| [V]",
-            f"{report.fast_pv_max_node_voltage_error_v:.2e}",
-            "",
-        ),
     ]
     print(format_table(["variant", "steps/s", "best wall [ms]"], rows))
     if not report.default_bit_identical:
@@ -846,7 +840,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser(
         "bench",
         help="engine hot-path steps/s benchmark (reference vs default "
-        "vs fast_pv on the Fig. 8 workload)",
+        "on the Fig. 8 workload)",
     )
     p_bench.add_argument(
         "--rounds", type=int, default=3,

@@ -606,10 +606,6 @@ def run_transient_campaign(
     summary does not depend on the choice.
     """
     config = config or CampaignConfig()
-    if engine not in ENGINES:
-        raise ModelParameterError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
     if batch_size < 1:
         raise ModelParameterError(
             f"batch_size must be >= 1, got {batch_size}"

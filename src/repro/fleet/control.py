@@ -10,10 +10,10 @@ boundaries.  The control plane exploits that by keeping the
 *controllers as the source of truth* while mirroring exactly the state
 that determines when the next real ``decide`` call is needed:
 
-* **classification** (:func:`classify_controller`): at fleet
-  construction each lane's controller is assigned a vectorization
+* **classification** (:func:`classify_controller`): at the start of a
+  fleet run each lane's controller is assigned a vectorization
   family; unknown subclasses, overridden ``decide`` methods, or lanes
-  with DVFS transition models fall back to the scalar per-lane path.
+  with DVFS transition models run on the scalar engine instead.
 * **skip predicates** (:meth:`ControlPlane.decision_flags`): per
   family, a masked numpy expression reproducing the controller's own
   trigger conditions flags the lanes whose ``decide`` could mutate
@@ -106,7 +106,7 @@ FAMILY_CODES: Dict[str, int] = {
     name: code for code, name in enumerate(sorted(FAMILY_BASES))
 }
 
-#: ``FleetState.control_family`` code for scalar-fallback lanes.
+#: ``FleetState.control_family`` code for lanes run on the scalar engine.
 FALLBACK_FAMILY: int = -1
 
 #: Families whose controllers can emit bypass decisions (and hence
@@ -174,7 +174,7 @@ def classify_controller(
     regulator: "Regulator | None",
     has_transitions: bool,
 ) -> "str | None":
-    """The lane's vectorization family, or ``None`` for scalar fallback.
+    """The lane's vectorization family, or ``None`` for the scalar engine.
 
     A lane vectorizes only when every assumption the family's skip
     predicate and vector resolution rely on is verified:
@@ -279,23 +279,21 @@ class ScBandTable:
 class ControlPlane:
     """Batched decision path for the vectorizable lanes of a fleet.
 
-    Constructed once per run over the classified (fast) lanes, after
-    controller resets.  All arrays are indexed by *fast position* --
-    the order of ``master_index`` -- not by master lane index.
+    Constructed once per run over the classified lanes, after
+    controller resets; every array is indexed by the lane's position
+    in that batch.
     """
 
     def __init__(
         self,
-        master_index: Sequence[int],
         families: Sequence[str],
         controllers: Sequence[DvfsController],
         processors: Sequence[ProcessorModel],
         regulators: Sequence["Regulator | None"],
         caches: Sequence["dict[tuple[float, float], tuple[float, float]]"],
     ) -> None:
-        n = len(master_index)
+        n = len(families)
         self.n = n
-        self.master_index = list(master_index)
         self.families = list(families)
         self._controllers = list(controllers)
         self._processors = list(processors)

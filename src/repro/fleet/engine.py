@@ -1,30 +1,41 @@
 """The batched (structure-of-arrays) fleet simulation engine.
 
 :class:`FleetSimulator` advances ``B`` *independent* harvest-store-
-compute nodes through one shared time grid.  The expensive physics --
-the implicit single-diode PV solve and the capacitor integration -- run
-as masked array updates across all live lanes per step.  The per-lane
-decision path is split by the control plane
-(:mod:`repro.fleet.control`): lanes whose controllers classify into a
-vectorizable family advance through batched skip predicates and masked
-array resolution (real ``decide`` calls only when the controller's own
-trigger conditions fire); unknown controller subclasses and lanes with
-DVFS transition models fall back to the scalar per-lane body, exactly
-as in the scalar engine.
+compute nodes.  Each run is split in three parts:
+
+* a per-lane **classifier** (:func:`vector_family`) that admits a lane
+  to the vectorized core when its cell is a plain
+  :class:`~repro.pv.cell.SingleDiodeCell`, its trace can be sampled up
+  front, its controller classifies into a control-plane family
+  (:func:`repro.fleet.control.classify_controller`) and its cycle
+  target survives the float mirror;
+* the **vectorized core**, which marches the admitted lanes through
+  one shared time grid: the implicit single-diode PV solve and the
+  capacitor integration run as masked array updates, and the control
+  plane (:mod:`repro.fleet.control`) advances the decisions through
+  batched skip predicates and masked array resolution (real
+  ``decide`` calls only when a controller's own trigger conditions
+  fire);
+* every other lane runs through the scalar
+  :class:`~repro.sim.engine.TransientSimulator` itself, so the scalar
+  engine holds the only per-lane copy of the step semantics.
+
+Per-lane results and :class:`~repro.fleet.state.FleetState` rows are
+merged back in input lane order.
 
 **The equivalence guarantee.**  Lane ``i`` of a fleet run is
 bit-identical to a scalar :class:`~repro.sim.engine.TransientSimulator`
-run of the same node: every float operation happens in the same order
-on the same doubles (the batched Newton freezes each lane exactly where
-the scalar iteration would return -- see :mod:`repro.fleet.pv` -- the
-vectorised capacitor update preserves the scalar expression order, and
-the control plane's vector resolution replays
-:func:`repro.sim.engine.resolve_decision` expression by expression),
-and skipped controller calls are provably no-ops.  ``tests/fleet/``
-asserts this across the full scenario matrix; the differential harness
-is the contract.
+run of the same node.  In the core every float operation happens in
+the same order on the same doubles (the batched Newton freezes each
+lane exactly where the scalar iteration would return -- see
+:mod:`repro.fleet.pv` -- the vectorised capacitor update preserves the
+scalar expression order, and the control plane's vector resolution
+replays :func:`repro.sim.engine.resolve_decision` expression by
+expression), and skipped controller calls are provably no-ops.
+``tests/fleet/`` asserts this across the full scenario matrix; the
+differential harness is the contract.
 
-Masking semantics: a lane dies (``stop_on_brownout`` break,
+Masking semantics: a core lane dies (``stop_on_brownout`` break,
 ``stop_on_completion`` break) by leaving the live mask -- its state
 freezes at its own end step while surviving lanes march on, so lane
 death never perturbs a neighbour (also a tested property).
@@ -37,11 +48,7 @@ from typing import Dict, List, Sequence, Tuple, cast
 
 import numpy as np
 
-from repro.errors import (
-    ModelParameterError,
-    OperatingRangeError,
-    SimulationError,
-)
+from repro.errors import ModelParameterError, SimulationError
 from repro.core.mppt import MppTrackingController
 from repro.fleet.control import (
     FALLBACK_FAMILY,
@@ -64,14 +71,18 @@ from repro.regulators.base import Regulator
 from repro.sim.dvfs import ControllerView, DvfsController
 from repro.sim.engine import (
     _IRR_PRECOMPUTE_MAX_SAMPLES,
+    EndState,
     SimulationConfig,
-    resolve_decision,
+    TransientSimulator,
 )
 from repro.sim.result import SimulationResult
 from repro.sim.transitions import DvfsTransitionModel
 from repro.storage.capacitor import Capacitor
 from repro.telemetry.profiling import PhaseTimer, Stopwatch
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
+
+#: One lane's outcome: its result plus the loop state it ended in.
+LaneOutcome = Tuple[SimulationResult, EndState]
 
 
 @dataclass
@@ -96,8 +107,45 @@ class FleetNode:
     seed: "int | None" = None
 
 
+def vector_family(
+    node: FleetNode, trace: IrradianceTrace, steps: int
+) -> "str | None":
+    """The lane's control-plane family, or ``None`` for the scalar engine.
+
+    A lane vectorizes only when the batched PV solve applies (a plain
+    :class:`SingleDiodeCell`), its irradiance can be precomputed for
+    all ``steps + 1`` samples (``step_samples``, within
+    ``_IRR_PRECOMPUTE_MAX_SAMPLES``), its controller/regulator pass
+    every :func:`classify_controller` guard, and its workload's cycle
+    target is exactly representable as a float.
+    """
+    if type(node.cell) is not SingleDiodeCell:
+        return None
+    if (
+        steps + 1 > _IRR_PRECOMPUTE_MAX_SAMPLES
+        or getattr(trace, "step_samples", None) is None
+    ):
+        return None
+    family = classify_controller(
+        node.controller,
+        node.processor,
+        node.regulator,
+        node.transitions is not None,
+    )
+    target = node.workload.cycles if node.workload is not None else None
+    if target is not None and float(target) != target:
+        return None  # the float mirror would round
+    return family
+
+
 class FleetSimulator:
     """Simulate a batch of independent nodes on per-lane traces.
+
+    Lanes that :func:`vector_family` admits advance together through
+    the vectorized core; every other lane runs through
+    :class:`~repro.sim.engine.TransientSimulator` (see the module
+    docstring).  Either way each lane is bit-identical to its scalar
+    run.
 
     Parameters
     ----------
@@ -105,10 +153,9 @@ class FleetSimulator:
         One :class:`FleetNode` per lane.
     config:
         Shared :class:`~repro.sim.engine.SimulationConfig` -- the fleet
-        batches *homogeneous-config* shards.  ``fast_pv`` and
-        ``pv_reference`` are rejected: the fleet always runs the exact
-        batched solver (the approximate surface and the historical
-        reference loop are scalar-engine benchmarking tools).
+        batches *homogeneous-config* shards.  ``pv_reference`` is
+        rejected: the historical reference loop is a scalar-engine
+        benchmarking tool.
     telemetry:
         Optional *fleet-level* session for control-plane counters
         (``fleet.lanes``, ``fleet.lanes.vectorized``, ``fleet.lanes.
@@ -127,10 +174,10 @@ class FleetSimulator:
             raise ModelParameterError("a fleet needs at least one node")
         self.nodes = list(nodes)
         self.config = config or SimulationConfig()
-        if self.config.fast_pv or self.config.pv_reference:
+        if self.config.pv_reference:
             raise ModelParameterError(
                 "the fleet engine always runs the exact batched solver; "
-                "fast_pv/pv_reference are scalar-engine options"
+                "pv_reference is a scalar-engine option"
             )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Populated by :meth:`run`; the end-of-run SoA snapshot.
@@ -139,7 +186,8 @@ class FleetSimulator:
         #: (``{"lanes", "vectorized", "fallback", "families"}``).
         self.control_summary: "Dict[str, object] | None" = None
         #: Optional per-phase wall profiler installed by benchmarks
-        #: (see :class:`~repro.telemetry.profiling.PhaseTimer`).
+        #: (see :class:`~repro.telemetry.profiling.PhaseTimer`); it
+        #: times the vectorized core.
         self.phase_timer: "PhaseTimer | None" = None
 
     # -- the run -------------------------------------------------------------
@@ -163,7 +211,6 @@ class FleetSimulator:
                 f"got {len(traces)} traces for {lanes} nodes"
             )
         cfg = self.config
-        dt = cfg.time_step_s
         if duration_s is None:
             durations = {trace.duration_s for trace in traces}
             if len(durations) != 1:
@@ -176,13 +223,80 @@ class FleetSimulator:
             raise ModelParameterError(
                 f"duration must be positive, got {duration_s}"
             )
-        steps = int(np.ceil(duration_s / dt))
+        steps = int(np.ceil(duration_s / cfg.time_step_s))
         if steps > cfg.max_steps:
             raise SimulationError(
                 f"{steps} steps exceed max_steps={cfg.max_steps}; "
                 "raise time_step_s or max_steps"
             )
 
+        families = [
+            vector_family(node, trace, steps)
+            for node, trace in zip(nodes, traces)
+        ]
+        fast = [i for i, fam in enumerate(families) if fam is not None]
+        family_counts: "Dict[str, int]" = {}
+        for fam in families:
+            if fam is not None:
+                family_counts[fam] = family_counts.get(fam, 0) + 1
+        self.control_summary = {
+            "lanes": lanes,
+            "vectorized": len(fast),
+            "fallback": lanes - len(fast),
+            "families": dict(sorted(family_counts.items())),
+        }
+        fleet_tel = self.telemetry
+        fleet_tel.count("fleet.lanes", float(lanes))
+        fleet_tel.count("fleet.lanes.vectorized", float(len(fast)))
+        fleet_tel.count("fleet.lanes.fallback", float(lanes - len(fast)))
+        for fam, fam_count in sorted(family_counts.items()):
+            fleet_tel.count(f"fleet.lanes.family.{fam}", float(fam_count))
+
+        outcomes: "Dict[int, LaneOutcome]" = {}
+        if fast:
+            core = self._run_vectorized(
+                [nodes[i] for i in fast],
+                [traces[i] for i in fast],
+                [cast(str, families[i]) for i in fast],
+                steps,
+            )
+            outcomes.update(zip(fast, core))
+        for i, node in enumerate(nodes):
+            if families[i] is not None:
+                continue
+            simulator = TransientSimulator(
+                cell=node.cell,
+                node_capacitor=node.capacitor,
+                processor=node.processor,
+                regulator=node.regulator,
+                controller=node.controller,
+                comparators=node.comparators,
+                workload=node.workload,
+                config=cfg,
+                transitions=node.transitions,
+                telemetry=node.telemetry,
+            )
+            result = simulator.run(traces[i], duration_s)
+            assert simulator.end_state is not None
+            outcomes[i] = (result, simulator.end_state)
+
+        ordered = [outcomes[i] for i in range(lanes)]
+        self.state = _fleet_state(nodes, families, ordered)
+        return [result for result, _ in ordered]
+
+    # -- the vectorized core -------------------------------------------------
+
+    def _run_vectorized(
+        self,
+        nodes: Sequence[FleetNode],
+        traces: Sequence[IrradianceTrace],
+        families: Sequence[str],
+        steps: int,
+    ) -> List[LaneOutcome]:
+        """March classified lanes through one shared time grid."""
+        cfg = self.config
+        dt = cfg.time_step_s
+        n = len(nodes)
         for node in nodes:
             node.controller.reset()
             if node.comparators is not None:
@@ -191,235 +305,130 @@ class FleetSimulator:
         # -- per-lane constants ---------------------------------------
         controllers = [node.controller for node in nodes]
         processors = [node.processor for node in nodes]
-        regulators = [node.regulator for node in nodes]
-        transitions = [node.transitions for node in nodes]
         comparators = [node.comparators for node in nodes]
         tels = [
             node.telemetry if node.telemetry is not None else NULL_TELEMETRY
-            for node in nodes
-        ]
-        comparator_power = [
-            node.comparators.total_power_w
-            if node.comparators is not None
-            else 0.0
             for node in nodes
         ]
         targets: "List[float | None]" = [
             node.workload.cycles if node.workload is not None else None
             for node in nodes
         ]
+        params = CellParams.from_cells([node.cell for node in nodes])
+        assert params is not None  # the classifier admits plain cells only
+        # Per-step irradiance rows, one vectorised sweep per trace
+        # (bit-identical to per-step calls; see step_samples).
+        irr_steps = np.ascontiguousarray(
+            np.stack([trace.step_samples(dt, steps) for trace in traces]).T
+        )
         # Fleet-level decision memo: lanes with fingerprint-identical
         # processors share one (v_eval, commanded_hz) cache (value-
         # transparent -- sharing changes hit rates, never values).
-        caches: "List[Dict[Tuple[float, float], Tuple[float, float]]]" = (
-            shared_decision_caches(processors)
+        plane = ControlPlane(
+            families,
+            controllers,
+            processors,
+            [node.regulator for node in nodes],
+            shared_decision_caches(processors),
         )
 
-        # Batched PV when every lane is a plain SingleDiodeCell;
-        # otherwise exact per-lane scalar solves (same fallback ladder
-        # as the scalar engine).
-        params = CellParams.from_cells([node.cell for node in nodes])
-        scalar_solves = [
-            getattr(node.cell, "current_scalar", None) for node in nodes
-        ]
-
-        # Per-lane irradiance, precomputed in one vectorised sweep per
-        # trace when possible (bit-identical; see step_samples).
-        irr_rows: "List[np.ndarray | None]" = []
-        for trace in traces:
-            row: "np.ndarray | None" = None
-            if steps + 1 <= _IRR_PRECOMPUTE_MAX_SAMPLES:
-                sampler = getattr(trace, "step_samples", None)
-                if sampler is not None:
-                    row = sampler(dt, steps)
-            irr_rows.append(row)
-        irr_mat: "np.ndarray | None" = None
-        if all(row is not None for row in irr_rows):
-            irr_mat = np.stack([row for row in irr_rows if row is not None])
-
-        # -- control-plane classification -----------------------------
-        # A lane vectorizes only when the batched PV solve and the
-        # precomputed irradiance grid are available (the plane's step
-        # arrays come from them) and the lane's controller/regulator
-        # pass every classify_controller guard.
-        vector_ready = params is not None and irr_mat is not None
-        families: "List[str | None]" = []
-        for i in range(lanes):
-            family: "str | None" = None
-            if vector_ready:
-                family = classify_controller(
-                    controllers[i],
-                    processors[i],
-                    regulators[i],
-                    transitions[i] is not None,
-                )
-                if family is not None:
-                    target = targets[i]
-                    if target is not None and float(target) != target:
-                        family = None  # float mirror would round
-            families.append(family)
-        fast_idx = [i for i, fam in enumerate(families) if fam is not None]
-        slow_idx = [i for i, fam in enumerate(families) if fam is None]
-        nf = len(fast_idx)
-        family_counts: "Dict[str, int]" = {}
-        for fam in families:
-            if fam is not None:
-                family_counts[fam] = family_counts.get(fam, 0) + 1
-        self.control_summary = {
-            "lanes": lanes,
-            "vectorized": nf,
-            "fallback": lanes - nf,
-            "families": dict(sorted(family_counts.items())),
-        }
-        fleet_tel = self.telemetry
-        fleet_tel.count("fleet.lanes", float(lanes))
-        fleet_tel.count("fleet.lanes.vectorized", float(nf))
-        fleet_tel.count("fleet.lanes.fallback", float(lanes - nf))
-        for fam, fam_count in sorted(family_counts.items()):
-            fleet_tel.count(f"fleet.lanes.family.{fam}", float(fam_count))
-
-        # -- SoA electrical state and per-lane scratch ----------------
+        # -- SoA electrical and loop state ----------------------------
         v = np.array([node.capacitor.voltage_v for node in nodes])
         cap_c = np.array([node.capacitor.capacitance_f for node in nodes])
-        cap_esr = np.array([node.capacitor.esr_ohm for node in nodes])
         cap_vmax = np.array([node.capacitor.max_voltage_v for node in nodes])
         cap_leak = np.array(
             [node.capacitor.leakage_current_a for node in nodes]
         )
-        live = np.ones(lanes, dtype=bool)
-        irr_col = np.zeros(lanes)
-        i_net_arr = np.zeros(lanes)
-        # Python-float mirrors of the hot per-lane reads: one tolist()
-        # per step costs far less than per-lane numpy scalar indexing,
-        # and float64 -> Python float is exact.  Only needed while
-        # scalar-fallback lanes are alive.
-        v_list: "list" = v.tolist()
-        irr_pylists: "List[list | None]" = [
-            row.tolist() if row is not None else None for row in irr_rows
-        ]
-        irr_steps: "np.ndarray | None" = (
-            np.ascontiguousarray(irr_mat.T) if irr_mat is not None else None
+        alive = np.ones(n, dtype=bool)
+        alive_pos = np.arange(n)
+        cycles = np.zeros(n)
+        prev_vproc = np.zeros(n)
+        tmode = np.full(n, NO_MODE, dtype=np.int8)
+        recovering = np.zeros(n, dtype=bool)
+        in_bo = np.zeros(n, dtype=bool)
+        completed = np.zeros(n, dtype=bool)
+        collapsed = np.zeros(n, dtype=bool)
+        downtime = np.zeros(n)
+        bocount = np.zeros(n, dtype=np.int64)
+        v_prev = v
+        pend = np.zeros(n, dtype=bool)
+        i_net = np.zeros(n)
+        target_arr = np.array(
+            [np.nan if target is None else float(target) for target in targets]
         )
+        has_target = ~np.isnan(target_arr)
+        comp_pow = np.array(
+            [
+                bank.total_power_w if bank is not None else 0.0
+                for bank in comparators
+            ]
+        )
+        pend_rows: "List[int]" = []
+        pending_events: "List[tuple]" = [()] * n
+        completion_time: "List[float | None]" = [None] * n
+        brownout_time: "List[float | None]" = [None] * n
+        outage_started_s: "List[float | None]" = [None] * n
+        events: "List[list]" = [[] for _ in range(n)]
+        end_step = [-1] * n
+        end_time = [float("nan")] * n
 
         record_count = steps // cfg.record_every + 1
-        rec_t = np.empty((lanes, record_count))
-        rec_vnode = np.empty((lanes, record_count))
-        rec_vproc = np.empty((lanes, record_count))
-        rec_f = np.empty((lanes, record_count))
-        rec_ppv = np.empty((lanes, record_count))
-        rec_pproc = np.empty((lanes, record_count))
-        rec_pdraw = np.empty((lanes, record_count))
-        rec_irr = np.empty((lanes, record_count))
-        rec_mode = np.empty((lanes, record_count), dtype=np.int8)
-        recorded = [0] * lanes
-
+        rec_t = np.empty((n, record_count))
+        rec_vnode = np.empty((n, record_count))
+        rec_vproc = np.empty((n, record_count))
+        rec_f = np.empty((n, record_count))
+        rec_ppv = np.empty((n, record_count))
+        rec_pproc = np.empty((n, record_count))
+        rec_pdraw = np.empty((n, record_count))
+        rec_irr = np.empty((n, record_count))
+        rec_mode = np.empty((n, record_count), dtype=np.int8)
+        recorded = [0] * n
         mode_codes = SimulationResult.MODE_CODES
 
-        # Per-lane loop state, exactly the scalar engine's locals.
-        # Fast lanes keep the continuously-updated fields in the fleet
-        # arrays below and sync these master lists at lane death and at
-        # run end; fallback lanes use them directly every step.
-        cycles = [0.0] * lanes
-        prev_v_proc = [0.0] * lanes
-        prev_mode: "List[str | None]" = [None] * lanes
-        prev_setpoint_v = [0.0] * lanes
-        lockout_until = [-1.0] * lanes
-        transition_count = [0] * lanes
-        pending_events: "List[tuple]" = [()] * lanes
-        completed = [False] * lanes
-        completion_time: "List[float | None]" = [None] * lanes
-        browned_out = [False] * lanes
-        brownout_time: "List[float | None]" = [None] * lanes
-        brownout_count = [0] * lanes
-        downtime_s = [0.0] * lanes
-        recovering = [False] * lanes
-        in_brownout = [False] * lanes
-        node_collapsed = [False] * lanes
-        telemetry_mode: "List[str | None]" = [None] * lanes
-        outage_started_s: "List[float | None]" = [None] * lanes
-        events: "List[list]" = [[] for _ in range(lanes)]
-        end_step = [-1] * lanes
-        end_time = [float("nan")] * lanes
-
-        # -- control plane and fast-lane state arrays -----------------
-        plane: "ControlPlane | None" = None
+        # Comparator service split: noiseless banks go through the
+        # skip-predicate lens; noisy banks must observe every step
+        # (their noise stream advances per sample).
         lens: "ComparatorLens | None" = None
-        noisy_banks: "List[Tuple[int, int, ComparatorBank]]" = []
-        if nf:
-            plane = ControlPlane(
-                fast_idx,
-                cast("List[str]", [families[i] for i in fast_idx]),
-                [controllers[i] for i in fast_idx],
-                [processors[i] for i in fast_idx],
-                [regulators[i] for i in fast_idx],
-                [caches[i] for i in fast_idx],
-            )
-            fidx = np.array(fast_idx, dtype=np.intp)
-            faliveF = np.ones(nf, dtype=bool)
-            cyclesF = np.zeros(nf)
-            prev_vprocF = np.zeros(nf)
-            tmodeF = np.full(nf, NO_MODE, dtype=np.int8)
-            recoveringF = np.zeros(nf, dtype=bool)
-            in_boF = np.zeros(nf, dtype=bool)
-            completedF = np.zeros(nf, dtype=bool)
-            collapsedF = np.zeros(nf, dtype=bool)
-            downtimeF = np.zeros(nf)
-            bocountF = np.zeros(nf, dtype=np.int64)
-            v_prevF = v[fidx]
-            pendF = np.zeros(nf, dtype=bool)
-            targetF = np.array(
-                [
-                    np.nan if targets[i] is None else float(targets[i])
-                    for i in fast_idx
-                ]
-            )
-            has_targetF = ~np.isnan(targetF)
-            comp_powF = np.array([comparator_power[i] for i in fast_idx])
-            posF_alive = np.arange(nf)
-            fidx_alive = fidx
-            pend_rows: "List[int]" = []
-            # Comparator service split: noiseless banks go through the
-            # skip-predicate lens; noisy banks must observe every step
-            # (their noise stream advances per sample).
-            served_pos: "List[int]" = []
-            served_banks: "List[ComparatorBank]" = []
-            for pos_k, i in enumerate(fast_idx):
-                bank = comparators[i]
-                if bank is None:
-                    continue
-                if bank.noiseless:
-                    served_pos.append(pos_k)
-                    served_banks.append(bank)
-                else:
-                    noisy_banks.append((pos_k, i, bank))
-            if served_pos:
-                lens = ComparatorLens(served_pos, served_banks)
+        noisy_banks: "List[Tuple[int, ComparatorBank]]" = []
+        served_pos: "List[int]" = []
+        served_banks: "List[ComparatorBank]" = []
+        for k, bank in enumerate(comparators):
+            if bank is None:
+                continue
+            if bank.noiseless:
+                served_pos.append(k)
+                served_banks.append(bank)
+            else:
+                noisy_banks.append((k, bank))
+        if served_pos:
+            lens = ComparatorLens(served_pos, served_banks)
 
         watch = Stopwatch()
-        for i in range(lanes):
-            tels[i].begin_span(
+        for tel in tels:
+            tel.begin_span(
                 "engine.run", 0.0, track="engine",
                 dt_s=dt, planned_steps=steps,
             )
 
-        def finish_lane(i: int, lane_step: int, lane_t: float) -> None:
+        def finish_lane(
+            k: int, lane_step: int, lane_t: float, final_cycles: float
+        ) -> None:
             """The scalar engine's after-loop telemetry, at lane end."""
-            tel = tels[i]
-            outage_start = outage_started_s[i]
+            tel = tels[k]
+            outage_start = outage_started_s[k]
             if outage_start is not None:
                 tel.end_span(lane_t)
                 tel.observe("brownout.outage_s", lane_t - outage_start)
             tel.end_span(lane_t, steps=float(lane_step + 1))
             tel.count("engine.steps", float(lane_step + 1))
-            tel.gauge("brownout.downtime_s", downtime_s[i])
-            tel.gauge("engine.final_cycles", float(cycles[i]))
+            tel.gauge("brownout.downtime_s", float(downtime[k]))
+            tel.gauge("engine.final_cycles", final_cycles)
             tel.profile("engine.run_wall_s", watch.elapsed_s())
-            live[i] = False
-            end_step[i] = lane_step
-            end_time[i] = lane_t
+            alive[k] = False
+            end_step[k] = lane_step
+            end_time[k] = lane_t
 
         timer = self.phase_timer
-        slow_alive = list(slow_idx)
         all_alive = True
         t = 0.0
         step = 0
@@ -428,503 +437,212 @@ class FleetSimulator:
             if timer is not None:
                 t_mark = timer.mark()
             # One batched PV solve across all live lanes.
-            i_pv_list: "list | None" = None
-            i_pv_arr: "np.ndarray | None" = None
-            if params is not None:
-                if irr_steps is not None:
-                    irr_arr = irr_steps[step]
-                else:
-                    for i in slow_alive:
-                        pylist = irr_pylists[i]
-                        irr_col[i] = (
-                            pylist[step]
-                            if pylist is not None
-                            else traces[i](t)
-                        )
-                    irr_arr = irr_col
-                i_pv_arr = batched_current(params, v, irr_arr, live)
-                if slow_alive:
-                    i_pv_list = i_pv_arr.tolist()
+            irr = irr_steps[step]
+            i_pv = batched_current(params, v, irr, alive)
+            p_pv = v * i_pv
             if timer is not None:
                 t_mark = timer.add("pv", t_mark)
 
             any_died = False
 
-            # ---- vectorized control plane (classified lanes) --------
-            if nf:
-                assert plane is not None
-                assert i_pv_arr is not None and irr_steps is not None
-                vF = v[fidx]
-                ipvF = i_pv_arr[fidx]
-                ppvF = vF * ipvF
-                irrF = irr_steps[step][fidx]
-
-                # Power-good release (see the scalar engine).
-                if recoveringF.any():
-                    release = (
-                        faliveF
-                        & recoveringF
-                        & (vF >= cfg.recovery_voltage_v)
+            # Power-good release (see the scalar engine).
+            if recovering.any():
+                release = alive & recovering & (v >= cfg.recovery_voltage_v)
+                for k in np.nonzero(release)[0].tolist():
+                    tel = tels[k]
+                    recovering[k] = False
+                    events[k].append(("recovered", t))
+                    tel.event(
+                        "recovered", t, track="engine", node_v=float(v[k])
                     )
-                    for k in np.nonzero(release)[0]:
-                        kk = int(k)
-                        i = fast_idx[kk]
-                        tel = tels[i]
-                        recoveringF[kk] = False
-                        v_node = float(vF[kk])
-                        events[i].append(("recovered", t))
-                        tel.event(
-                            "recovered", t, track="engine", node_v=v_node
-                        )
-                        outage_start = outage_started_s[i]
-                        if outage_start is not None:
-                            tel.end_span(t)
-                            tel.observe(
-                                "brownout.outage_s", t - outage_start
-                            )
-                            outage_started_s[i] = None
-
-                # Real decide calls only where the skip predicates fire.
-                need = plane.decision_flags(
-                    step, t, vF, v_prevF, cyclesF, recoveringF, bocountF,
-                    pendF,
-                )
-                need &= faliveF
-                if need.any():
-                    for k in np.nonzero(need)[0]:
-                        kk = int(k)
-                        i = fast_idx[kk]
-                        controller = controllers[i]
-                        if step > 0 and families[i] == "mppt":
-                            cast(
-                                MppTrackingController, controller
-                            ).sync_last_node_v(float(v_prevF[kk]))
-                        v_node = float(vF[kk])
-                        view = ControllerView(
-                            time_s=t,
-                            node_voltage_v=v_node,
-                            processor_voltage_v=float(prev_vprocF[kk]),
-                            cycles_done=float(cyclesF[kk]),
-                            comparator_events=pending_events[i],
-                            recovering=bool(recoveringF[kk]),
-                            brownout_count=int(bocountF[kk]),
-                        )
-                        plane.refresh(kk, controller.decide(view), v_node)
-                plane.bypass_commands(vF, faliveF)
-
-                (
-                    v_procF, fF, p_procF, p_drawF, modeF, dec_fF, dec_modeF,
-                ) = plane.resolve(vF, faliveF)
-                if recoveringF.any():
-                    gate = recoveringF & faliveF
-                    v_procF = np.where(gate, 0.0, v_procF)
-                    fF = np.where(gate, 0.0, fF)
-                    p_procF = np.where(gate, 0.0, p_procF)
-                    p_drawF = np.where(gate, 0.0, p_drawF)
-                    modeF = np.where(gate, M_HALT, modeF).astype(np.int8)
-                prev_vprocF = np.where(faliveF, v_procF, prev_vprocF)
-
-                # Converter-path mode switch telemetry.
-                changed = faliveF & (modeF != tmodeF)
-                if changed.any():
-                    for k in np.nonzero(changed)[0]:
-                        kk = int(k)
-                        old_code = int(tmodeF[kk])
-                        if old_code != NO_MODE:
-                            i = fast_idx[kk]
-                            tels[i].count("regulator.mode_switches")
-                            tels[i].event(
-                                "regulator.mode_switch", t, track="engine",
-                                previous=MODE_NAMES[old_code],
-                                new=MODE_NAMES[int(modeF[kk])],
-                                node_v=float(vF[kk]),
-                            )
-                    tmodeF[changed] = modeF[changed]
-
-                # Brownout: commanded work the supply cannot run.
-                stalled = (
-                    (dec_fF > 0.0)
-                    & (fF == 0.0)
-                    & (modeF == M_HALT)
-                    & (dec_modeF != M_HALT)
-                    & ~completedF
-                    & ~recoveringF
-                    & faliveF
-                )
-                entering = stalled & ~in_boF
-                if entering.any():
-                    for k in np.nonzero(entering)[0]:
-                        kk = int(k)
-                        i = fast_idx[kk]
-                        tel = tels[i]
-                        in_boF[kk] = True
-                        browned_out[i] = True
-                        bocountF[kk] += 1
-                        brownout_count[i] += 1
-                        if brownout_time[i] is None:
-                            brownout_time[i] = t
-                        events[i].append(("brownout", t))
-                        tel.count("brownout.count")
-                        tel.event(
-                            "brownout", t, track="engine",
-                            node_v=float(vF[kk]),
-                        )
-                        if cfg.stop_on_brownout:
-                            if step % cfg.record_every == 0:
-                                col = step // cfg.record_every
-                                rec_t[i, col] = t
-                                rec_vnode[i, col] = vF[kk]
-                                rec_vproc[i, col] = v_procF[kk]
-                                rec_f[i, col] = 0.0
-                                rec_ppv[i, col] = ppvF[kk]
-                                rec_pproc[i, col] = 0.0
-                                rec_pdraw[i, col] = 0.0
-                                rec_irr[i, col] = irrF[kk]
-                                rec_mode[i, col] = mode_codes["halt"]
-                                recorded[i] = col + 1
-                            else:
-                                recorded[i] = (
-                                    (step - 1) // cfg.record_every + 1
-                                )
-                            cycles[i] = float(cyclesF[kk])
-                            downtime_s[i] = float(downtimeF[kk])
-                            finish_lane(i, step, t)
-                            faliveF[kk] = False
-                            any_died = True
-                        elif cfg.recover_from_brownout:
-                            recoveringF[kk] = True
-                            if outage_started_s[i] is None:
-                                tel.begin_span(
-                                    "brownout.outage", t, track="engine"
-                                )
-                                outage_started_s[i] = t
-                            v_procF[kk] = 0.0
-                            fF[kk] = 0.0
-                            p_procF[kk] = 0.0
-                            p_drawF[kk] = 0.0
-                            modeF[kk] = M_HALT
-                            prev_vprocF[kk] = 0.0
-                in_boF[(fF > 0.0) & faliveF] = False
-
-                if step % cfg.record_every == 0:
-                    if timer is not None:
-                        t_mark = timer.add("control", t_mark)
-                    col = step // cfg.record_every
-                    if any_died:
-                        sel = np.nonzero(faliveF)[0]
-                        rows = fidx[sel]
-                    else:
-                        sel = posF_alive
-                        rows = fidx_alive
-                    rec_t[rows, col] = t
-                    rec_vnode[rows, col] = vF[sel]
-                    rec_vproc[rows, col] = v_procF[sel]
-                    rec_f[rows, col] = fF[sel]
-                    rec_ppv[rows, col] = ppvF[sel]
-                    rec_pproc[rows, col] = p_procF[sel]
-                    rec_pdraw[rows, col] = p_drawF[sel]
-                    rec_irr[rows, col] = irrF[sel]
-                    rec_mode[rows, col] = modeF[sel]
-                    if timer is not None:
-                        t_mark = timer.add("record", t_mark)
-
-                if step < steps:
-                    # Cycle bookkeeping and completion detection.
-                    updatable = faliveF.copy()
-                    new_cyclesF = cyclesF + fF * dt
-                    completing = (
-                        faliveF
-                        & has_targetF
-                        & ~completedF
-                        & (new_cyclesF >= targetF)
-                    )
-                    if completing.any():
-                        for k in np.nonzero(completing)[0]:
-                            kk = int(k)
-                            i = fast_idx[kk]
-                            tel = tels[i]
-                            completedF[kk] = True
-                            completed[i] = True
-                            target = targets[i]
-                            f_py = float(fF[kk])
-                            if f_py > 0.0:
-                                crossed_t = (
-                                    t + (target - float(cyclesF[kk])) / f_py
-                                )
-                            else:
-                                crossed_t = t
-                            completion_time[i] = crossed_t
-                            events[i].append(("completed", crossed_t))
-                            tel.event(
-                                "workload.completed", crossed_t,
-                                track="engine", cycles=float(target),
-                            )
-                            if cfg.stop_on_completion:
-                                cycles[i] = float(new_cyclesF[kk])
-                                downtime_s[i] = float(downtimeF[kk])
-                                recorded[i] = step // cfg.record_every + 1
-                                finish_lane(i, step, t)
-                                faliveF[kk] = False
-                                any_died = True
-                    cyclesF = np.where(updatable, new_cyclesF, cyclesF)
-
-                    idle = faliveF & (
-                        recoveringF | (in_boF & (fF == 0.0))
-                    )
-                    downtimeF = np.where(idle, downtimeF + dt, downtimeF)
-
-                    # Node demand; the capacitor integration is batched.
-                    demandF = p_drawF + comp_powF
-                    ok_v = vF > 1e-6
-                    i_drawF = np.where(
-                        ok_v, demandF / np.where(ok_v, vF, 1.0), 0.0
-                    )
-                    collapsedF = np.where(faliveF & ok_v, False, collapsedF)
-                    collapsing = (
-                        faliveF & ~ok_v & (demandF > 0.0) & ~collapsedF
-                    )
-                    if collapsing.any():
-                        for k in np.nonzero(collapsing)[0]:
-                            kk = int(k)
-                            i = fast_idx[kk]
-                            collapsedF[kk] = True
-                            events[i].append(("node_collapse", t))
-                            tels[i].event("node.collapse", t, track="engine")
-                    # Dead lanes get don't-care values; the capacitor
-                    # update never applies them (live mask).
-                    i_net_arr[fidx] = ipvF - i_drawF
-                if timer is not None:
-                    t_mark = timer.add("control", t_mark)
-
-            # ---- scalar fallback lanes ------------------------------
-            for i in slow_alive:
-                tel = tels[i]
-                v_node = v_list[i]
-                pylist = irr_pylists[i]
-                irr = pylist[step] if pylist is not None else traces[i](t)
-
-                if i_pv_list is not None:
-                    i_pv = i_pv_list[i]
-                    p_pv = v_node * i_pv
-                else:
-                    solve = scalar_solves[i]
-                    if solve is not None:
-                        i_pv = solve(v_node, irr)
-                        p_pv = v_node * i_pv
-                    else:
-                        i_pv = 0.0
-                        p_pv = 0.0
-
-                # Power-good release (see the scalar engine).
-                if recovering[i] and v_node >= cfg.recovery_voltage_v:
-                    recovering[i] = False
-                    events[i].append(("recovered", t))
-                    tel.event("recovered", t, track="engine", node_v=v_node)
-                    outage_start = outage_started_s[i]
+                    outage_start = outage_started_s[k]
                     if outage_start is not None:
                         tel.end_span(t)
                         tel.observe("brownout.outage_s", t - outage_start)
-                        outage_started_s[i] = None
+                        outage_started_s[k] = None
 
-                view = ControllerView(
-                    time_s=t,
-                    node_voltage_v=v_node,
-                    processor_voltage_v=prev_v_proc[i],
-                    cycles_done=cycles[i],
-                    comparator_events=pending_events[i],
-                    recovering=recovering[i],
-                    brownout_count=brownout_count[i],
-                )
-                decision = controllers[i].decide(view)
-                v_proc, f, p_proc, p_draw, mode = resolve_decision(
-                    processors[i], regulators[i], decision, v_node, caches[i]
-                )
-                if recovering[i]:
-                    v_proc, f, p_proc, p_draw, mode = (
-                        0.0, 0.0, 0.0, 0.0, "halt",
+            # Real decide calls only where the skip predicates fire.
+            need = plane.decision_flags(
+                step, t, v, v_prev, cycles, recovering, bocount, pend
+            )
+            need &= alive
+            if need.any():
+                for k in np.nonzero(need)[0].tolist():
+                    controller = controllers[k]
+                    if step > 0 and families[k] == "mppt":
+                        cast(
+                            MppTrackingController, controller
+                        ).sync_last_node_v(float(v_prev[k]))
+                    v_node = float(v[k])
+                    view = ControllerView(
+                        time_s=t,
+                        node_voltage_v=v_node,
+                        processor_voltage_v=float(prev_vproc[k]),
+                        cycles_done=float(cycles[k]),
+                        comparator_events=pending_events[k],
+                        recovering=bool(recovering[k]),
+                        brownout_count=int(bocount[k]),
                     )
-                prev_v_proc[i] = v_proc
+                    plane.refresh(k, controller.decide(view), v_node)
+            plane.bypass_commands(v, alive)
 
-                # DVFS transition accounting: settle lockout + recharge.
-                tr = transitions[i]
-                if tr is not None:
-                    if tr.is_transition(
-                        prev_mode[i], prev_setpoint_v[i], mode, v_proc
-                    ):
-                        transition_count[i] += 1
-                        tel.count("dvfs.transitions")
-                        tel.event(
-                            "dvfs.transition", t, track="engine",
-                            previous=prev_mode[i] or "", new=mode,
-                            setpoint_v=v_proc,
-                        )
-                        lockout_until[i] = t + tr.settle_time_s
-                        recharge = tr.transition_energy_j(
-                            prev_setpoint_v[i], v_proc
-                        )
-                        if recharge > 0.0:
-                            p_draw += recharge / dt
-                    if mode != "halt":
-                        prev_mode[i] = mode
-                        prev_setpoint_v[i] = v_proc
-                    if t < lockout_until[i] and f > 0.0:
-                        f = 0.0
-                        p_proc = (
-                            float(processors[i].leakage.power(v_proc))
-                            if v_proc >= processors[i].min_operating_v
-                            else 0.0
-                        )
-                        if mode == "regulated":
-                            try:
-                                p_draw = max(
-                                    p_draw,
-                                    regulators[i].input_power(
-                                        v_proc, p_proc, v_in=v_node
-                                    ),
-                                )
-                            except OperatingRangeError:
-                                pass
-                        elif mode == "bypass":
-                            p_draw = p_proc
+            v_proc, f, p_proc, p_draw, mode, dec_f, dec_mode = plane.resolve(
+                v, alive
+            )
+            if recovering.any():
+                gate = recovering & alive
+                v_proc = np.where(gate, 0.0, v_proc)
+                f = np.where(gate, 0.0, f)
+                p_proc = np.where(gate, 0.0, p_proc)
+                p_draw = np.where(gate, 0.0, p_draw)
+                mode = np.where(gate, M_HALT, mode).astype(np.int8)
+            prev_vproc = np.where(alive, v_proc, prev_vproc)
 
-                # Converter-path mode switch telemetry.
-                if mode != telemetry_mode[i]:
-                    if telemetry_mode[i] is not None:
-                        tel.count("regulator.mode_switches")
-                        tel.event(
+            # Converter-path mode switch telemetry.
+            changed = alive & (mode != tmode)
+            if changed.any():
+                for k in np.nonzero(changed)[0].tolist():
+                    old_code = int(tmode[k])
+                    if old_code != NO_MODE:
+                        tels[k].count("regulator.mode_switches")
+                        tels[k].event(
                             "regulator.mode_switch", t, track="engine",
-                            previous=telemetry_mode[i], new=mode,
-                            node_v=v_node,
+                            previous=MODE_NAMES[old_code],
+                            new=MODE_NAMES[int(mode[k])],
+                            node_v=float(v[k]),
                         )
-                    telemetry_mode[i] = mode
+                tmode[changed] = mode[changed]
 
-                # Brownout: commanded work the supply cannot run.
-                stalled_lane = (
-                    decision.frequency_hz > 0.0
-                    and f == 0.0
-                    and mode == "halt"
-                    and decision.mode != "halt"
-                    and not completed[i]
-                    and not recovering[i]
-                )
-                if stalled_lane and not in_brownout[i]:
-                    in_brownout[i] = True
-                    browned_out[i] = True
-                    brownout_count[i] += 1
-                    if brownout_time[i] is None:
-                        brownout_time[i] = t
-                    events[i].append(("brownout", t))
+            # Brownout: commanded work the supply cannot run.
+            stalled = (
+                (dec_f > 0.0)
+                & (f == 0.0)
+                & (mode == M_HALT)
+                & (dec_mode != M_HALT)
+                & ~completed
+                & ~recovering
+                & alive
+            )
+            entering = stalled & ~in_bo
+            if entering.any():
+                for k in np.nonzero(entering)[0].tolist():
+                    tel = tels[k]
+                    in_bo[k] = True
+                    bocount[k] += 1
+                    if brownout_time[k] is None:
+                        brownout_time[k] = t
+                    events[k].append(("brownout", t))
                     tel.count("brownout.count")
-                    tel.event("brownout", t, track="engine", node_v=v_node)
+                    tel.event(
+                        "brownout", t, track="engine", node_v=float(v[k])
+                    )
                     if cfg.stop_on_brownout:
                         if step % cfg.record_every == 0:
-                            col = recorded[i]
-                            rec_t[i, col] = t
-                            rec_vnode[i, col] = v_node
-                            rec_vproc[i, col] = v_proc
-                            rec_f[i, col] = 0.0
-                            rec_ppv[i, col] = (
-                                p_pv
-                                if params is not None
-                                or scalar_solves[i] is not None
-                                else float(nodes[i].cell.power(v_node, irr))
-                            )
-                            rec_pproc[i, col] = 0.0
-                            rec_pdraw[i, col] = 0.0
-                            rec_irr[i, col] = irr
-                            rec_mode[i, col] = mode_codes["halt"]
-                            recorded[i] = col + 1
-                        finish_lane(i, step, t)
+                            col = step // cfg.record_every
+                            rec_t[k, col] = t
+                            rec_vnode[k, col] = v[k]
+                            rec_vproc[k, col] = v_proc[k]
+                            rec_f[k, col] = 0.0
+                            rec_ppv[k, col] = p_pv[k]
+                            rec_pproc[k, col] = 0.0
+                            rec_pdraw[k, col] = 0.0
+                            rec_irr[k, col] = irr[k]
+                            rec_mode[k, col] = mode_codes["halt"]
+                            recorded[k] = col + 1
+                        else:
+                            recorded[k] = (step - 1) // cfg.record_every + 1
+                        finish_lane(k, step, t, float(cycles[k]))
                         any_died = True
-                        continue
-                    if cfg.recover_from_brownout:
-                        recovering[i] = True
-                        if outage_started_s[i] is None:
+                    elif cfg.recover_from_brownout:
+                        recovering[k] = True
+                        if outage_started_s[k] is None:
                             tel.begin_span(
                                 "brownout.outage", t, track="engine"
                             )
-                            outage_started_s[i] = t
-                        v_proc, f, p_proc, p_draw, mode = (
-                            0.0, 0.0, 0.0, 0.0, "halt",
-                        )
-                        prev_v_proc[i] = 0.0
-                elif f > 0.0:
-                    in_brownout[i] = False
+                            outage_started_s[k] = t
+                        v_proc[k] = 0.0
+                        f[k] = 0.0
+                        p_proc[k] = 0.0
+                        p_draw[k] = 0.0
+                        mode[k] = M_HALT
+                        prev_vproc[k] = 0.0
+            in_bo[(f > 0.0) & alive] = False
 
-                if params is None and scalar_solves[i] is None:
-                    p_pv = float(nodes[i].cell.power(v_node, irr))
-                if step % cfg.record_every == 0:
-                    col = recorded[i]
-                    rec_t[i, col] = t
-                    rec_vnode[i, col] = v_node
-                    rec_vproc[i, col] = v_proc
-                    rec_f[i, col] = f
-                    rec_ppv[i, col] = p_pv
-                    rec_pproc[i, col] = p_proc
-                    rec_pdraw[i, col] = p_draw
-                    rec_irr[i, col] = irr
-                    rec_mode[i, col] = mode_codes[mode]
-                    recorded[i] = col + 1
+            if step % cfg.record_every == 0:
+                if timer is not None:
+                    t_mark = timer.add("control", t_mark)
+                col = step // cfg.record_every
+                sel = np.nonzero(alive)[0] if any_died else alive_pos
+                rec_t[sel, col] = t
+                rec_vnode[sel, col] = v[sel]
+                rec_vproc[sel, col] = v_proc[sel]
+                rec_f[sel, col] = f[sel]
+                rec_ppv[sel, col] = p_pv[sel]
+                rec_pproc[sel, col] = p_proc[sel]
+                rec_pdraw[sel, col] = p_draw[sel]
+                rec_irr[sel, col] = irr[sel]
+                rec_mode[sel, col] = mode[sel]
+                if timer is not None:
+                    t_mark = timer.add("record", t_mark)
 
-                if step == steps:
-                    continue
-
+            if step < steps:
                 # Cycle bookkeeping and completion detection.
-                target = targets[i]
-                new_cycles = cycles[i] + f * dt
-                if (
-                    target is not None
-                    and not completed[i]
-                    and new_cycles >= target
-                ):
-                    completed[i] = True
-                    if f > 0.0:
-                        crossed_t = t + (target - cycles[i]) / f
-                    else:
-                        crossed_t = t
-                    completion_time[i] = crossed_t
-                    events[i].append(("completed", crossed_t))
-                    tel.event(
-                        "workload.completed", crossed_t,
-                        track="engine", cycles=float(target),
-                    )
-                    if cfg.stop_on_completion:
-                        cycles[i] = new_cycles
-                        finish_lane(i, step, t)
-                        any_died = True
-                        continue
-                cycles[i] = new_cycles
+                updatable = alive.copy()
+                new_cycles = cycles + f * dt
+                completing = (
+                    alive
+                    & has_target
+                    & ~completed
+                    & (new_cycles >= target_arr)
+                )
+                if completing.any():
+                    for k in np.nonzero(completing)[0].tolist():
+                        tel = tels[k]
+                        completed[k] = True
+                        target = cast(float, targets[k])
+                        f_k = float(f[k])
+                        if f_k > 0.0:
+                            crossed_t = t + (target - float(cycles[k])) / f_k
+                        else:
+                            crossed_t = t
+                        completion_time[k] = crossed_t
+                        events[k].append(("completed", crossed_t))
+                        tel.event(
+                            "workload.completed", crossed_t,
+                            track="engine", cycles=float(target),
+                        )
+                        if cfg.stop_on_completion:
+                            recorded[k] = step // cfg.record_every + 1
+                            finish_lane(k, step, t, float(new_cycles[k]))
+                            any_died = True
+                cycles = np.where(updatable, new_cycles, cycles)
 
-                if recovering[i] or (in_brownout[i] and f == 0.0):
-                    downtime_s[i] += dt
+                idle = alive & (recovering | (in_bo & (f == 0.0)))
+                downtime = np.where(idle, downtime + dt, downtime)
 
                 # Node demand; the capacitor integration is batched.
-                if params is None and scalar_solves[i] is None:
-                    i_pv = float(nodes[i].cell.current(v_node, irr))
-                demand_w = p_draw + comparator_power[i]
-                if v_node > 1e-6:
-                    i_draw = demand_w / v_node
-                    node_collapsed[i] = False
-                else:
-                    i_draw = 0.0
-                    if demand_w > 0.0 and not node_collapsed[i]:
-                        node_collapsed[i] = True
-                        events[i].append(("node_collapse", t))
-                        tel.event("node.collapse", t, track="engine")
-                i_net_arr[i] = i_pv - i_draw
-
-            if timer is not None and slow_alive:
+                demand = p_draw + comp_pow
+                ok_v = v > 1e-6
+                i_draw = np.where(ok_v, demand / np.where(ok_v, v, 1.0), 0.0)
+                collapsed = np.where(alive & ok_v, False, collapsed)
+                collapsing = alive & ~ok_v & (demand > 0.0) & ~collapsed
+                if collapsing.any():
+                    for k in np.nonzero(collapsing)[0].tolist():
+                        collapsed[k] = True
+                        events[k].append(("node_collapse", t))
+                        tels[k].event("node.collapse", t, track="engine")
+                # Dead lanes get don't-care values; the capacitor
+                # update never applies them (live mask).
+                i_net = i_pv - i_draw
+            if timer is not None:
                 t_mark = timer.add("control", t_mark)
 
             if step == steps:
                 break
             if any_died:
-                slow_alive = [i for i in slow_alive if live[i]]
-                if nf:
-                    posF_alive = np.nonzero(faliveF)[0]
-                    fidx_alive = fidx[posF_alive]
+                alive_pos = np.nonzero(alive)[0]
                 all_alive = False
-                if not live.any():
+                if not alive.any():
                     break
 
             # Masked capacitor update across all live lanes, preserving
@@ -932,202 +650,184 @@ class FleetSimulator:
             # leaking and charged; left-associative V + (I*dt)/C; clamp
             # to [0, rating]).
             adj = np.where(
-                (cap_leak > 0.0) & (v > 0.0), i_net_arr - cap_leak, i_net_arr
+                (cap_leak > 0.0) & (v > 0.0), i_net - cap_leak, i_net
             )
             v_next = np.minimum(
                 np.maximum(v + adj * dt / cap_c, 0.0), cap_vmax
             )
-            if all_alive:
-                if not np.all(np.isfinite(v_next)):
-                    raise SimulationError(
-                        f"node voltage became non-finite at t={t}"
-                    )
-                v = v_next
-            else:
-                if not np.all(np.isfinite(v_next[live])):
-                    raise SimulationError(
-                        f"node voltage became non-finite at t={t}"
-                    )
-                v[live] = v_next[live]
-            if slow_alive:
-                v_list = v.tolist()
+            if not np.all(np.isfinite(v_next if all_alive else v_next[alive])):
+                raise SimulationError(
+                    f"node voltage became non-finite at t={t}"
+                )
+            v_prev = v
+            v = v_next if all_alive else np.where(alive, v_next, v)
 
             # Comparator observations feed the next step's views.
-            for i in slow_alive:
-                bank = comparators[i]
-                if bank is not None:
-                    pending_events[i] = tuple(
-                        bank.observe(t + dt, v_list[i])
-                    )
-                else:
-                    pending_events[i] = ()
-            if nf:
-                v_prevF = vF
-                if pend_rows:
-                    for kk in pend_rows:
-                        pending_events[fast_idx[kk]] = ()
-                    pendF[pend_rows] = False
-                    pend_rows = []
-                if lens is not None or noisy_banks:
-                    vF_next = v[fidx]
-                    if lens is not None:
-                        for row in lens.rows_to_observe(vF_next, faliveF):
-                            rr = int(row)
-                            kk = int(lens.positions[rr])
-                            i = fast_idx[kk]
-                            bank = comparators[i]
-                            assert bank is not None
-                            new_events = bank.observe(
-                                t + dt, float(vF_next[kk])
-                            )
-                            lens.refresh(rr)
-                            if new_events:
-                                pending_events[i] = tuple(new_events)
-                                pendF[kk] = True
-                                pend_rows.append(kk)
-                    for kk, i, bank in noisy_banks:
-                        if faliveF[kk]:
-                            new_events = bank.observe(
-                                t + dt, float(vF_next[kk])
-                            )
-                            if new_events:
-                                pending_events[i] = tuple(new_events)
-                                pendF[kk] = True
-                                pend_rows.append(kk)
+            if pend_rows:
+                for k in pend_rows:
+                    pending_events[k] = ()
+                pend[pend_rows] = False
+                pend_rows = []
+            if lens is not None:
+                for row in lens.rows_to_observe(v, alive):
+                    rr = int(row)
+                    k = int(lens.positions[rr])
+                    bank = comparators[k]
+                    assert bank is not None
+                    new_events = bank.observe(t + dt, float(v[k]))
+                    lens.refresh(rr)
+                    if new_events:
+                        pending_events[k] = tuple(new_events)
+                        pend[k] = True
+                        pend_rows.append(k)
+            for k, bank in noisy_banks:
+                if alive[k]:
+                    new_events = bank.observe(t + dt, float(v[k]))
+                    if new_events:
+                        pending_events[k] = tuple(new_events)
+                        pend[k] = True
+                        pend_rows.append(k)
             if timer is not None:
                 t_mark = timer.add("capacitor", t_mark)
 
             t += dt
 
-        # Sync the fast lanes' continuously-updated state back into the
-        # master per-lane lists (dead lanes were synced at death; their
-        # arrays are frozen, so re-syncing is a no-op).
-        if nf:
-            for kk in range(nf):
-                i = fast_idx[kk]
-                cycles[i] = float(cyclesF[kk])
-                prev_v_proc[i] = float(prev_vprocF[kk])
-                downtime_s[i] = float(downtimeF[kk])
-                recovering[i] = bool(recoveringF[kk])
-                in_brownout[i] = bool(in_boF[kk])
-                node_collapsed[i] = bool(collapsedF[kk])
-                brownout_count[i] = int(bocountF[kk])
-                tmode_code = int(tmodeF[kk])
-                telemetry_mode[i] = (
-                    None if tmode_code == NO_MODE else MODE_NAMES[tmode_code]
-                )
-                if live[i]:
-                    recorded[i] = step // cfg.record_every + 1
-
         # Lanes that reached the end of the grid finish here, exactly
         # like the scalar engine's after-loop block.
-        for i in range(lanes):
-            if live[i]:
-                finish_lane(i, step, t)
+        for k in range(n):
+            if alive[k]:
+                recorded[k] = step // cfg.record_every + 1
+                finish_lane(k, step, t, float(cycles[k]))
 
-        # Final capacitor write-back (the scalar engine mutates its
-        # capacitor in place throughout; the fleet defers to the end).
-        for i in range(lanes):
-            nodes[i].capacitor.charge(float(v[i]))
+        outcomes: List[LaneOutcome] = []
+        for k, node in enumerate(nodes):
+            # The scalar engine mutates its capacitor in place
+            # throughout; the core writes the final voltage back.
+            node.capacitor.charge(float(v[k]))
+            m = recorded[k]
+            result = SimulationResult(
+                time_s=rec_t[k, :m].copy(),
+                node_voltage_v=rec_vnode[k, :m].copy(),
+                processor_voltage_v=rec_vproc[k, :m].copy(),
+                frequency_hz=rec_f[k, :m].copy(),
+                harvest_power_w=rec_ppv[k, :m].copy(),
+                processor_power_w=rec_pproc[k, :m].copy(),
+                draw_power_w=rec_pdraw[k, :m].copy(),
+                irradiance=rec_irr[k, :m].copy(),
+                mode=rec_mode[k, :m].copy(),
+                completed=bool(completed[k]),
+                completion_time_s=completion_time[k],
+                browned_out=brownout_time[k] is not None,
+                brownout_time_s=brownout_time[k],
+                brownout_count=int(bocount[k]),
+                downtime_s=float(downtime[k]),
+                final_cycles=float(cycles[k]),
+                events=events[k],
+                metrics=tels[k].result_metrics(),
+            )
+            tmode_code = int(tmode[k])
+            # Core lanes have no DVFS transition model (the classifier
+            # guarantees it), so the transition bookkeeping keeps the
+            # scalar engine's initial values.
+            end = EndState(
+                step=end_step[k],
+                time_s=end_time[k],
+                processor_voltage_v=float(prev_vproc[k]),
+                prev_setpoint_v=0.0,
+                lockout_until_s=-1.0,
+                prev_mode=None,
+                telemetry_mode=(
+                    None if tmode_code == NO_MODE else MODE_NAMES[tmode_code]
+                ),
+                outage_started_s=outage_started_s[k],
+                recovering=bool(recovering[k]),
+                in_brownout=bool(in_bo[k]),
+                node_collapsed=bool(collapsed[k]),
+                transition_count=0,
+            )
+            outcomes.append((result, end))
+        return outcomes
 
-        self.state = FleetState(
-            time_s=t,
-            step=step,
-            node_voltage_v=v.copy(),
-            processor_voltage_v=np.array(prev_v_proc),
-            cycles_done=np.array(cycles),
-            prev_setpoint_v=np.array(prev_setpoint_v),
-            lockout_until_s=np.array(lockout_until),
-            downtime_s=np.array(downtime_s),
-            completion_time_s=np.array(
-                [
-                    float("nan") if value is None else value
-                    for value in completion_time
-                ]
-            ),
-            brownout_time_s=np.array(
-                [
-                    float("nan") if value is None else value
-                    for value in brownout_time
-                ]
-            ),
-            outage_started_s=np.array(
-                [
-                    float("nan") if value is None else value
-                    for value in outage_started_s
-                ]
-            ),
-            end_time_s=np.array(end_time),
-            prev_mode=np.array(
-                [
-                    NO_MODE if name is None else mode_codes[name]
-                    for name in prev_mode
-                ],
-                dtype=np.int8,
-            ),
-            telemetry_mode=np.array(
-                [
-                    NO_MODE if name is None else mode_codes[name]
-                    for name in telemetry_mode
-                ],
-                dtype=np.int8,
-            ),
-            transition_count=np.array(transition_count, dtype=np.int64),
-            brownout_count=np.array(brownout_count, dtype=np.int64),
-            end_step=np.array(end_step, dtype=np.int64),
-            completed=np.array(completed, dtype=bool),
-            browned_out=np.array(browned_out, dtype=bool),
-            recovering=np.array(recovering, dtype=bool),
-            in_brownout=np.array(in_brownout, dtype=bool),
-            node_collapsed=np.array(node_collapsed, dtype=bool),
-            live=live.copy(),
-            control_family=np.array(
-                [
-                    FALLBACK_FAMILY if fam is None else FAMILY_CODES[fam]
-                    for fam in families
-                ],
-                dtype=np.int8,
-            ),
-            capacitance_f=cap_c.copy(),
-            esr_ohm=cap_esr.copy(),
-            max_voltage_v=cap_vmax.copy(),
-            leakage_current_a=cap_leak.copy(),
-            seeds=np.array(
-                [
-                    -1 if node.seed is None else node.seed
-                    for node in nodes
-                ],
-                dtype=np.int64,
-            ),
+
+def _fleet_state(
+    nodes: Sequence[FleetNode],
+    families: Sequence["str | None"],
+    outcomes: Sequence[LaneOutcome],
+) -> FleetState:
+    """Merge per-lane results and end states into the SoA snapshot.
+
+    The shared ``time_s``/``step`` are the latest lane end; every lane
+    has finished, so the live mask is all ``False``.
+    """
+    results = [result for result, _ in outcomes]
+    ends = [end for _, end in outcomes]
+    mode_codes = SimulationResult.MODE_CODES
+
+    def floats(values: Sequence["float | None"]) -> np.ndarray:
+        return np.array(
+            [float("nan") if value is None else value for value in values]
         )
 
-        results: List[SimulationResult] = []
-        for i in range(lanes):
-            n = recorded[i]
-            result = SimulationResult(
-                time_s=rec_t[i, :n].copy(),
-                node_voltage_v=rec_vnode[i, :n].copy(),
-                processor_voltage_v=rec_vproc[i, :n].copy(),
-                frequency_hz=rec_f[i, :n].copy(),
-                harvest_power_w=rec_ppv[i, :n].copy(),
-                processor_power_w=rec_pproc[i, :n].copy(),
-                draw_power_w=rec_pdraw[i, :n].copy(),
-                irradiance=rec_irr[i, :n].copy(),
-                mode=rec_mode[i, :n].copy(),
-                completed=completed[i],
-                completion_time_s=completion_time[i],
-                browned_out=browned_out[i],
-                brownout_time_s=brownout_time[i],
-                brownout_count=brownout_count[i],
-                downtime_s=downtime_s[i],
-                final_cycles=cycles[i],
-                events=events[i],
-                metrics=tels[i].result_metrics(),
-            )
-            result.events.extend(
-                [("transitions", float(transition_count[i]))]
-                if transitions[i] is not None
-                else []
-            )
-            results.append(result)
-        return results
+    def modes(names: Sequence["str | None"]) -> np.ndarray:
+        return np.array(
+            [NO_MODE if name is None else mode_codes[name] for name in names],
+            dtype=np.int8,
+        )
+
+    capacitors = [node.capacitor for node in nodes]
+    return FleetState(
+        time_s=max(end.time_s for end in ends),
+        step=max(end.step for end in ends),
+        node_voltage_v=np.array([cap.voltage_v for cap in capacitors]),
+        processor_voltage_v=np.array(
+            [end.processor_voltage_v for end in ends]
+        ),
+        cycles_done=np.array([result.final_cycles for result in results]),
+        prev_setpoint_v=np.array([end.prev_setpoint_v for end in ends]),
+        lockout_until_s=np.array([end.lockout_until_s for end in ends]),
+        downtime_s=np.array([result.downtime_s for result in results]),
+        completion_time_s=floats(
+            [result.completion_time_s for result in results]
+        ),
+        brownout_time_s=floats([result.brownout_time_s for result in results]),
+        outage_started_s=floats([end.outage_started_s for end in ends]),
+        end_time_s=np.array([end.time_s for end in ends]),
+        prev_mode=modes([end.prev_mode for end in ends]),
+        telemetry_mode=modes([end.telemetry_mode for end in ends]),
+        transition_count=np.array(
+            [end.transition_count for end in ends], dtype=np.int64
+        ),
+        brownout_count=np.array(
+            [result.brownout_count for result in results], dtype=np.int64
+        ),
+        end_step=np.array([end.step for end in ends], dtype=np.int64),
+        completed=np.array(
+            [result.completed for result in results], dtype=bool
+        ),
+        browned_out=np.array(
+            [result.browned_out for result in results], dtype=bool
+        ),
+        recovering=np.array([end.recovering for end in ends], dtype=bool),
+        in_brownout=np.array([end.in_brownout for end in ends], dtype=bool),
+        node_collapsed=np.array(
+            [end.node_collapsed for end in ends], dtype=bool
+        ),
+        live=np.zeros(len(nodes), dtype=bool),
+        control_family=np.array(
+            [
+                FALLBACK_FAMILY if fam is None else FAMILY_CODES[fam]
+                for fam in families
+            ],
+            dtype=np.int8,
+        ),
+        capacitance_f=np.array([cap.capacitance_f for cap in capacitors]),
+        esr_ohm=np.array([cap.esr_ohm for cap in capacitors]),
+        max_voltage_v=np.array([cap.max_voltage_v for cap in capacitors]),
+        leakage_current_a=np.array(
+            [cap.leakage_current_a for cap in capacitors]
+        ),
+        seeds=np.array(
+            [-1 if node.seed is None else node.seed for node in nodes],
+            dtype=np.int64,
+        ),
+    )

@@ -37,8 +37,8 @@ class FleetState:
     use :meth:`equals` (NaN-aware exact comparison) instead.
     """
 
-    #: Shared simulated time and step index (lanes advance in lockstep;
-    #: dead lanes remember their own end in ``end_step``/``end_time_s``).
+    #: Shared simulated time and step index: the latest lane end (each
+    #: lane remembers its own end in ``end_step``/``end_time_s``).
     time_s: float
     step: int
 
@@ -73,7 +73,7 @@ class FleetState:
     #: :data:`repro.fleet.control.FAMILY_CODES` code of the lane's
     #: vectorized controller family, or
     #: :data:`~repro.fleet.control.FALLBACK_FAMILY` (-1) for lanes that
-    #: ran the scalar per-lane fallback path.
+    #: ran on the scalar engine.
     control_family: np.ndarray
 
     # -- materialized per-node fault draws (float64, one per lane) --

@@ -3,8 +3,8 @@
 The simulator (``sim/``), the fault campaigns (``faults/``), the
 parallel executor's result path (``parallel/``), the telemetry
 layer (``telemetry/`` -- its traces must be byte-identical across
-seeded re-runs), the hot-path layer (``perf/`` -- its surfaces and
-benchmark *results* feed bit-identity claims), the supervised
+seeded re-runs), the hot-path layer (``perf/`` -- its benchmark
+*results* feed bit-identity claims), the supervised
 runtime (``resilience/`` -- retry schedules, chaos decisions and
 journaled resume must replay exactly, or a recovered campaign could
 diverge from an uninterrupted one), the batched fleet engine

@@ -63,16 +63,3 @@ def characterized_system(lut_points: int = 24) -> Tuple[Any, Any]:
         return system, system.build_mpp_lut(points=lut_points)
 
     return memoize(f"characterized-system:lut{lut_points}", build)
-
-
-def characterized_pv_surface(cell: Any, **grid_kwargs: Any) -> Any:
-    """The cell's pre-characterized PV surface, built once per worker.
-
-    Thin seam over :func:`repro.perf.surface.surface_for_cell` (which
-    keys this cache by the stable fingerprint of the cell and grid), so
-    campaign workers running with ``SimulationConfig(fast_pv=True)``
-    pay the characterization sweep once per process.
-    """
-    from repro.perf.surface import surface_for_cell
-
-    return surface_for_cell(cell, **grid_kwargs)

@@ -4,14 +4,10 @@ The ROADMAP's north star is "as fast as the hardware allows"; this
 package holds the pieces that make the per-step physics cheap without
 touching the repo's determinism contract:
 
-* :mod:`repro.perf.surface` -- the opt-in pre-characterized
-  :class:`~repro.perf.surface.PvSurface` (offline Newton sweep,
-  bilinear lookup in the loop), mirroring the paper's Section VI-A
-  look-up-from-characterization insight.
 * :mod:`repro.perf.benchmark` -- the steps/s benchmark harness behind
   ``repro bench`` and ``benchmarks/test_engine_hotpath.py``, measuring
-  the default (bit-exact) and ``fast_pv`` paths against the
-  pre-optimization reference engine.
+  the default (bit-exact) path against the pre-optimization reference
+  engine.
 
 The bit-exact scalar solver itself lives on
 :meth:`repro.pv.cell.SingleDiodeCell.current_scalar`, where the physics
@@ -24,13 +20,10 @@ from repro.perf.benchmark import (
     run_hotpath_benchmark,
     write_report,
 )
-from repro.perf.surface import PvSurface, surface_for_cell
 
 __all__ = [
     "HotpathReport",
-    "PvSurface",
     "VariantTiming",
     "run_hotpath_benchmark",
-    "surface_for_cell",
     "write_report",
 ]

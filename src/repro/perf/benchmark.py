@@ -2,22 +2,19 @@
 
 Times the Fig. 8 MPPT workload (the paper's dim-and-retrack scenario:
 full DVFS controller, comparator bank, SC regulator -- the engine's
-most representative closed loop) under three solver configurations:
+most representative closed loop) under two solver configurations:
 
 * ``reference`` -- ``SimulationConfig(pv_reference=True)``: the
   pre-optimization engine (two array Newton solves per step, per-step
   scalar trace interpolation, no memoization);
 * ``default`` -- the shipping configuration: one cold-started scalar
-  Newton solve per step, bit-identical to the reference;
-* ``fast_pv`` -- ``SimulationConfig(fast_pv=True)``: the opt-in
-  pre-characterized bilinear surface.
+  Newton solve per step, bit-identical to the reference.
 
 Honest numbers, like the parallel campaign bench: wall time is the
 best of ``rounds`` timed runs (after one untimed warm-up that also
-builds the MPP LUT and PV surface caches), bit-identity between the
-default and reference results is *measured* on the actual run outputs
-rather than assumed, and the ``fast_pv`` deviation is reported as the
-observed maxima.  ``repro bench`` writes the report as JSON.
+builds the MPP LUT cache), and bit-identity between the default and
+reference results is *measured* on the actual run outputs rather than
+assumed.  ``repro bench`` writes the report as JSON.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from repro.sim.result import SimulationResult
 from repro.telemetry.profiling import Stopwatch
 
 #: Benchmark variants in reporting order.
-VARIANTS: Tuple[str, ...] = ("reference", "default", "fast_pv")
+VARIANTS: Tuple[str, ...] = ("reference", "default")
 
 #: The acceptance target for the default (bit-exact) path.
 TARGET_SPEEDUP = 2.0
@@ -68,11 +65,8 @@ class HotpathReport:
     smoke: bool
     timings: Tuple[VariantTiming, ...]
     speedup_default: float
-    speedup_fast_pv: float
     target_speedup: float
     default_bit_identical: bool
-    fast_pv_max_node_voltage_error_v: float
-    fast_pv_max_harvest_power_error_w: float
 
     def as_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (sorted by the writer)."""
@@ -92,15 +86,8 @@ class HotpathReport:
                 for timing in self.timings
             },
             "speedup_default": round(self.speedup_default, 3),
-            "speedup_fast_pv": round(self.speedup_fast_pv, 3),
             "target_speedup": self.target_speedup,
             "default_bit_identical": self.default_bit_identical,
-            "fast_pv_max_node_voltage_error_v": float(
-                self.fast_pv_max_node_voltage_error_v
-            ),
-            "fast_pv_max_harvest_power_error_w": float(
-                self.fast_pv_max_harvest_power_error_w
-            ),
             "platform": platform.platform(),
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -117,7 +104,6 @@ def _variant_config(variant: str, time_step_s: float) -> SimulationConfig:
         record_every=4,
         stop_on_brownout=False,
         pv_reference=(variant == "reference"),
-        fast_pv=(variant == "fast_pv"),
     )
 
 
@@ -189,12 +175,11 @@ def run_hotpath_benchmark(
     time_step_s: float = 5e-6,
     smoke: bool = False,
 ) -> HotpathReport:
-    """Benchmark the three engine configurations on the Fig. 8 workload.
+    """Benchmark the engine configurations on the Fig. 8 workload.
 
     ``smoke=True`` shrinks the run for CI gates (shorter trace, fewer
-    rounds): the correctness claims (bit-identity, fast_pv deviation)
-    are still measured on real runs, only the wall-clock numbers lose
-    statistical weight.
+    rounds): the bit-identity claim is still measured on real runs,
+    only the wall-clock numbers lose statistical weight.
     """
     if rounds < 1:
         raise ModelParameterError(f"rounds must be >= 1, got {rounds}")
@@ -211,8 +196,8 @@ def run_hotpath_benchmark(
     timings = []
     for variant in VARIANTS:
         config = _variant_config(variant, time_step_s)
-        # Untimed warm-up: builds the MPP LUT / PV surface caches and
-        # warms allocator + branch caches, like the parallel bench.
+        # Untimed warm-up: builds the MPP LUT cache and warms
+        # allocator + branch caches, like the parallel bench.
         _run_fig8_once(
             system, tracker, config, before, after, dim_time_s, duration_s
         )
@@ -235,7 +220,6 @@ def run_hotpath_benchmark(
 
     by_name = {timing.variant: timing for timing in timings}
     reference, default = results["reference"], results["default"]
-    fast = results["fast_pv"]
     return HotpathReport(
         workload="fig8_mppt",
         time_step_s=time_step_s,
@@ -246,17 +230,8 @@ def run_hotpath_benchmark(
         speedup_default=(
             by_name["default"].steps_per_s / by_name["reference"].steps_per_s
         ),
-        speedup_fast_pv=(
-            by_name["fast_pv"].steps_per_s / by_name["reference"].steps_per_s
-        ),
         target_speedup=TARGET_SPEEDUP,
         default_bit_identical=results_bit_identical(reference, default),
-        fast_pv_max_node_voltage_error_v=float(
-            np.max(np.abs(reference.node_voltage_v - fast.node_voltage_v))
-        ),
-        fast_pv_max_harvest_power_error_w=float(
-            np.max(np.abs(reference.harvest_power_w - fast.harvest_power_w))
-        ),
     )
 
 

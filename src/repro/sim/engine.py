@@ -144,19 +144,12 @@ class SimulationConfig:
       run continues.  Downtime and brownout counts are accounted in the
       result.
 
-    PV solver selection (see ``docs/performance.md``):
-
-    * default: the scalar Newton fast path -- bit-identical to the
-      historical array solver, one solve per step.
-    * ``fast_pv=True``: opt-in pre-characterized
-      :class:`~repro.perf.surface.PvSurface` bilinear lookup --
-      approximate within a documented tolerance, never bit-exact, so
-      it is off by default.
-    * ``pv_reference=True``: the pre-optimization reference path (array
-      solves, duplicate power solve, per-step scalar trace lookup, no
-      decision memoization).  Exists so benchmarks can measure the fast
-      path against the original engine honestly; results are
-      bit-identical to the default path, just slower.
+    ``pv_reference=True`` selects the pre-optimization reference loop
+    (array PV solves, duplicate power solve, per-step scalar trace
+    lookup, no decision memoization) instead of the default scalar
+    Newton fast path.  It exists so tests and benchmarks can compare the
+    fast path against the original engine; results are bit-identical
+    to the default path, just slower (see ``docs/performance.md``).
     """
 
     time_step_s: float = 10e-6
@@ -166,7 +159,6 @@ class SimulationConfig:
     recover_from_brownout: bool = False
     recovery_voltage_v: float = 1.0
     max_steps: int = 20_000_000
-    fast_pv: bool = False
     pv_reference: bool = False
 
     def __post_init__(self) -> None:
@@ -192,11 +184,32 @@ class SimulationConfig:
                 "recover_from_brownout requires stop_on_brownout=False "
                 "(a run cannot both terminate and recover on brownout)"
             )
-        if self.fast_pv and self.pv_reference:
-            raise ModelParameterError(
-                "fast_pv and pv_reference are mutually exclusive "
-                "(the reference path exists to benchmark against)"
-            )
+
+
+@dataclass(frozen=True)
+class EndState:
+    """The loop state a finished run leaves behind.
+
+    Everything the batched fleet engine keeps per lane in
+    :class:`~repro.fleet.state.FleetState` that the
+    :class:`~repro.sim.result.SimulationResult` does not carry: where
+    the run ended, the actuation memory (last processor voltage, DVFS
+    transition bookkeeping) and the brownout/telemetry flags.  Recorded
+    once after the step loop, so it costs nothing per step.
+    """
+
+    step: int
+    time_s: float
+    processor_voltage_v: float
+    prev_setpoint_v: float
+    lockout_until_s: float
+    prev_mode: "str | None"
+    telemetry_mode: "str | None"
+    outage_started_s: "float | None"
+    recovering: bool
+    in_brownout: bool
+    node_collapsed: bool
+    transition_count: int
 
 
 class TransientSimulator:
@@ -250,30 +263,8 @@ class TransientSimulator:
         self.config = config or SimulationConfig()
         self.transitions = transitions
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-
-    # -- one actuation resolution -------------------------------------------------
-
-    def _clamped_frequency_and_power(
-        self,
-        v_eval: float,
-        commanded_hz: float,
-        cache: "dict[tuple[float, float], tuple[float, float]] | None",
-    ) -> "tuple[float, float]":
-        """Delegates to :func:`clamped_frequency_and_power`."""
-        return clamped_frequency_and_power(
-            self.processor, v_eval, commanded_hz, cache
-        )
-
-    def _resolve_decision(
-        self,
-        decision: ControlDecision,
-        v_node: float,
-        cache: "dict[tuple[float, float], tuple[float, float]] | None" = None,
-    ) -> "tuple[float, float, float, float, str]":
-        """Delegates to the shared :func:`resolve_decision`."""
-        return resolve_decision(
-            self.processor, self.regulator, decision, v_node, cache
-        )
+        #: Populated by :meth:`run`: the loop's final state.
+        self.end_state: "EndState | None" = None
 
     # -- the run -------------------------------------------------------------------
 
@@ -303,23 +294,18 @@ class TransientSimulator:
 
         # -- hot-path strategy selection ------------------------------
         # Default: one cold-started scalar Newton solve per step --
-        # bit-identical to the historical two array solves.  fast_pv
-        # swaps in the pre-characterized bilinear surface (approximate,
-        # opt-in).  pv_reference restores the pre-optimization loop
-        # exactly (array solves, duplicated power solve, per-step trace
+        # bit-identical to the historical two array solves.
+        # pv_reference restores the pre-optimization loop exactly
+        # (array solves, duplicated power solve, per-step trace
         # interpolation, no memoization) for honest benchmarking.
         cell = self.cell
         node_capacitor = self.node_capacitor
+        processor = self.processor
+        regulator = self.regulator
         use_reference = cfg.pv_reference
-        scalar_solve = getattr(cell, "current_scalar", None)
-        pv_current: "Callable[[float, float], float] | None" = None
-        if not use_reference:
-            if cfg.fast_pv:
-                from repro.perf.surface import surface_for_cell
-
-                pv_current = surface_for_cell(cell).current
-            elif scalar_solve is not None:
-                pv_current = scalar_solve
+        pv_current: "Callable[[float, float], float] | None" = (
+            None if use_reference else getattr(cell, "current_scalar", None)
+        )
 
         decision_cache: (
             "dict[tuple[float, float], tuple[float, float]] | None"
@@ -420,8 +406,8 @@ class TransientSimulator:
                 brownout_count=brownout_count,
             )
             decision = self.controller.decide(view)
-            v_proc, f, p_proc, p_draw, mode = self._resolve_decision(
-                decision, v_node, decision_cache
+            v_proc, f, p_proc, p_draw, mode = resolve_decision(
+                processor, regulator, decision, v_node, decision_cache
             )
             if recovering:
                 # Load power-gated while the node recharges; whatever
@@ -454,15 +440,15 @@ class TransientSimulator:
                     # Clock gated while the supply settles.
                     f = 0.0
                     p_proc = (
-                        float(self.processor.leakage.power(v_proc))
-                        if v_proc >= self.processor.min_operating_v
+                        float(processor.leakage.power(v_proc))
+                        if v_proc >= processor.min_operating_v
                         else 0.0
                     )
                     if mode == "regulated":
                         try:
                             p_draw = max(
                                 p_draw,
-                                self.regulator.input_power(
+                                regulator.input_power(
                                     v_proc, p_proc, v_in=v_node
                                 ),
                             )
@@ -623,6 +609,20 @@ class TransientSimulator:
         tel.gauge("brownout.downtime_s", downtime_s)
         tel.gauge("engine.final_cycles", float(cycles))
         tel.profile("engine.run_wall_s", time.perf_counter() - wall_started)
+        self.end_state = EndState(
+            step=step,
+            time_s=t,
+            processor_voltage_v=prev_v_proc,
+            prev_setpoint_v=prev_setpoint_v,
+            lockout_until_s=lockout_until,
+            prev_mode=prev_mode,
+            telemetry_mode=telemetry_mode,
+            outage_started_s=outage_started_s,
+            recovering=recovering,
+            in_brownout=in_brownout,
+            node_collapsed=node_collapsed,
+            transition_count=transition_count,
+        )
 
         result = SimulationResult(
             time_s=rec_t[:recorded].copy(),

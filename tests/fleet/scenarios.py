@@ -18,8 +18,8 @@ and ``nan != nan`` would otherwise fail scalar-vs-itself).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.core.duty_cycle import DutyCycleController
 from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
@@ -34,20 +34,23 @@ from repro.faults.models import (
     faulted_system,
     faulted_trace,
 )
+from repro.fleet.control import MODE_NAMES
 from repro.fleet.engine import FleetNode, FleetSimulator
+from repro.fleet.state import NO_MODE, FleetState
 from repro.parallel.cache import characterized_system
 from repro.perf.benchmark import results_bit_identical
 from repro.planner.adapter import PlanController, RecedingHorizonController
 from repro.planner.dp import PlannerSpec, build_actions, solve_plan
 from repro.planner.forecast import ForecastErrorModel, bin_trace
 from repro.processor.workloads import Workload, image_frame_workload
+from repro.pv.cell import SingleDiodeCell
 from repro.pv.traces import IrradianceTrace, cloud_trace, step_trace
 from repro.sim.dvfs import (
     BypassController,
     ConstantSpeedController,
     FixedOperatingPointController,
 )
-from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.engine import EndState, SimulationConfig, TransientSimulator
 from repro.sim.result import SimulationResult
 from repro.sim.transitions import DvfsTransitionModel
 from repro.telemetry.session import Telemetry, TelemetrySession
@@ -76,16 +79,28 @@ class Scenario:
     duration_s: Optional[float] = None
 
 
-def run_scalar(
+def run_scalar_lane(
     scenario: Scenario, telemetry: "Optional[Telemetry]" = None
-) -> SimulationResult:
-    """Run one scenario through the scalar reference engine."""
+) -> "Tuple[SimulationResult, EndState]":
+    """Run one scenario through the scalar reference engine.
+
+    Returns the result and the engine's end-of-loop state record.
+    """
     parts = dict(scenario.parts(telemetry))
     parts["node_capacitor"] = parts.pop("capacitor")
     simulator = TransientSimulator(
         config=scenario.config, telemetry=telemetry, **parts
     )
-    return simulator.run(scenario.trace, duration_s=scenario.duration_s)
+    result = simulator.run(scenario.trace, duration_s=scenario.duration_s)
+    assert simulator.end_state is not None
+    return result, simulator.end_state
+
+
+def run_scalar(
+    scenario: Scenario, telemetry: "Optional[Telemetry]" = None
+) -> SimulationResult:
+    """Run one scenario through the scalar reference engine."""
+    return run_scalar_lane(scenario, telemetry)[0]
 
 
 def run_batch(
@@ -159,6 +174,50 @@ def assert_results_identical(
     assert a.events == b.events
     assert a.metrics == b.metrics
     assert_summaries_identical(a, b)
+
+
+def assert_state_row_matches(
+    state: FleetState, lane: int, result: SimulationResult, end: EndState
+) -> None:
+    """Lane ``lane`` of ``state`` equals a scalar run, field by field.
+
+    ``result``/``end`` are the scalar engine's result and end-of-loop
+    record for the same node; NaN and ``NO_MODE`` sentinels are read
+    back as the scalar engine's ``None``.
+    """
+
+    def optional(value: float) -> "Optional[float]":
+        return None if math.isnan(value) else value
+
+    def mode(code: int) -> "Optional[str]":
+        return None if code == NO_MODE else MODE_NAMES[code]
+
+    row = EndState(
+        step=int(state.end_step[lane]),
+        time_s=float(state.end_time_s[lane]),
+        processor_voltage_v=float(state.processor_voltage_v[lane]),
+        prev_setpoint_v=float(state.prev_setpoint_v[lane]),
+        lockout_until_s=float(state.lockout_until_s[lane]),
+        prev_mode=mode(int(state.prev_mode[lane])),
+        telemetry_mode=mode(int(state.telemetry_mode[lane])),
+        outage_started_s=optional(float(state.outage_started_s[lane])),
+        recovering=bool(state.recovering[lane]),
+        in_brownout=bool(state.in_brownout[lane]),
+        node_collapsed=bool(state.node_collapsed[lane]),
+        transition_count=int(state.transition_count[lane]),
+    )
+    assert asdict(row) == asdict(end)
+    assert float(state.cycles_done[lane]) == result.final_cycles
+    assert float(state.downtime_s[lane]) == result.downtime_s
+    assert int(state.brownout_count[lane]) == result.brownout_count
+    assert bool(state.completed[lane]) == result.completed
+    assert bool(state.browned_out[lane]) == result.browned_out
+    assert optional(float(state.completion_time_s[lane])) == (
+        result.completion_time_s
+    )
+    assert optional(float(state.brownout_time_s[lane])) == (
+        result.brownout_time_s
+    )
 
 
 # -- the scenario matrix ------------------------------------------------------
@@ -338,11 +397,53 @@ FAMILY_SCENARIOS: "Tuple[Scenario, ...]" = (
     Scenario("receding", MATRIX_CONFIG, MATRIX_TRACE, _receding_parts),
 )
 
-#: Every vectorizable family plus one unknown-subclass fallback lane
-#: (the sprint controller has no VECTOR_FAMILY tag).
+class CustomCell(SingleDiodeCell):
+    """A cell subclass: the batched PV solve only admits plain cells."""
+
+
+class CallableTrace:
+    """A bare callable trace without ``step_samples``."""
+
+    def __init__(self, trace: IrradianceTrace) -> None:
+        self._trace = trace
+        self.duration_s = trace.duration_s
+
+    def __call__(self, time_s: float) -> float:
+        return self._trace(time_s)
+
+
+def _custom_cell_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
+    parts = _fig6_fixed_parts(telemetry)
+    parts["cell"] = CustomCell(**asdict(SYSTEM.cell))
+    return parts
+
+
+#: Every vectorizable family plus fallback lanes that run on the
+#: scalar engine: an unknown controller subclass (the sprint controller
+#: has no VECTOR_FAMILY tag), a cell subclass, a DVFS transition model
+#: and a trace without ``step_samples`` (the last three with otherwise
+#: vectorizable controllers).
 HETERO_SCENARIOS: "Tuple[Scenario, ...]" = FAMILY_SCENARIOS + (
     Scenario(
         "sprint_fallback", MATRIX_CONFIG, MATRIX_TRACE, _sprint_parts
+    ),
+    Scenario(
+        "custom_cell_fallback",
+        MATRIX_CONFIG,
+        MATRIX_TRACE,
+        _custom_cell_parts,
+    ),
+    Scenario(
+        "transitions_fallback",
+        MATRIX_CONFIG,
+        MATRIX_TRACE,
+        _transitions_parts,
+    ),
+    Scenario(
+        "callable_trace_fallback",
+        MATRIX_CONFIG,
+        cast(IrradianceTrace, CallableTrace(MATRIX_TRACE)),
+        _fig6_fixed_parts,
     ),
 )
 
@@ -351,6 +452,9 @@ EXPECTED_FAMILY: "Dict[str, Optional[str]]" = {
     scenario.name: scenario.name for scenario in FAMILY_SCENARIOS
 }
 EXPECTED_FAMILY["sprint_fallback"] = None
+EXPECTED_FAMILY["custom_cell_fallback"] = None
+EXPECTED_FAMILY["transitions_fallback"] = None
+EXPECTED_FAMILY["callable_trace_fallback"] = None
 
 
 def _stop_scenario(name: str, **overrides: Any) -> Scenario:

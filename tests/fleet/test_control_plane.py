@@ -2,14 +2,17 @@
 
 One heterogeneous batch mixes every vectorizable controller family
 (fixed, constant_speed, bypass, duty_cycle, mppt, plan, receding) with
-an unknown-subclass fallback lane (sprint).  The contract under test:
+fallback lanes that run on the scalar engine (an unknown controller
+subclass, a cell subclass, a DVFS transition model, a trace without
+``step_samples``).  The contract under test:
 
-* classification is observable (``control_summary`` and the
-  ``FleetState.control_family`` codes match the family names);
+* classification is per lane and observable (``control_summary`` and
+  the ``FleetState.control_family`` codes match the family names);
 * batch-N is bit-identical to N batches of one, and to the scalar
-  reference engine, lane by lane;
+  reference engine, lane by lane -- results and ``FleetState`` rows;
 * lanes stay independent through death (``stop_on_brownout``) and
-  brownout recovery;
+  brownout recovery, and the state's shared time is the latest lane
+  end;
 * lane order is physically meaningless (``FleetState.permuted``).
 """
 
@@ -20,6 +23,7 @@ from typing import List, Tuple
 import pytest
 
 from repro.fleet import FALLBACK_FAMILY, FAMILY_CODES
+from repro.processor.workloads import Workload
 from repro.pv.traces import cloud_trace
 from repro.sim.engine import SimulationConfig
 from repro.units import micro_seconds, milli_seconds
@@ -34,9 +38,12 @@ from tests.fleet.scenarios import (
     _duty_cycle_parts,
     _fig6_fixed_parts,
     _fig8_mppt_parts,
+    _transitions_parts,
     assert_results_identical,
+    assert_state_row_matches,
     run_batch,
     run_scalar,
+    run_scalar_lane,
 )
 
 HETERO_NAMES = [scenario.name for scenario in HETERO_SCENARIOS]
@@ -56,7 +63,9 @@ class TestClassification:
         assert summary is not None
         assert summary["lanes"] == len(HETERO_SCENARIOS)
         assert summary["vectorized"] == len(FAMILY_SCENARIOS)
-        assert summary["fallback"] == 1
+        assert summary["fallback"] == (
+            len(HETERO_SCENARIOS) - len(FAMILY_SCENARIOS)
+        )
         assert summary["families"] == {
             scenario.name: 1 for scenario in FAMILY_SCENARIOS
         }
@@ -85,9 +94,10 @@ class TestClassification:
 class TestHeterogeneousBitIdentity:
     @pytest.mark.parametrize("lane", range(len(HETERO_SCENARIOS)), ids=HETERO_NAMES)
     def test_lane_matches_scalar_reference(self, hetero, lane: int) -> None:
-        _, results = hetero
-        scalar = run_scalar(HETERO_SCENARIOS[lane])
+        simulator, results = hetero
+        scalar, end = run_scalar_lane(HETERO_SCENARIOS[lane])
         assert_results_identical(scalar, results[lane])
+        assert_state_row_matches(simulator.state, lane, scalar, end)
 
     @pytest.mark.parametrize("lane", range(len(HETERO_SCENARIOS)), ids=HETERO_NAMES)
     def test_batch_n_equals_n_batches_of_one(self, hetero, lane: int) -> None:
@@ -147,6 +157,54 @@ class TestLaneIndependence:
         assert results[0].brownout_count >= 1
         for scenario, result in zip(scenarios, results):
             assert_results_identical(run_scalar(scenario), result)
+
+
+    def test_state_time_is_latest_lane_end(self) -> None:
+        """Fast lanes that complete early leave the fallback lane as the
+        last one running; the state's shared time is its end."""
+        config = SimulationConfig(
+            time_step_s=micro_seconds(10),
+            record_every=4,
+            stop_on_brownout=False,
+            stop_on_completion=True,
+        )
+
+        def short_job(make_parts):
+            def parts(telemetry):
+                lane_parts = make_parts(telemetry)
+                lane_parts["workload"] = Workload("short", 50_000)
+                return lane_parts
+
+            return parts
+
+        scenarios = (
+            Scenario(
+                "fixed", config, MATRIX_TRACE, short_job(_fig6_fixed_parts)
+            ),
+            Scenario(
+                "constant_speed",
+                config,
+                MATRIX_TRACE,
+                short_job(_constant_speed_parts),
+            ),
+            Scenario("transitions", config, MATRIX_TRACE, _transitions_parts),
+        )
+        simulator, results, _ = run_batch(scenarios)
+        state = simulator.state
+        assert state is not None
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == 2
+        assert simulator.control_summary["fallback"] == 1
+        ends = []
+        for lane, scenario in enumerate(scenarios):
+            scalar, end = run_scalar_lane(scenario)
+            assert_results_identical(scalar, results[lane])
+            assert_state_row_matches(state, lane, scalar, end)
+            ends.append(end)
+        assert results[0].completed and results[1].completed
+        assert max(ends[0].step, ends[1].step) < ends[2].step
+        assert state.step == ends[2].step
+        assert state.time_s == ends[2].time_s
 
 
 class TestPermutationInvariance:

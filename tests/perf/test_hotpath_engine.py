@@ -1,4 +1,4 @@
-"""Engine hot path: single solve per step, bit-identity, fast_pv envelope.
+"""Engine hot path: single solve per step, bit-identity to the reference.
 
 ``pv_reference=True`` reruns the pre-optimization loop (array solves,
 duplicated brownout-branch power solve, per-step trace interpolation,
@@ -9,16 +9,13 @@ comparison on real engine runs:
   scalars and events -- including through the stop-on-brownout record
   branch whose duplicate solve this PR removed;
 * the default path must perform exactly one PV solve per step (counted
-  on a wrapped cell), where the reference pays two;
-* ``fast_pv`` must stay inside its documented envelope on the Fig. 8
-  workload.
+  on a wrapped cell), where the reference pays two.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.system import paper_system
-from repro.errors import ModelParameterError
 from repro.perf.benchmark import run_hotpath_benchmark
 from repro.processor.workloads import Workload
 from repro.pv.traces import constant_trace, step_trace
@@ -90,14 +87,8 @@ def _assert_bit_identical(a, b):
 
 
 class TestConfig:
-    def test_fast_pv_and_reference_are_mutually_exclusive(self):
-        with pytest.raises(ModelParameterError):
-            SimulationConfig(fast_pv=True, pv_reference=True)
-
     def test_flags_default_off(self):
-        config = SimulationConfig()
-        assert not config.fast_pv
-        assert not config.pv_reference
+        assert not SimulationConfig().pv_reference
 
 
 class TestBitIdentity:
@@ -158,13 +149,7 @@ class TestSolveCounts:
 
 
 class TestFig8Workload:
-    def test_benchmark_smoke_bit_identity_and_fast_pv_envelope(self):
+    def test_benchmark_smoke_bit_identity(self):
         report = run_hotpath_benchmark(rounds=1, smoke=True)
         assert report.default_bit_identical
-        # Documented fast_pv envelope (docs/performance.md): node
-        # trajectories within 1 mV, harvest power within 1 mW of the
-        # exact solver on the Fig. 8 workload (measured values are
-        # orders of magnitude smaller; see BENCH_engine_hotpath.json).
-        assert report.fast_pv_max_node_voltage_error_v < 1e-3
-        assert report.fast_pv_max_harvest_power_error_w < 1e-3
         assert report.speedup_default > 1.0

@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ModelParameterError):
             SimulationConfig(record_every=0)
 
-    def test_rejects_fast_pv_with_reference_solver(self):
-        with pytest.raises(ModelParameterError):
-            SimulationConfig(fast_pv=True, pv_reference=True)
-
 
 class TestSteadyState:
     def test_light_load_node_rises_to_equilibrium(self, system):
