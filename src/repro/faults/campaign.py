@@ -27,6 +27,7 @@ serial path at any worker count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Tuple
@@ -98,7 +99,6 @@ def resolve_engine(
     runs: int,
     batch_size: int,
     resilience_active: bool = False,
-    min_batch: "int | None" = None,
 ) -> str:
     """The concrete engine (``"fleet"``/``"scalar"``) ``auto`` picks.
 
@@ -106,7 +106,7 @@ def resolve_engine(
     batches through the fleet engine only when no resilience policy
     forces per-run tasks *and* the effective shard size
     (``min(runs, batch_size)``) reaches the measured crossover
-    (``min_batch``, default :data:`FLEET_AUTO_MIN_BATCH`).
+    :data:`FLEET_AUTO_MIN_BATCH`.
     """
     if engine not in ENGINES:
         raise ModelParameterError(
@@ -116,12 +116,9 @@ def resolve_engine(
         return engine
     if resilience_active:
         return "scalar"
-    threshold = FLEET_AUTO_MIN_BATCH if min_batch is None else min_batch
-    if threshold < 1:
-        raise ModelParameterError(
-            f"fleet_auto_min_batch must be >= 1, got {threshold}"
-        )
-    return "fleet" if min(runs, batch_size) >= threshold else "scalar"
+    if min(runs, batch_size) >= FLEET_AUTO_MIN_BATCH:
+        return "fleet"
+    return "scalar"
 
 
 @dataclass(frozen=True)
@@ -500,40 +497,49 @@ def _transient_run_task(
     )
 
 
-def _campaign_journal(
-    resilience: ResilienceConfig,
-    label: str,
+def _run_seeds(
+    task: "partial[object]",
+    items: "list",
+    resilience: "ResilienceConfig | None",
+    journal_label: str,
     spec: FaultSpec,
     config: "CampaignConfig | IntermittentCampaignConfig",
-) -> "CampaignJournal | None":
-    """Open the campaign's journal, keyed by its defining inputs.
-
-    The key is a :func:`~repro.parallel.ids.stable_fingerprint` of the
-    campaign kind, fault spec and config, so a journal written for one
-    campaign can never be resumed against another (different runs
-    count, different scheme, different spec -- all different keys).
-    """
-    if resilience.journal_path is None:
-        return None
-    key = stable_fingerprint(label, spec, config)
-    return CampaignJournal(resilience.journal_path, key)
-
-
-def _supervised_records(
-    task: "partial[RunRecord] | partial[IntermittentRunRecord]",
-    seeds: "list[int]",
-    resilience: ResilienceConfig,
-    journal: "CampaignJournal | None",
     *,
     workers: int,
     chunk_size: "int | None",
     progress: "ProgressReporter | None",
     telemetry: "Telemetry | None",
 ) -> "Tuple[list, Tuple[RunFailure, ...]]":
-    """Run seeds under supervision; return (records, quarantined)."""
+    """Map ``task`` over ``items``; return (results, quarantined runs).
+
+    Without ``resilience`` this is fail-stop :func:`run_sharded`.  With
+    it, :func:`run_supervised` retries and quarantines under the policy;
+    a ``journal_path`` opens a journal keyed by a
+    :func:`~repro.parallel.ids.stable_fingerprint` of ``journal_label``,
+    ``spec`` and ``config``, so a journal written for one campaign can
+    never be resumed against another.
+    """
+    if resilience is None:
+        results = run_sharded(
+            task,
+            items,
+            workers=workers,
+            chunk_size=chunk_size,
+            progress=progress,
+            telemetry=telemetry,
+        )
+        return results, ()
+    journal = (
+        None
+        if resilience.journal_path is None
+        else CampaignJournal(
+            resilience.journal_path,
+            stable_fingerprint(journal_label, spec, config),
+        )
+    )
     outcome = run_supervised(
         task,
-        seeds,
+        items,
         workers=workers,
         chunk_size=chunk_size,
         policy=resilience.policy,
@@ -558,7 +564,6 @@ def run_transient_campaign(
     resilience: "ResilienceConfig | None" = None,
     engine: str = "auto",
     batch_size: int = 64,
-    fleet_auto_min_batch: "int | None" = None,
 ) -> CampaignSummary:
     """Fan ``config.runs`` seeded fault draws across the simulator.
 
@@ -594,14 +599,15 @@ def run_transient_campaign(
 
     ``engine`` selects the simulation core.  ``"auto"`` (the default)
     batches seeds through the structure-of-arrays fleet engine
-    (:mod:`repro.fleet`) in shards of ``batch_size``, falling back to
-    the scalar path under ``resilience`` (the supervised runtime
-    retries and quarantines *individual* seeds, which requires per-run
-    tasks) or when the effective shard size sits below the measured
-    fleet/scalar crossover (``fleet_auto_min_batch``, default
-    :data:`FLEET_AUTO_MIN_BATCH` -- see :func:`resolve_engine`).
-    ``"fleet"`` requires batching and raises when combined with
-    ``resilience``; ``"scalar"`` forces the historical path.  The two
+    (:mod:`repro.fleet`), falling back to the scalar path under
+    ``resilience`` (the supervised runtime retries and quarantines
+    *individual* seeds, which requires per-run tasks) or when the
+    effective shard size sits below the measured fleet/scalar
+    crossover :data:`FLEET_AUTO_MIN_BATCH` (see :func:`resolve_engine`).
+    A fleet shard holds ``min(batch_size, ceil(runs / workers))``
+    seeds, so every worker gets a batch.  ``"fleet"`` requires
+    batching and raises when combined with ``resilience``;
+    ``"scalar"`` forces the historical path.  The two
     engines are bit-identical run for run (``tests/fleet/``), so the
     summary does not depend on the choice.
     """
@@ -616,75 +622,54 @@ def run_transient_campaign(
             "supervised runtime retries/quarantines individual seeds; "
             "use engine='auto' (scalar fallback) or engine='scalar'"
         )
+    shard_size = min(batch_size, math.ceil(config.runs / max(1, workers)))
     use_fleet = (
         resolve_engine(
             engine,
             config.runs,
-            batch_size,
+            shard_size,
             resilience_active=resilience is not None,
-            min_batch=fleet_auto_min_batch,
         )
         == "fleet"
     )
     with_metrics = telemetry is not None and telemetry.enabled
     workload, ideal_result, ideal_cycles = _campaign_reference(config)
+    seeds = [config.base_seed + index for index in range(config.runs)]
+    if use_fleet:
+        from repro.fleet.campaign import fleet_transient_batch_task
+
+        run_task = fleet_transient_batch_task
+        items: list = [
+            seeds[start:start + shard_size]
+            for start in range(0, len(seeds), shard_size)
+        ]
+    else:
+        run_task, items = _transient_run_task, seeds
     task = partial(
-        _transient_run_task,
+        run_task,
         spec=spec,
         config=config,
         workload_cycles=workload.cycles,
         ideal_cycles=ideal_cycles,
         with_metrics=with_metrics,
     )
-    seeds = [config.base_seed + index for index in range(config.runs)]
-    failed_runs: "Tuple[RunFailure, ...]" = ()
-    if use_fleet:
-        from repro.fleet.campaign import fleet_transient_batch_task
-
-        batch_task = partial(
-            fleet_transient_batch_task,
-            spec=spec,
-            config=config,
-            workload_cycles=workload.cycles,
-            ideal_cycles=ideal_cycles,
-            with_metrics=with_metrics,
-        )
-        batches = [
-            seeds[start:start + batch_size]
-            for start in range(0, len(seeds), batch_size)
-        ]
-        shards = run_sharded(
-            batch_task,
-            batches,
-            workers=workers,
-            chunk_size=chunk_size,
-            progress=progress,
-            telemetry=telemetry,
-        )
-        records = [record for shard in shards for record in shard]
-    elif resilience is None:
-        records = run_sharded(
-            task,
-            seeds,
-            workers=workers,
-            chunk_size=chunk_size,
-            progress=progress,
-            telemetry=telemetry,
-        )
-    else:
-        journal = _campaign_journal(
-            resilience, "transient-campaign", spec, config
-        )
-        records, failed_runs = _supervised_records(
-            task,
-            seeds,
-            resilience,
-            journal,
-            workers=workers,
-            chunk_size=chunk_size,
-            progress=progress,
-            telemetry=telemetry,
-        )
+    results, failed_runs = _run_seeds(
+        task,
+        items,
+        resilience,
+        "transient-campaign",
+        spec,
+        config,
+        workers=workers,
+        chunk_size=chunk_size,
+        progress=progress,
+        telemetry=telemetry,
+    )
+    records = (
+        [record for shard in results for record in shard]
+        if use_fleet
+        else results
+    )
     aggregated: "MetricTuple | None" = None
     if with_metrics and telemetry is not None and records:
         aggregated = aggregate_run_metrics([r.metrics for r in records])
@@ -941,7 +926,6 @@ def run_intermittent_campaign(
     chunk_size: "int | None" = None,
     progress: "ProgressReporter | None" = None,
     resilience: "ResilienceConfig | None" = None,
-    engine: str = "auto",
 ) -> IntermittentCampaignSummary:
     """Fan seeded fault draws across the checkpointed runtime.
 
@@ -952,47 +936,23 @@ def run_intermittent_campaign(
     execution with quarantine and journaled resume when ``resilience``
     is given).
 
-    ``engine``: the intermittent runtime is a reboot-driven state
-    machine with data-dependent control flow per node, which the
-    structure-of-arrays fleet engine does not model yet -- ``"auto"``
-    and ``"scalar"`` both run the scalar path; ``"fleet"`` raises.
+    The intermittent runtime is a reboot-driven state machine with
+    data-dependent control flow per node, which the structure-of-arrays
+    fleet engine does not model, so every run takes the scalar path.
     """
     config = config or IntermittentCampaignConfig()
-    if engine not in ENGINES:
-        raise ModelParameterError(
-            f"engine must be one of {ENGINES}, got {engine!r}"
-        )
-    if engine == "fleet":
-        raise ModelParameterError(
-            "the intermittent campaign has no fleet engine: the "
-            "checkpointed runtime is not batched; use engine='auto' "
-            "or engine='scalar'"
-        )
-    task = partial(_intermittent_run_task, spec=spec, config=config)
-    seeds = [config.base_seed + index for index in range(config.runs)]
-    failed_runs: "Tuple[RunFailure, ...]" = ()
-    if resilience is None:
-        records = run_sharded(
-            task,
-            seeds,
-            workers=workers,
-            chunk_size=chunk_size,
-            progress=progress,
-        )
-    else:
-        journal = _campaign_journal(
-            resilience, "intermittent-campaign", spec, config
-        )
-        records, failed_runs = _supervised_records(
-            task,
-            seeds,
-            resilience,
-            journal,
-            workers=workers,
-            chunk_size=chunk_size,
-            progress=progress,
-            telemetry=None,
-        )
+    records, failed_runs = _run_seeds(
+        partial(_intermittent_run_task, spec=spec, config=config),
+        [config.base_seed + index for index in range(config.runs)],
+        resilience,
+        "intermittent-campaign",
+        spec,
+        config,
+        workers=workers,
+        chunk_size=chunk_size,
+        progress=progress,
+        telemetry=None,
+    )
     if not records:
         nan = float("nan")
         return IntermittentCampaignSummary(

@@ -6,10 +6,11 @@ parallel: every seeded run is an independent, deterministic function of
 ``multiprocessing`` workers while keeping the results *bit-identical*
 to the serial path:
 
-* :mod:`repro.parallel.executor` -- shard a work list into chunks, fan
-  the chunks across spawn-safe workers, and reduce the results back
-  **in submission order** so aggregation never sees scheduler
-  non-determinism;
+* :mod:`repro.parallel.executor` -- shard a work list into chunks and
+  map a task over them with fail-stop semantics; the chunks run on
+  the supervised worker pool (:mod:`repro.resilience.supervisor`, the
+  only code that spawns workers) and come back **in submission
+  order** so aggregation never sees scheduler non-determinism;
 * :mod:`repro.parallel.cache` -- a per-worker memoization cache so each
   worker characterises expensive pre-computation (MPP lookup tables,
   regulator efficiency grids) once instead of once per run;
@@ -29,14 +30,13 @@ from repro.parallel.cache import (
     memoize,
     worker_cache,
 )
-from repro.parallel.executor import ShardResult, run_sharded, shard
+from repro.parallel.executor import run_sharded, shard
 from repro.parallel.ids import campaign_run_id, stable_fingerprint
 from repro.parallel.progress import NullProgress, ProgressReporter
 
 __all__ = [
     "NullProgress",
     "ProgressReporter",
-    "ShardResult",
     "campaign_run_id",
     "characterized_system",
     "clear_worker_cache",

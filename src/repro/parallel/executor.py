@@ -1,16 +1,17 @@
-"""Sharded, order-preserving process-pool execution.
+"""Sharding and the fail-stop map over the supervised worker pool.
 
 The execution model:
 
-1. **shard** -- split the work list into contiguous chunks, each tagged
-   with its submission index;
-2. **fan out** -- run the chunks on a ``spawn``-context
-   ``multiprocessing`` pool (spawn, not fork: workers import the code
-   fresh, so per-worker caches start empty and no parent state leaks
-   in -- the only start method that behaves identically on every
-   platform);
-3. **ordered reduce** -- collect chunk results as they complete (any
-   order), then reassemble them by submission index before returning.
+1. **shard** -- :func:`shard` splits the work list into contiguous
+   chunks, each tagged with its submission index;
+2. **fan out** -- :func:`repro.resilience.supervisor.run_supervised`,
+   the package's one worker pool, runs the chunks in-process
+   (``workers=1``) or on owned ``spawn``-context worker processes
+   (spawn, not fork: workers import the code fresh, so per-worker
+   caches start empty and no parent state leaks in -- the only start
+   method that behaves identically on every platform);
+3. **ordered reduce** -- chunk results arrive in any order and are
+   reassembled by submission index before returning.
 
 Step 3 is what makes the parallel path *bit-identical* to the serial
 one: every run is a deterministic pure function of its work item, so
@@ -18,37 +19,24 @@ once ordering is restored the concatenated result list -- and any
 aggregate statistic computed from it -- cannot depend on worker count,
 chunk size or OS scheduling.
 
-Tasks must be module-level (picklable) callables and work items must be
-picklable values; both travel to workers by pickle under ``spawn``.
+:func:`run_sharded` is that pool with no retries and fail-stop
+semantics.  Tasks must be module-level (picklable) callables, and work
+items and results must be picklable values: they travel by pickle
+under ``spawn``, and results are pickled even at ``workers=1``.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import time
-from dataclasses import dataclass
-from multiprocessing import get_context
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ModelParameterError
-from repro.parallel.progress import NullProgress
-from repro.telemetry.session import NULL_TELEMETRY, Telemetry
+from repro.telemetry.session import Telemetry
 
 #: Target chunks per worker when no explicit chunk size is given: small
 #: enough to load-balance uneven run times, large enough to amortise
 #: pickle/IPC overhead.
 _CHUNKS_PER_WORKER = 4
-
-
-@dataclass(frozen=True)
-class ShardResult:
-    """One completed chunk, tagged for the ordered reduce."""
-
-    index: int
-    worker_id: "int | str"
-    results: Tuple[Any, ...]
-    elapsed_s: float
 
 
 def shard(
@@ -72,63 +60,6 @@ def default_chunk_size(item_count: int, workers: int) -> int:
     return max(1, math.ceil(item_count / (_CHUNKS_PER_WORKER * max(1, workers))))
 
 
-#: The task callable for this worker process, installed once by the
-#: pool initializer so per-chunk payloads shrink to ``(index, chunk)``
-#: -- the task (often a ``functools.partial`` closing over a full
-#: campaign config) is pickled once per worker, not once per chunk.
-_POOL_TASK: "Callable[[Any], Any] | None" = None
-
-
-def _initialize_worker(task: Callable[[Any], Any]) -> None:
-    """Pool initializer: receive the task once, at worker spawn."""
-    global _POOL_TASK
-    _POOL_TASK = task
-
-
-def _execute_chunk(
-    task: Callable[[Any], Any], index: int, chunk: Tuple[Any, ...]
-) -> ShardResult:
-    """Execute one chunk (shared by the serial and worker paths).
-
-    A task exception is re-raised unchanged (same type, same message --
-    callers' ``except`` clauses keep working) but annotated with
-    ``submission_index`` and ``failing_item`` attributes so the culprit
-    run is identifiable from the propagated error alone.  Instance
-    attributes survive the trip back through the pool: pickling an
-    exception carries its ``__dict__``.
-    """
-    started = time.perf_counter()
-    results: "List[Any]" = []
-    for item in chunk:
-        try:
-            results.append(task(item))
-        except Exception as error:
-            setattr(error, "submission_index", index)
-            setattr(error, "failing_item", item)
-            raise
-    return ShardResult(
-        index=index,
-        worker_id=os.getpid(),
-        results=tuple(results),
-        elapsed_s=time.perf_counter() - started,
-    )
-
-
-def _run_chunk(payload: "Tuple[int, Tuple[Any, ...]]") -> ShardResult:
-    """Execute one chunk inside a pool worker.
-
-    The task is not in the payload; it was installed module-globally by
-    :func:`_initialize_worker` when the worker spawned.
-    """
-    index, chunk = payload
-    if _POOL_TASK is None:
-        raise RuntimeError(
-            "_run_chunk called in a worker without _initialize_worker; "
-            "the pool must be created with the task initializer"
-        )
-    return _execute_chunk(_POOL_TASK, index, chunk)
-
-
 def run_sharded(
     task: Callable[[Any], Any],
     items: Iterable[Any],
@@ -150,7 +81,7 @@ def run_sharded(
         same order regardless of scheduling.
     workers:
         ``1`` (default) runs a plain in-process loop -- the serial
-        reference path.  ``>1`` fans chunks across a spawn pool.
+        reference path.  ``>1`` fans chunks across spawn workers.
     chunk_size:
         Items per chunk; default balances ~4 chunks per worker.
     progress:
@@ -162,55 +93,38 @@ def run_sharded(
         per-chunk wall-clock profiling.  Stays in the parent process;
         it is never pickled to workers.
 
+    Every chunk runs even when one raises; afterwards the
+    lowest-index failure's exception is re-raised unchanged (same type,
+    same message -- callers' ``except`` clauses keep working), annotated
+    with ``submission_index`` (its position in ``items``) and
+    ``failing_item`` and chained from the traceback text the worker
+    captured.  An exception that cannot be pickled back from
+    the worker surfaces as the :class:`~repro.errors.QuarantineError`
+    of :meth:`~repro.resilience.records.SupervisedOutcome.
+    require_complete`, which names the index.
+
     Returns the flat result list in submission order.
     """
-    if workers < 1:
-        raise ModelParameterError(f"workers must be >= 1, got {workers}")
-    tel = telemetry if telemetry is not None else NULL_TELEMETRY
+    # Function-local: the supervisor imports this module for shard().
+    from repro.resilience.records import RetryPolicy
+    from repro.resilience.supervisor import run_supervised
+
     work = list(items)
-    progress = progress or NullProgress()
-    resolved_chunk = (
-        chunk_size if chunk_size is not None
-        else default_chunk_size(len(work), workers)
+    outcome = run_supervised(
+        task,
+        work,
+        workers=workers,
+        chunk_size=chunk_size,
+        policy=RetryPolicy(max_retries=0),
+        progress=progress,
+        telemetry=telemetry,
     )
-    payloads = shard(work, resolved_chunk)
-    tel.gauge("parallel.workers", float(workers))
-    tel.count("parallel.chunks", float(len(payloads)))
-    tel.count("parallel.items", float(len(work)))
-
-    progress.start(len(work), workers)
-    completed: "List[ShardResult]" = []
-    # finally: a chunk that raises must not leave the progress line
-    # dangling mid-render -- finish() always runs, then the (annotated)
-    # task exception propagates to the caller.
-    try:
-        if workers == 1 or len(payloads) <= 1:
-            for index, chunk in payloads:
-                result = _execute_chunk(task, index, chunk)
-                completed.append(result)
-                tel.profile("parallel.chunk_wall_s", result.elapsed_s)
-                progress.update(
-                    len(result.results), result.worker_id, result.elapsed_s
-                )
-        else:
-            context = get_context("spawn")
-            pool_size = min(workers, len(payloads))
-            with context.Pool(
-                processes=pool_size,
-                initializer=_initialize_worker,
-                initargs=(task,),
-            ) as pool:
-                for result in pool.imap_unordered(_run_chunk, payloads):
-                    completed.append(result)
-                    tel.profile("parallel.chunk_wall_s", result.elapsed_s)
-                    progress.update(
-                        len(result.results),
-                        result.worker_id,
-                        result.elapsed_s,
-                    )
-    finally:
-        progress.finish()
-
-    # Ordered reduce: scheduler-independent result order.
-    ordered = sorted(completed, key=lambda r: r.index)
-    return [value for result in ordered for value in result.results]
+    if not outcome.failures:
+        return list(outcome.results)
+    first = outcome.failures[0]
+    error = first.exception
+    if error is None:
+        return outcome.require_complete()  # raises: there are failures
+    setattr(error, "submission_index", first.index)
+    setattr(error, "failing_item", work[first.index])
+    raise error from RuntimeError(first.traceback)

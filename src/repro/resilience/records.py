@@ -17,7 +17,7 @@ never changes results), and the per-run watchdog deadline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import ModelParameterError, QuarantineError
@@ -49,6 +49,13 @@ class RunFailure:
     :func:`repro.faults.campaign.replay_transient_run` or re-submitted
     alone.  ``attempts`` counts every execution attempt the run
     received before quarantine.
+
+    ``exception`` is the raised exception object itself, kept when it
+    survives pickling (``None`` otherwise, and for failures that raised
+    nothing: timeouts, deaths, corruption).  It is what fail-stop
+    callers re-raise, and it is left out of equality, ``repr``,
+    :meth:`as_dict` and the journal, so a resumed failure compares
+    equal to the uninterrupted one.
     """
 
     index: int
@@ -57,6 +64,9 @@ class RunFailure:
     traceback: str
     attempts: int
     kind: str
+    exception: Optional[BaseException] = field(
+        default=None, compare=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         if self.index < 0:

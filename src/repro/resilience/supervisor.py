@@ -1,10 +1,11 @@
-"""Supervised campaign execution: the executor that can lose a worker.
+"""Supervised campaign execution: the package's one worker pool.
 
-:func:`repro.parallel.executor.run_sharded` is the fair-weather path:
-one task exception, hung worker or ``SIGKILL`` discards every completed
-run of a campaign.  This module wraps the same sharded execution model
-in the checkpoint/restore discipline the paper applies to battery-less
-nodes:
+:func:`run_supervised` is the only code that spawns worker processes;
+:func:`repro.parallel.executor.run_sharded` is a fail-stop wrapper over
+it (no retries, the lowest-index task exception re-raised).  Work is
+split by :func:`repro.parallel.executor.shard` into contiguous units
+and run under the checkpoint/restore discipline the paper applies to
+battery-less nodes:
 
 * **per-run supervision** -- task exceptions are captured inside the
   worker as structured outcomes, never allowed to poison the pool;
@@ -53,7 +54,7 @@ from typing import (
 )
 
 from repro.errors import ModelParameterError, ResilienceError
-from repro.parallel.executor import default_chunk_size
+from repro.parallel.executor import default_chunk_size, shard
 from repro.parallel.progress import NullProgress
 from repro.resilience.chaos import (
     CORRUPT,
@@ -139,7 +140,14 @@ def _item_ok(value: Any) -> Tuple[str, Any]:
 
 
 def _item_err(item: Any, error: BaseException, tb: str) -> Tuple[str, Any]:
-    return ("err", (repr(item), repr(error), tb))
+    """The failure as data, carrying ``error`` itself if it pickles."""
+    try:
+        portable: Optional[BaseException] = pickle.loads(
+            pickle.dumps(error, protocol=4)
+        )
+    except Exception:  # noqa: BLE001 -- any unpicklable exception
+        portable = None
+    return ("err", (repr(item), repr(error), tb, portable))
 
 
 def _execute_item(
@@ -280,6 +288,7 @@ class _Supervisor:
         journal: Optional[CampaignJournal],
         chaos: Optional[ChaosSpec],
         progress: Any,
+        telemetry: Telemetry,
         ledger: _Ledger,
     ) -> None:
         self.task = task
@@ -287,6 +296,7 @@ class _Supervisor:
         self.journal = journal
         self.chaos = chaos
         self.progress = progress
+        self.telemetry = telemetry
         self.ledger = ledger
         self.units: Deque[_Unit] = deque()
 
@@ -294,6 +304,7 @@ class _Supervisor:
 
     def handle_envelope(self, unit: _Unit, envelope: _Envelope) -> None:
         """Fold one returned unit into the ledger."""
+        self.telemetry.profile("parallel.chunk_wall_s", envelope.elapsed_s)
         if zlib.crc32(envelope.payload) != envelope.crc:
             self.ledger.corrupt_chunks += 1
             self.fail_unit(
@@ -307,7 +318,7 @@ class _Supervisor:
             return
         outcomes = pickle.loads(envelope.payload)
         succeeded: List[Tuple[int, Any]] = []
-        failed: List[Tuple[Tuple[int, Any], Tuple[str, str, str]]] = []
+        failed: List[Tuple[Tuple[int, Any], Tuple[Any, ...]]] = []
         for (index, item), (status, value) in zip(unit.items, outcomes):
             if status == "ok":
                 succeeded.append((index, value))
@@ -330,8 +341,8 @@ class _Supervisor:
                 tuple(pair for pair, _ in failed),
                 kind="exception",
                 errors={
-                    pair[0]: (err, tb)
-                    for pair, (_repr, err, tb) in failed
+                    pair[0]: (err, tb, exception)
+                    for pair, (_repr, err, tb, exception) in failed
                 },
             )
 
@@ -341,7 +352,7 @@ class _Supervisor:
             unit,
             unit.items,
             kind=kind,
-            errors={index: (error, "") for index, _ in unit.items},
+            errors={index: (error, "", None) for index, _ in unit.items},
         )
 
     def retry_or_quarantine(
@@ -349,7 +360,7 @@ class _Supervisor:
         unit: _Unit,
         failed_items: Tuple[Tuple[int, Any], ...],
         kind: str,
-        errors: Dict[int, Tuple[str, str]],
+        errors: Dict[int, Tuple[str, str, Optional[BaseException]]],
     ) -> None:
         next_attempt = unit.attempt + 1
         if next_attempt <= self.policy.max_attempts:
@@ -366,7 +377,7 @@ class _Supervisor:
             )
             return
         for index, item in failed_items:
-            error, tb = errors[index]
+            error, tb, exception = errors[index]
             failure = RunFailure(
                 index=index,
                 item_repr=repr(item),
@@ -374,6 +385,7 @@ class _Supervisor:
                 traceback=tb,
                 attempts=unit.attempt,
                 kind=kind,
+                exception=exception,
             )
             self.ledger.quarantined[index] = failure
             if self.journal is not None:
@@ -565,18 +577,24 @@ def run_supervised(
 ) -> SupervisedOutcome:
     """Map ``task`` over ``items`` under full supervision.
 
-    The crash-tolerant sibling of :func:`repro.parallel.executor.
-    run_sharded`: same sharding, same submission-order reduce, same
-    bit-identity contract for completed results -- plus retries,
-    quarantine, a watchdog, journaled resume and chaos injection.
+    Shards ``items`` into units of ``chunk_size`` (default: about four
+    per worker), runs them in-process at ``workers=1`` or on owned
+    spawn workers otherwise, and reduces completed results in
+    submission order -- bit-identical at any worker count.  Emits the
+    ``parallel.workers``/``parallel.chunks``/``parallel.items``
+    dispatch metrics and a ``parallel.chunk_wall_s`` profile per
+    returned unit to ``telemetry``.  :func:`repro.parallel.executor.
+    run_sharded` is this function with no retries, raising instead of
+    returning failures.
 
-    Parameters mirror ``run_sharded`` where they overlap.  ``policy``
-    configures retries/backoff/deadlines; ``journal`` enables
-    checkpointed resume (completed work found in it is skipped);
-    ``chaos`` injects seeded infrastructure faults (test harness --
-    crash/hang injection needs ``workers > 1``).  ``task`` must be a
-    pure, picklable function of its item: that purity is what makes a
-    retry bit-identical to a first attempt.
+    ``policy`` configures retries/backoff/deadlines; ``journal``
+    enables checkpointed resume (completed work found in it is
+    skipped); ``chaos`` injects seeded infrastructure faults (test
+    harness -- crash/hang injection needs ``workers > 1``).  ``task``
+    must be a pure, picklable function of its item: that purity is
+    what makes a retry bit-identical to a first attempt.  Results are
+    pickled (and CRC-checked) even at ``workers=1``, so they must be
+    picklable too.
 
     Returns a :class:`SupervisedOutcome`; call
     :meth:`~SupervisedOutcome.require_complete` for fail-stop
@@ -624,21 +642,16 @@ def run_supervised(
         if chunk_size is not None
         else default_chunk_size(len(work), workers)
     )
-    if resolved_chunk < 1:
-        raise ModelParameterError(
-            f"chunk size must be >= 1, got {resolved_chunk}"
-        )
     supervisor = _Supervisor(
-        task, policy, journal, chaos, progress, ledger
+        task, policy, journal, chaos, progress, tel, ledger
     )
     supervisor.units.extend(
-        _Unit(unit_id=unit_id, attempt=1, items=tuple(chunk))
-        for unit_id, chunk in enumerate(
-            remaining[start : start + resolved_chunk]
-            for start in range(0, len(remaining), resolved_chunk)
-        )
-        if chunk
+        _Unit(unit_id=unit_id, attempt=1, items=chunk)
+        for unit_id, chunk in shard(remaining, resolved_chunk)
     )
+    tel.gauge("parallel.workers", float(workers))
+    tel.count("parallel.chunks", float(len(supervisor.units)))
+    tel.count("parallel.items", float(len(work)))
 
     progress.start(len(work), workers)
     try:

@@ -95,18 +95,6 @@ class TestEngineDispatch:
         assert resolve_engine("fleet", runs=1, batch_size=1) == "fleet"
         assert resolve_engine("scalar", runs=1024, batch_size=64) == "scalar"
 
-    def test_crossover_is_overridable(self):
-        assert (
-            resolve_engine("auto", runs=2, batch_size=64, min_batch=2)
-            == "fleet"
-        )
-        assert (
-            resolve_engine("auto", runs=64, batch_size=64, min_batch=128)
-            == "scalar"
-        )
-        with pytest.raises(ModelParameterError):
-            resolve_engine("auto", runs=2, batch_size=64, min_batch=0)
-
     def test_rejects_unknown_engine(self):
         with pytest.raises(ModelParameterError):
             resolve_engine("warp", runs=1, batch_size=1)
@@ -125,6 +113,31 @@ class TestEngineDispatch:
         )
         summary = run_transient_campaign(FaultSpec(), SMALL, engine="auto")
         assert summary.runs == SMALL.runs
+
+    def test_campaign_auto_splits_small_fleet_batches_across_workers(
+        self, monkeypatch
+    ):
+        # 16 seeds fill one fleet batch at workers=1, but at workers=2
+        # each worker's shard of 8 sits below the crossover: auto must
+        # take the scalar path rather than run one batch serially.
+        import repro.fleet.campaign as fleet_campaign
+
+        def _poisoned(*args, **kwargs):
+            raise AssertionError("auto ran a sub-crossover fleet shard")
+
+        monkeypatch.setattr(
+            fleet_campaign, "fleet_transient_batch_task", _poisoned
+        )
+        config = CampaignConfig(
+            runs=FLEET_AUTO_MIN_BATCH,
+            duration_s=4e-3,
+            dim_time_s=2e-3,
+            scheme="holistic",
+        )
+        summary = run_transient_campaign(
+            FaultSpec(), config, workers=2, engine="auto"
+        )
+        assert summary.runs == config.runs
 
     def test_campaign_fleet_override_still_batches(self, monkeypatch):
         import repro.fleet.campaign as fleet_campaign

@@ -4,9 +4,11 @@ The spawn-pool tasks below must live at module top level so worker
 processes can import them by qualified name.
 """
 
+import time
+
 import pytest
 
-from repro.errors import ModelParameterError
+from repro.errors import ModelParameterError, QuarantineError
 from repro.parallel.executor import (
     default_chunk_size,
     run_sharded,
@@ -21,6 +23,26 @@ def square(x):
 def flaky_on_even(x):
     if x % 2 == 0:
         raise ValueError(f"even input {x}")
+    return x
+
+
+def flaky_on_even_smallest_last(x):
+    """Like ``flaky_on_even``, but input 2 raises only after a delay."""
+    if x == 2:
+        time.sleep(0.5)
+    return flaky_on_even(x)
+
+
+class UnpicklableError(Exception):
+    """Pickles, but cannot be rebuilt: ``__init__`` wants two args."""
+
+    def __init__(self, code, detail):
+        super().__init__(f"{code}: {detail}")
+
+
+def unpicklable_on_four(x):
+    if x == 4:
+        raise UnpicklableError(4, "no way back")
     return x
 
 
@@ -88,6 +110,12 @@ class TestSerialPath:
         assert events[0] == "start"
         assert events[-1] == "finish"
 
+    def test_unpicklable_exception_surfaces_as_quarantine_error(self):
+        with pytest.raises(QuarantineError, match="#2 ") as excinfo:
+            run_sharded(unpicklable_on_four, [1, 3, 4, 5], chunk_size=1)
+        assert [f.index for f in excinfo.value.failures] == [2]
+        assert "UnpicklableError" in excinfo.value.failures[0].error
+
 
 class TestParallelPath:
     def test_matches_serial_output_and_order(self):
@@ -117,3 +145,16 @@ class TestParallelPath:
             )
         assert excinfo.value.submission_index == 3
         assert excinfo.value.failing_item == 4
+
+    def test_lowest_index_failure_is_raised_whatever_finishes_first(self):
+        # Index 1 (input 2) fails half a second after index 3 (input 4)
+        # on the other worker; the lower index must still be raised.
+        with pytest.raises(ValueError) as excinfo:
+            run_sharded(
+                flaky_on_even_smallest_last,
+                [1, 2, 3, 4, 5],
+                workers=2,
+                chunk_size=1,
+            )
+        assert excinfo.value.submission_index == 1
+        assert excinfo.value.failing_item == 2

@@ -13,6 +13,7 @@ from repro.resilience import (
     RetryPolicy,
     run_supervised,
 )
+from repro.telemetry.session import TelemetrySession
 
 FAST = RetryPolicy(max_retries=2, backoff_base_s=0.0)
 
@@ -71,6 +72,19 @@ class TestHappyPath:
         fanned = run_supervised(square, items, workers=3, chunk_size=3)
         assert fanned.results == serial.results
         assert fanned.indices == serial.indices
+
+    def test_records_dispatch_telemetry(self):
+        session = TelemetrySession()
+        run_supervised(
+            square, list(range(10)), workers=2, chunk_size=3,
+            telemetry=session,
+        )
+        metrics = session.metrics.as_dict()
+        assert metrics["parallel.workers"] == 2.0
+        assert metrics["parallel.chunks"] == 4.0
+        assert metrics["parallel.items"] == 10.0
+        profile = session.metrics.profiling_summary()
+        assert profile["parallel.chunk_wall_s.calls"] == 4.0
 
     def test_empty_items(self):
         outcome = run_supervised(square, [], workers=2)
