@@ -1,8 +1,9 @@
 """Golden-regression fixtures: the physics must not drift silently.
 
 Small canonical runs (the Fig. 6 operating points, a 5-seed transient
-fault campaign, and a telemetry JSONL trace of the Fig. 6 operating
-point) are serialized to committed JSON/JSONL under ``tests/golden/``.
+fault campaign, a 16-lane fleet batch, five scalar-engine runs frozen
+from the historical reference loop, and a telemetry JSONL trace of the
+Fig. 6 operating point) are serialized to committed JSON/JSONL under ``tests/golden/``.
 Each test recomputes the payload and compares it against the fixture
 within tight tolerances, so a refactor -- the parallel campaign
 executor especially -- cannot silently change the numbers while
