@@ -10,7 +10,7 @@ Exposes the library's main entry points to a terminal user::
     python -m repro sprint --deadline-ms 10 --dim-to 0.35
     python -m repro faults --runs 50 --scheme both
     python -m repro trace fig8 --out fig8_trace.json
-    python -m repro bench --rounds 3
+    python -m repro bench --fleet --smoke
 
 Every command builds the paper's demonstration system and prints plain
 text tables, so the paper's results are reachable without writing any
@@ -440,42 +440,14 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if args.planner:
         return _cmd_bench_planner(args)
-    if args.fleet:
-        return _cmd_bench_fleet(args)
-    from repro.perf.benchmark import run_hotpath_benchmark, write_report
-
-    report = run_hotpath_benchmark(rounds=args.rounds, smoke=args.smoke)
-    path = write_report(report, args.out)
-    print(f"wrote {path}")
-    rows = [
-        (
-            timing.variant,
-            f"{timing.steps_per_s:,.0f}",
-            f"{timing.best_wall_s * 1e3:.1f}",
-        )
-        for timing in report.timings
-    ] + [
-        ("default speedup", f"{report.speedup_default:.2f}x", ""),
-        ("default bit-identical", str(report.default_bit_identical), ""),
-    ]
-    print(format_table(["variant", "steps/s", "best wall [ms]"], rows))
-    if not report.default_bit_identical:
-        print(
-            "error: default path diverged from the reference solver",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    return _cmd_bench_fleet(args)
 
 
 def _cmd_bench_fleet(args: argparse.Namespace) -> int:
     from repro.fleet.bench import run_fleet_benchmark, write_report
 
     report = run_fleet_benchmark(rounds=args.rounds, smoke=args.smoke)
-    out = args.out
-    if out == "BENCH_engine_hotpath.json":
-        out = "BENCH_fleet_engine.json"
-    path = write_report(report, out)
+    path = write_report(report, args.out or "BENCH_fleet_engine.json")
     print(f"wrote {path}")
     rows = [
         (
@@ -527,10 +499,7 @@ def _cmd_bench_planner(args: argparse.Namespace) -> int:
     from repro.planner.bench import run_planner_benchmark, write_report
 
     report = run_planner_benchmark(rounds=args.rounds, smoke=args.smoke)
-    out = args.out
-    if out == "BENCH_engine_hotpath.json":
-        out = "BENCH_planner.json"
-    path = write_report(report, out)
+    path = write_report(report, args.out or "BENCH_planner.json")
     print(f"wrote {path}")
     rows = []
     for scenario in report.scenarios:
@@ -839,32 +808,33 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="engine hot-path steps/s benchmark (reference vs default "
-        "on the Fig. 8 workload)",
+        help="benchmark the batched fleet engine (--fleet) or the DP "
+        "energy planner (--planner)",
+    )
+    bench_mode = p_bench.add_mutually_exclusive_group(required=True)
+    bench_mode.add_argument(
+        "--fleet", action="store_true",
+        help="benchmark the batched fleet engine against N scalar runs "
+        "(aggregate steps/s at batch sizes 1/16/128/1024; writes "
+        "BENCH_fleet_engine.json)",
+    )
+    bench_mode.add_argument(
+        "--planner", action="store_true",
+        help="benchmark the DP energy planner: planned vs paper "
+        "heuristic vs oracle across the scenario matrix "
+        "(writes BENCH_planner.json)",
     )
     p_bench.add_argument(
         "--rounds", type=int, default=3,
-        help="timed runs per variant (best wall time is reported)",
+        help="timed runs per measurement (best wall time is reported)",
     )
     p_bench.add_argument(
         "--smoke", action="store_true",
         help="short CI-sized run; correctness still measured on real runs",
     )
     p_bench.add_argument(
-        "--out", default="BENCH_engine_hotpath.json",
-        help="report JSON output path (--fleet defaults to "
-        "BENCH_fleet_engine.json)",
-    )
-    p_bench.add_argument(
-        "--fleet", action="store_true",
-        help="benchmark the batched fleet engine against N scalar runs "
-        "(aggregate steps/s at batch sizes 1/16/128/1024)",
-    )
-    p_bench.add_argument(
-        "--planner", action="store_true",
-        help="benchmark the DP energy planner: planned vs paper "
-        "heuristic vs oracle across the scenario matrix "
-        "(writes BENCH_planner.json)",
+        "--out", default=None,
+        help="report JSON output path (default: the mode's BENCH file)",
     )
     p_bench.set_defaults(func=_cmd_bench)
 

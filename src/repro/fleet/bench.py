@@ -1,8 +1,8 @@
 """Aggregate steps/s benchmark: fleet engine vs N scalar runs.
 
 Times the Fig. 8 MPPT closed loop (full DVFS controller, comparator
-bank, SC regulator -- the same representative scenario as the engine
-hot-path bench) at batch sizes 1/16/128/1024: each batch size B is
+bank, SC regulator -- the paper's dim-and-retrack scenario) at batch
+sizes 1/16/128/1024: each batch size B is
 simulated once through :class:`~repro.fleet.engine.FleetSimulator` and
 once as B independent scalar runs, and the report records the
 *aggregate* steps/s (B x steps / wall) for both.
@@ -37,9 +37,9 @@ from repro.core.system import EnergyHarvestingSoC
 from repro.errors import ModelParameterError
 from repro.fleet.engine import FleetNode, FleetSimulator
 from repro.parallel.cache import characterized_system
-from repro.perf.benchmark import results_bit_identical
 from repro.pv.traces import step_trace
 from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.result import results_bit_identical
 from repro.telemetry.profiling import PhaseTimer, Stopwatch
 
 #: Batch sizes reported, smallest first (1 doubles as the equivalence
@@ -181,10 +181,10 @@ def run_fleet_benchmark(
     dim_time_s = min(5e-3, duration_s / 3)
     trace = step_trace(before, after, dim_time_s, duration_s)
     system, lut = characterized_system()
-    # One memoizing tracker shared by every lane and every scalar run,
-    # like the hotpath bench: the tracker's operating-point memo is a
-    # pure function of irradiance, so sharing is value-transparent and
-    # keeps the timings about the engines, not the LUT warm-up.
+    # One memoizing tracker shared by every lane and every scalar run:
+    # the tracker's operating-point memo is a pure function of
+    # irradiance, so sharing is value-transparent and keeps the timings
+    # about the engines, not the LUT warm-up.
     tracker = DischargeTimeMppTracker(system, "sc", lut=lut)
     steps = int(np.ceil(duration_s / time_step_s))
     config = SimulationConfig(

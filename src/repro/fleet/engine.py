@@ -153,9 +153,7 @@ class FleetSimulator:
         One :class:`FleetNode` per lane.
     config:
         Shared :class:`~repro.sim.engine.SimulationConfig` -- the fleet
-        batches *homogeneous-config* shards.  ``pv_reference`` is
-        rejected: the historical reference loop is a scalar-engine
-        benchmarking tool.
+        batches *homogeneous-config* shards.
     telemetry:
         Optional *fleet-level* session for control-plane counters
         (``fleet.lanes``, ``fleet.lanes.vectorized``, ``fleet.lanes.
@@ -174,11 +172,6 @@ class FleetSimulator:
             raise ModelParameterError("a fleet needs at least one node")
         self.nodes = list(nodes)
         self.config = config or SimulationConfig()
-        if self.config.pv_reference:
-            raise ModelParameterError(
-                "the fleet engine always runs the exact batched solver; "
-                "pv_reference is a scalar-engine option"
-            )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Populated by :meth:`run`; the end-of-run SoA snapshot.
         self.state: "FleetState | None" = None

@@ -3,8 +3,7 @@
 The simulator (``sim/``), the fault campaigns (``faults/``), the
 parallel executor's result path (``parallel/``), the telemetry
 layer (``telemetry/`` -- its traces must be byte-identical across
-seeded re-runs), the hot-path layer (``perf/`` -- its benchmark
-*results* feed bit-identity claims), the supervised
+seeded re-runs), the supervised
 runtime (``resilience/`` -- retry schedules, chaos decisions and
 journaled resume must replay exactly, or a recovered campaign could
 diverge from an uninterrupted one), the batched fleet engine
@@ -39,7 +38,6 @@ DETERMINISTIC_SEGMENTS: Tuple[str, ...] = (
     "faults",
     "parallel",
     "telemetry",
-    "perf",
     "resilience",
     "fleet",
     "planner",
@@ -52,8 +50,8 @@ class WallClockRule(Rule):
     rule_id = "REP002"
     title = "wall-clock / OS-entropy call in a deterministic package"
     rationale = (
-        "sim/, faults/, parallel/, telemetry/, perf/, resilience/, "
-        "fleet/ and planner/ promise bit-identical outputs; wall-clock "
+        "sim/, faults/, parallel/, telemetry/, resilience/, fleet/ "
+        "and planner/ promise bit-identical outputs; wall-clock "
         "and OS-entropy reads break replay and golden fixtures"
     )
 

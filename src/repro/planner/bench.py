@@ -48,7 +48,6 @@ from repro.faults.campaign import (
 )
 from repro.faults.models import FaultSpec
 from repro.fleet.engine import FleetNode, FleetSimulator
-from repro.perf.benchmark import results_bit_identical
 from repro.planner.adapter import make_planner_controller
 from repro.planner.dp import (
     EnergyGrid,
@@ -70,6 +69,7 @@ from repro.pv.traces import (
 )
 from repro.sim.dvfs import DvfsController
 from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.result import results_bit_identical
 from repro.telemetry.profiling import Stopwatch
 from repro.units import micro_seconds, milli_seconds
 

@@ -143,13 +143,6 @@ class SimulationConfig:
       notified through :class:`~repro.sim.dvfs.ControllerView`, and the
       run continues.  Downtime and brownout counts are accounted in the
       result.
-
-    ``pv_reference=True`` selects the pre-optimization reference loop
-    (array PV solves, duplicate power solve, per-step scalar trace
-    lookup, no decision memoization) instead of the default scalar
-    Newton fast path.  It exists so tests and benchmarks can compare the
-    fast path against the original engine; results are bit-identical
-    to the default path, just slower (see ``docs/performance.md``).
     """
 
     time_step_s: float = 10e-6
@@ -159,7 +152,6 @@ class SimulationConfig:
     recover_from_brownout: bool = False
     recovery_voltage_v: float = 1.0
     max_steps: int = 20_000_000
-    pv_reference: bool = False
 
     def __post_init__(self) -> None:
         if self.time_step_s <= 0.0:
@@ -292,31 +284,25 @@ class TransientSimulator:
         if self.comparators is not None:
             self.comparators.reset()
 
-        # -- hot-path strategy selection ------------------------------
-        # Default: one cold-started scalar Newton solve per step --
-        # bit-identical to the historical two array solves.
-        # pv_reference restores the pre-optimization loop exactly
-        # (array solves, duplicated power solve, per-step trace
-        # interpolation, no memoization) for honest benchmarking.
+        # The per-step PV solve: a cold-started scalar Newton solve
+        # where the harvester has one (bit-identical to the array
+        # solve), its generic ``current`` otherwise.
         cell = self.cell
         node_capacitor = self.node_capacitor
         processor = self.processor
         regulator = self.regulator
-        use_reference = cfg.pv_reference
-        pv_current: "Callable[[float, float], float] | None" = (
-            None if use_reference else getattr(cell, "current_scalar", None)
-        )
+        pv_current: "Callable[[float, float], float]" = getattr(
+            cell, "current_scalar", None
+        ) or (lambda v, irr: float(cell.current(v, irr)))
 
-        decision_cache: (
-            "dict[tuple[float, float], tuple[float, float]] | None"
-        ) = None if use_reference else {}
+        decision_cache: "dict[tuple[float, float], tuple[float, float]]" = {}
 
         # Piecewise traces are pure interpolation, so the whole run's
         # per-step irradiance can be evaluated up front in one
         # vectorised sweep (bit-identical to per-step calls -- see
         # IrradianceTrace.step_samples).
         irr_samples: "list[float] | None" = None
-        if not use_reference and steps + 1 <= _IRR_PRECOMPUTE_MAX_SAMPLES:
+        if steps + 1 <= _IRR_PRECOMPUTE_MAX_SAMPLES:
             sampler = getattr(trace, "step_samples", None)
             if sampler is not None:
                 irr_samples = sampler(dt, steps).tolist()
@@ -375,15 +361,9 @@ class TransientSimulator:
             irr = irr_samples[step] if irr_samples is not None else trace(t)
 
             # Single PV solve per step: current once, power derived
-            # (power() is V * I(V), so p_pv is bit-identical to the old
-            # second solve).  The reference path recomputes below with
-            # the original array calls.
-            if pv_current is not None:
-                i_pv = pv_current(v_node, irr)
-                p_pv = v_node * i_pv
-            else:
-                i_pv = 0.0
-                p_pv = 0.0
+            # (the Harvester protocol defines power() as V * I(V)).
+            i_pv = pv_current(v_node, irr)
+            p_pv = v_node * i_pv
 
             # Power-good release: the node has recharged past the
             # recovery threshold, so the load may reconnect this step.
@@ -493,14 +473,7 @@ class TransientSimulator:
                         rec_vnode[recorded] = v_node
                         rec_vproc[recorded] = v_proc
                         rec_f[recorded] = 0.0
-                        # Reuse the step's already-solved PV power; the
-                        # reference path keeps the historical duplicate
-                        # solve it is benchmarked against.
-                        rec_ppv[recorded] = (
-                            p_pv
-                            if pv_current is not None
-                            else float(cell.power(v_node, irr))
-                        )
+                        rec_ppv[recorded] = p_pv
                         rec_pproc[recorded] = 0.0
                         rec_pdraw[recorded] = 0.0
                         rec_irr[recorded] = irr
@@ -522,8 +495,6 @@ class TransientSimulator:
                 # Work resumed: the next stall is a fresh brownout.
                 in_brownout = False
 
-            if pv_current is None:
-                p_pv = float(cell.power(v_node, irr))
             if step % cfg.record_every == 0:
                 rec_t[recorded] = t
                 rec_vnode[recorded] = v_node
@@ -568,8 +539,6 @@ class TransientSimulator:
                 downtime_s += dt
 
             # Node update: PV source in, converter + comparators out.
-            if pv_current is None:
-                i_pv = float(cell.current(v_node, irr))
             demand_w = p_draw + comparator_power
             if v_node > 1e-6:
                 i_draw = demand_w / v_node

@@ -162,3 +162,38 @@ class SimulationResult:
             for name in sorted(self.metrics):
                 out[f"metrics.{name}"] = self.metrics[name]
         return out
+
+
+def results_bit_identical(a: SimulationResult, b: SimulationResult) -> bool:
+    """Exact equality of every recorded array, scalar and event.
+
+    The one definition of "bit-identical" shared by the fleet and
+    planner benches and the differential equivalence harness in
+    ``tests/fleet/``.
+    """
+    arrays = (
+        "time_s",
+        "node_voltage_v",
+        "processor_voltage_v",
+        "frequency_hz",
+        "harvest_power_w",
+        "processor_power_w",
+        "draw_power_w",
+        "irradiance",
+        "mode",
+    )
+    if any(
+        not np.array_equal(getattr(a, name), getattr(b, name))
+        for name in arrays
+    ):
+        return False
+    return (
+        a.completed == b.completed
+        and a.completion_time_s == b.completion_time_s
+        and a.browned_out == b.browned_out
+        and a.brownout_time_s == b.brownout_time_s
+        and a.brownout_count == b.brownout_count
+        and a.downtime_s == b.downtime_s
+        and a.final_cycles == b.final_cycles
+        and a.events == b.events
+    )

@@ -38,7 +38,6 @@ from repro.fleet.control import MODE_NAMES
 from repro.fleet.engine import FleetNode, FleetSimulator
 from repro.fleet.state import NO_MODE, FleetState
 from repro.parallel.cache import characterized_system
-from repro.perf.benchmark import results_bit_identical
 from repro.planner.adapter import PlanController, RecedingHorizonController
 from repro.planner.dp import PlannerSpec, build_actions, solve_plan
 from repro.planner.forecast import ForecastErrorModel, bin_trace
@@ -51,7 +50,7 @@ from repro.sim.dvfs import (
     FixedOperatingPointController,
 )
 from repro.sim.engine import EndState, SimulationConfig, TransientSimulator
-from repro.sim.result import SimulationResult
+from repro.sim.result import SimulationResult, results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
 from repro.telemetry.session import Telemetry, TelemetrySession
 from repro.units import milli_seconds

@@ -113,26 +113,6 @@ def test_rep002_silent_outside_deterministic_packages(lint_files):
     assert rule_ids(diags) == []
 
 
-def test_rep002_fires_on_time_time_in_perf(lint_files):
-    # perf/ surfaces and benchmark results feed bit-identity claims.
-    diags = lint_files({"perf/surface.py": (
-        "import time\n"
-        "def stamp():\n"
-        "    return time.time()\n"
-    )})
-    assert "REP002" in rule_ids(diags)
-
-
-def test_rep002_allows_perf_counter_in_perf(lint_files):
-    # Benchmark timing itself is exactly what perf_counter is for.
-    diags = lint_files({"perf/benchmark.py": (
-        "import time\n"
-        "def started():\n"
-        "    return time.perf_counter()\n"
-    )})
-    assert rule_ids(diags) == []
-
-
 def test_rep002_allows_perf_counter_in_parallel(lint_files):
     # Measuring elapsed wall time for progress reporting is legitimate.
     diags = lint_files({"parallel/progress.py": (

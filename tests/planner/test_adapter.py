@@ -5,7 +5,6 @@ import pytest
 from repro.core.system import paper_system
 from repro.errors import ModelParameterError
 from repro.fleet.engine import FleetNode, FleetSimulator
-from repro.perf.benchmark import results_bit_identical
 from repro.planner.adapter import (
     PLANNER_MODES,
     PlanController,
@@ -18,6 +17,7 @@ from repro.processor.workloads import Workload
 from repro.pv.traces import step_trace
 from repro.sim.dvfs import ControllerView
 from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.result import results_bit_identical
 from repro.telemetry.session import TelemetrySession
 from repro.units import micro_seconds, milli_seconds
 

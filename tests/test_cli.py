@@ -18,6 +18,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["mep", "--regulator", "boost"])
 
+    @pytest.mark.parametrize(
+        "argv", [["bench"], ["bench", "--fleet", "--planner"]]
+    )
+    def test_bench_requires_exactly_one_mode(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+
 
 class TestCommands:
     def test_info(self, capsys):

@@ -51,7 +51,6 @@ class TestSubpackagesImport:
             "repro.parallel",
             "repro.resilience",
             "repro.telemetry",
-            "repro.perf",
             "repro.fleet",
             "repro.planner",
             "repro.cli",
@@ -74,7 +73,6 @@ class TestSubpackagesImport:
             "repro.parallel",
             "repro.resilience",
             "repro.telemetry",
-            "repro.perf",
             "repro.fleet",
             "repro.planner",
         ],
