@@ -19,6 +19,7 @@ from repro.experiments.fig6_operating_points import (
     fig6b_regulated_comparison,
 )
 from repro.faults import CampaignConfig, FaultSpec, run_transient_campaign
+from repro.pv.cell import SingleDiodeCell, kxob22_cell
 
 #: The canonical 5-seed campaign: sensing faults over the dimmed-light
 #: stress, small enough to run in seconds, rich enough that any drift
@@ -91,6 +92,53 @@ def result_payload(result) -> "dict[str, object]":
         elif spec.name != "metrics":
             payload[spec.name] = value
     return payload
+
+
+#: Cells covering the single-diode solver's branches: the paper cell, a
+#: hot derated copy, a zero-series-resistance cell (closed-form branch)
+#: and a lossy cell with a hard knee.
+PV_REFERENCE_CELLS = {
+    "kxob22": kxob22_cell(),
+    "hot": kxob22_cell().at_temperature(330.0),
+    "no-rs": SingleDiodeCell(
+        photo_current_full_sun_a=5e-3,
+        saturation_current_a=1e-8,
+        ideality_factor=1.2,
+        series_cells=2,
+        series_resistance_ohm=0.0,
+        shunt_resistance_ohm=3000.0,
+    ),
+    "lossy": SingleDiodeCell(
+        photo_current_full_sun_a=20e-3,
+        saturation_current_a=5e-8,
+        series_resistance_ohm=4.0,
+        shunt_resistance_ohm=1000.0,
+    ),
+}
+PV_REFERENCE_IRRADIANCES = (0.0, 0.05, 0.3, 1.0, 1.2)
+PV_REFERENCE_VOLTAGES = np.linspace(-0.2, 2.0, 551)
+
+
+def pv_current_reference_payload() -> "dict[str, object]":
+    """Per-point single-diode currents over a dense voltage grid.
+
+    ``currents[cell][repr(irradiance)][k]`` is the terminal current at
+    ``PV_REFERENCE_VOLTAGES[k]``, each solved as its own one-point call
+    (repr floats, so the JSON round-trips every bit).  The fixture was
+    frozen from the historical array solver, so it is the reference the
+    scalar Newton solve must reproduce exactly.
+    """
+    voltages = PV_REFERENCE_VOLTAGES.tolist()
+    return {
+        "voltage_grid": {"start": -0.2, "stop": 2.0, "points": len(voltages)},
+        "currents": {
+            name: {
+                repr(irr): [float(cell.current(v, irr)) for v in voltages]
+                for irr in PV_REFERENCE_IRRADIANCES
+            }
+            for name, cell in PV_REFERENCE_CELLS.items()
+        },
+    }
 
 
 def fig8_reference_payload() -> "dict[str, object]":
@@ -317,6 +365,7 @@ PAYLOADS = {
     "fig8_reference.json": fig8_reference_payload,
     "transient_campaign.json": campaign_payload,
     "fleet_16node.json": fleet_16node_payload,
+    "pv_current_reference.json": pv_current_reference_payload,
 }
 
 #: fixture file name -> builder returning verbatim text (JSONL traces);
