@@ -248,63 +248,44 @@ class MppTrackingController(DvfsController):
             return point.extracted_power_w
 
     def _maybe_retune(self, view: ControllerView) -> None:
-        thresholds = self.tracker.system.comparator_thresholds_v
         for event in view.comparator_events:
             self._crossings[(event.threshold_v, event.direction)] = event.time_s
         if view.time_s - self._last_retune_s < self.settle_time_s:
             return
-        # Look for a fresh adjacent-threshold pair, preferring the
-        # lowest (latest-crossed) pair for falling, highest for rising.
-        for upper, lower in zip(thresholds, thresholds[1:]):
-            t_upper = self._crossings.get((upper, "falling"))
-            t_lower = self._crossings.get((lower, "falling"))
-            if (
-                t_upper is not None
-                and t_lower is not None
-                and t_lower > t_upper
-                and t_lower > self._last_retune_s
-                and t_lower - t_upper <= self.max_interval_s
-            ):
-                # Evaluate the known draw at the mid-threshold voltage,
-                # the average node voltage during the measurement.
-                draw = self._node_draw_power(0.5 * (upper + lower))
-                record = self.tracker.track(
-                    upper, lower, t_lower - t_upper, draw, time_s=view.time_s
-                )
-                self._apply(record, view.time_s, kind="measured")
-                return
-        for upper, lower in zip(thresholds, thresholds[1:]):
-            t_lower = self._crossings.get((lower, "rising"))
-            t_upper = self._crossings.get((upper, "rising"))
-            if (
-                t_lower is not None
-                and t_upper is not None
-                and t_upper > t_lower
-                and t_upper > self._last_retune_s
-                and t_upper - t_lower <= self.max_interval_s
-            ):
-                draw = self._node_draw_power(0.5 * (upper + lower))
-                released = self.tracker.estimator.capacitor.energy_between(
-                    upper, lower
-                )
-                interval = t_upper - t_lower
-                estimate = PowerEstimate(
-                    input_power_w=draw + released / interval,
-                    interval_s=interval,
-                    upper_v=upper,
-                    lower_v=lower,
-                )
-                entry = self.tracker.lut.interpolate(estimate.input_power_w)
-                record = RetuneRecord(
-                    time_s=view.time_s,
-                    estimate=estimate,
-                    estimated_irradiance=entry.irradiance,
-                    new_point=self.tracker.operating_point_for(entry.irradiance),
-                )
-                self._apply(record, view.time_s, kind="measured")
-                return
-        self._maybe_probe_upward(view)
-        self._maybe_probe_downward(view)
+        pair = self._ready_pair()
+        if pair is None:
+            self._maybe_probe_upward(view)
+            self._maybe_probe_downward(view)
+            return
+        upper, lower, direction = pair
+        t_upper = self._crossings[(upper, direction)]
+        t_lower = self._crossings[(lower, direction)]
+        # Evaluate the known draw at the mid-threshold voltage, the
+        # average node voltage during the measurement.
+        draw = self._node_draw_power(0.5 * (upper + lower))
+        if direction == "falling":
+            record = self.tracker.track(
+                upper, lower, t_lower - t_upper, draw, time_s=view.time_s
+            )
+        else:
+            released = self.tracker.estimator.capacitor.energy_between(
+                upper, lower
+            )
+            interval = t_upper - t_lower
+            estimate = PowerEstimate(
+                input_power_w=draw + released / interval,
+                interval_s=interval,
+                upper_v=upper,
+                lower_v=lower,
+            )
+            entry = self.tracker.lut.interpolate(estimate.input_power_w)
+            record = RetuneRecord(
+                time_s=view.time_s,
+                estimate=estimate,
+                estimated_irradiance=entry.irradiance,
+                new_point=self.tracker.operating_point_for(entry.irradiance),
+            )
+        self._apply(record, view.time_s, kind="measured")
 
     def _maybe_probe_upward(self, view: ControllerView) -> None:
         """Hill-climb when the node rides above the top comparator."""
@@ -402,39 +383,36 @@ class MppTrackingController(DvfsController):
         )
         self._apply(record, view.time_s, kind="recovery")
 
-    def _pair_ready(self) -> bool:
-        """Whether a banked crossing pair would retune right now.
+    def _ready_pair(self) -> "tuple[float, float, str] | None":
+        """The banked crossing pair that would retune right now, if any.
 
-        Replicates the two pair-search loops of :meth:`_maybe_retune`
-        exactly (same dict lookups, same comparisons) without applying
-        the retune.  All inputs are timestamps and ``_last_retune_s``,
+        Falling pairs are searched before rising ones, each in threshold
+        order.  A pair is ready when both adjacent thresholds have been
+        crossed in that direction, in order, after the last retune and
+        within ``max_interval_s``.  Returns ``(upper, lower, direction)``
+        or ``None``.  All inputs are timestamps and ``_last_retune_s``,
         none of which move between real ``decide`` calls, so the answer
         stays valid until the next call.
         """
         thresholds = self.tracker.system.comparator_thresholds_v
-        for upper, lower in zip(thresholds, thresholds[1:]):
-            t_upper = self._crossings.get((upper, "falling"))
-            t_lower = self._crossings.get((lower, "falling"))
-            if (
-                t_upper is not None
-                and t_lower is not None
-                and t_lower > t_upper
-                and t_lower > self._last_retune_s
-                and t_lower - t_upper <= self.max_interval_s
-            ):
-                return True
-        for upper, lower in zip(thresholds, thresholds[1:]):
-            t_lower = self._crossings.get((lower, "rising"))
-            t_upper = self._crossings.get((upper, "rising"))
-            if (
-                t_lower is not None
-                and t_upper is not None
-                and t_upper > t_lower
-                and t_upper > self._last_retune_s
-                and t_upper - t_lower <= self.max_interval_s
-            ):
-                return True
-        return False
+        for direction in ("falling", "rising"):
+            for upper, lower in zip(thresholds, thresholds[1:]):
+                t_upper = self._crossings.get((upper, direction))
+                t_lower = self._crossings.get((lower, direction))
+                if t_upper is None or t_lower is None:
+                    continue
+                first, last = (
+                    (t_upper, t_lower)
+                    if direction == "falling"
+                    else (t_lower, t_upper)
+                )
+                if (
+                    last > first
+                    and last > self._last_retune_s
+                    and last - first <= self.max_interval_s
+                ):
+                    return upper, lower, direction
+        return None
 
     def sync_last_node_v(self, node_voltage_v: float) -> None:
         """Set ``_last_node_v`` as a per-step scalar call would have.
@@ -466,7 +444,7 @@ class MppTrackingController(DvfsController):
             last_retune_s=self._last_retune_s,
             probe_up_threshold_v=up,
             probe_down_threshold_v=down,
-            pair_ready=self._pair_ready(),
+            pair_ready=self._ready_pair() is not None,
             brownouts_seen=self._brownouts_seen,
         )
 

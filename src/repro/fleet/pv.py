@@ -1,25 +1,14 @@
 """Batched single-diode PV solves for the fleet engine.
 
-The scalar engine's hot path is :meth:`repro.pv.cell.SingleDiodeCell.
-current_scalar`: a cold-started damped Newton iteration whose result is
-guaranteed bit-identical to the historical array solver.  The array
-solver itself (:meth:`~repro.pv.cell.SingleDiodeCell.current`) cannot
-serve a batched engine that promises scalar equivalence, because it
-iterates until *global* convergence -- elements whose own step already
-shrank below tolerance keep taking Newton steps while their neighbours
-catch up, and the floating-point Newton map has several attracting
-fixed points within ~1e-16 A of each other, so those extra steps move
-last bits.
-
-:func:`batched_current` therefore re-expresses the *scalar* iteration
-across lanes: every lane is seeded, clipped and stepped with exactly
-the expression order of ``current_scalar``, and a lane **freezes the
-moment its own applied step satisfies the tolerance** -- precisely when
-the scalar loop would have returned.  Elementwise numpy arithmetic
-(including ``np.exp``) is bit-identical to the same operations on
-Python floats, so each lane of the batch equals its scalar solve bit
-for bit.  ``tests/fleet/test_pv.py`` asserts this over dense
-voltage/irradiance grids and hypothesis-driven parameter draws.
+The Newton iteration itself lives in :func:`repro.pv.cell.newton_current`,
+the array form of :meth:`~repro.pv.cell.SingleDiodeCell.current_scalar`
+shared with :meth:`~repro.pv.cell.SingleDiodeCell.current`.  This module
+holds only what is fleet-specific: per-lane parameters packed as
+structure-of-arrays (:class:`CellParams`) and :func:`batched_current`,
+which gathers the active lanes, checks their irradiance and scatters the
+solved currents back.  ``tests/fleet/test_pv.py`` asserts lane-for-lane
+bit-identity with the scalar solve over dense voltage/irradiance grids
+and hypothesis-driven parameter draws.
 """
 
 from __future__ import annotations
@@ -29,12 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.errors import ConvergenceError, ModelParameterError
-from repro.pv.cell import SingleDiodeCell
-
-#: Same iteration budget and tolerance as the scalar path.
-_NEWTON_MAX_ITERATIONS = 100
-_NEWTON_TOLERANCE_A = 1e-12
+from repro.errors import ModelParameterError
+from repro.pv.cell import SingleDiodeCell, newton_current
 
 
 @dataclass(frozen=True)
@@ -100,12 +85,8 @@ def batched_current(
     ``voltage_v``/``irradiance`` are lane-indexed arrays; ``active`` is
     a boolean mask selecting the lanes to solve (dead lanes cost
     nothing and return 0.0 placeholders that the engine never reads).
-
-    Every arithmetic step mirrors
-    :meth:`repro.pv.cell.SingleDiodeCell.current_scalar` (cold start):
-    same seed, same clip bounds, same expression order -- and each lane
-    leaves the iteration exactly when its own applied Newton step drops
-    below tolerance, so lane ``i`` equals
+    The active lanes go through :func:`repro.pv.cell.newton_current`,
+    so lane ``i`` equals
     ``cells[i].current_scalar(voltage_v[i], irradiance[i])`` bit for
     bit.
     """
@@ -117,65 +98,12 @@ def batched_current(
     if np.any(irr < 0.0):
         bad = float(irr[irr < 0.0][0])
         raise ModelParameterError(f"irradiance must be >= 0, got {bad}")
-
-    v = voltage_v[act_idx]
-    iph = params.photo_current_full_sun_a[act_idx] * irr
-    scale = params.diode_scale_v[act_idx]
-    i0 = params.saturation_current_a[act_idx]
-    rsh = params.shunt_resistance_ohm[act_idx]
-    rs = params.series_resistance_ohm[act_idx]
-
-    exponent = np.minimum(np.maximum(v / scale, -60.0), 60.0)
-    ideal = i0 * (np.exp(exponent) - 1.0)
-
-    zero_rs = rs == 0.0
-    if np.any(zero_rs):
-        # No implicit coupling: the closed form, exactly as the scalar.
-        out[act_idx[zero_rs]] = (iph - ideal - v / rsh)[zero_rs]
-    work = ~zero_rs
-    if not np.any(work):
-        return out
-
-    # Compressed working set; `lanes` scatters results back.
-    lanes = act_idx[work]
-    v_w = v[work]
-    iph_w = iph[work]
-    scale_w = scale[work]
-    i0_w = i0[work]
-    rsh_w = rsh[work]
-    rs_w = rs[work]
-
-    seed = iph_w - ideal[work]
-    lo = -iph_w - 1e-3
-    current = np.minimum(np.maximum(seed, lo), iph_w)
-
-    for _ in range(_NEWTON_MAX_ITERATIONS):
-        diode_v = v_w + current * rs_w
-        exponent = np.minimum(np.maximum(diode_v / scale_w, -60.0), 60.0)
-        exp_term = np.exp(exponent)
-        f = iph_w - i0_w * (exp_term - 1.0) - diode_v / rsh_w - current
-        df = -i0_w * exp_term * rs_w / scale_w - rs_w / rsh_w - 1.0
-        step = f / df
-        current = current - step
-        done = np.abs(step) < _NEWTON_TOLERANCE_A
-        if np.all(done):
-            out[lanes] = current
-            return out
-        # Freeze converged lanes at their just-applied value and keep
-        # iterating only the stragglers -- the per-element analogue of
-        # the scalar loop's early return.
-        out[lanes[done]] = current[done]
-        keep = ~done
-        lanes = lanes[keep]
-        v_w = v_w[keep]
-        iph_w = iph_w[keep]
-        scale_w = scale_w[keep]
-        i0_w = i0_w[keep]
-        rsh_w = rsh_w[keep]
-        rs_w = rs_w[keep]
-        current = current[keep]
-        step = step[keep]
-    raise ConvergenceError(
-        "single-diode Newton iteration failed to converge; "
-        f"max residual step {float(np.max(np.abs(step))):.3e} A"
+    out[act_idx] = newton_current(
+        voltage_v[act_idx],
+        params.photo_current_full_sun_a[act_idx] * irr,
+        params.saturation_current_a[act_idx],
+        params.diode_scale_v[act_idx],
+        params.series_resistance_ohm[act_idx],
+        params.shunt_resistance_ohm[act_idx],
     )
+    return out

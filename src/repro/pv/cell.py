@@ -14,7 +14,10 @@ voltage therefore shifts logarithmically with light level -- exactly the
 behaviour visible in the paper's measured curves.
 
 The implicit equation (series resistance couples I and V) is solved with
-a damped Newton iteration that is vectorised over voltage arrays.
+one damped Newton iteration written twice: :meth:`SingleDiodeCell.
+current_scalar` on floats, and :func:`newton_current` elementwise over
+arrays, where each element stops on its own step.  Both give the same
+double for the same point, so scalar and array callers never disagree.
 """
 
 from __future__ import annotations
@@ -28,6 +31,62 @@ from repro.units import micro_amps, milli_amps, thermal_voltage
 
 _NEWTON_MAX_ITERATIONS = 100
 _NEWTON_TOLERANCE_A = 1e-12
+
+
+def newton_current(
+    voltage_v: np.ndarray,
+    photo_current_a: "float | np.ndarray",
+    saturation_current_a: "float | np.ndarray",
+    diode_scale_v: "float | np.ndarray",
+    series_resistance_ohm: "float | np.ndarray",
+    shunt_resistance_ohm: "float | np.ndarray",
+) -> np.ndarray:
+    """Terminal currents of a batch of single-diode points [A].
+
+    The array form of :meth:`SingleDiodeCell.current_scalar`.  Each
+    parameter is a float shared by every point or an array that
+    broadcasts against ``voltage_v`` (one cell per element);
+    ``photo_current_a`` is ``Iph`` at each point's irradiance.  Every
+    element is seeded, clipped and stepped with exactly the scalar
+    loop's expression order, and freezes the moment its own applied
+    step drops below tolerance -- precisely when the scalar loop would
+    have returned.  Elementwise numpy arithmetic (``np.exp`` included)
+    gives the same doubles as the same operations on floats, so each
+    element equals its own scalar solve bit for bit.
+    """
+    v = voltage_v
+    iph = photo_current_a
+    i0 = saturation_current_a
+    scale = diode_scale_v
+    rs = series_resistance_ohm
+    rsh = shunt_resistance_ohm
+
+    exponent = np.minimum(np.maximum(v / scale, -60.0), 60.0)
+    ideal = i0 * (np.exp(exponent) - 1.0)
+    # Without series resistance there is no implicit coupling: those
+    # elements take the closed form and start frozen.
+    zero_rs = np.equal(rs, 0.0)
+    current = np.where(
+        zero_rs,
+        iph - ideal - v / rsh,
+        np.minimum(np.maximum(iph - ideal, -iph - 1e-3), iph),
+    )
+    frozen = np.broadcast_to(zero_rs, current.shape)
+    for _ in range(_NEWTON_MAX_ITERATIONS):
+        diode_v = v + current * rs
+        exponent = np.minimum(np.maximum(diode_v / scale, -60.0), 60.0)
+        exp_term = np.exp(exponent)
+        f = iph - i0 * (exp_term - 1.0) - diode_v / rsh - current
+        df = -i0 * exp_term * rs / scale - rs / rsh - 1.0
+        step = f / df
+        current = np.where(frozen, current, current - step)
+        frozen = frozen | (np.abs(step) < _NEWTON_TOLERANCE_A)
+        if np.all(frozen):
+            return current
+    raise ConvergenceError(
+        "single-diode Newton iteration failed to converge; "
+        f"max residual step {float(np.max(np.abs(step[~frozen]))):.3e} A"
+    )
 
 
 @dataclass(frozen=True)
@@ -156,78 +215,37 @@ class SingleDiodeCell:
     ) -> "float | np.ndarray":
         """Terminal current at the given terminal voltage(s) [A].
 
-        Accepts a scalar or a numpy array of voltages; the return type
-        matches the input.  Negative currents (the load pushing the cell
-        past its open-circuit voltage) are reported faithfully rather
-        than clipped, because the transient simulator relies on the
-        restoring sign to find the stable operating point.
+        A scalar voltage (float, int, numpy scalar or 0-d array) is
+        solved by :meth:`current_scalar` and returns a float; any other
+        array-like goes through :func:`newton_current` and returns an
+        array of the same shape, whose every element equals its own
+        scalar solve bit for bit.  Negative currents (the load pushing
+        the cell past its open-circuit voltage) are reported faithfully
+        rather than clipped, because the transient simulator relies on
+        the restoring sign to find the stable operating point.
         """
-        voltage_arr = np.atleast_1d(np.asarray(voltage, dtype=float))
-        iph = self.photo_current(irradiance)
-        scale = self.diode_scale_v
-
-        # Newton iteration on f(I) = Iph - I0*(exp((V+I*Rs)/scale)-1)
-        #                            - (V+I*Rs)/Rsh - I = 0
-        current_arr = np.clip(
-            iph - self._ideal_diode_current(voltage_arr, iph), -iph - 1e-3, iph
+        if isinstance(voltage, (int, float)) or np.ndim(voltage) == 0:
+            return float(self.current_scalar(float(voltage), irradiance))
+        return newton_current(
+            np.asarray(voltage, dtype=float),
+            self.photo_current(irradiance),
+            self.saturation_current_a,
+            self.diode_scale_v,
+            self.series_resistance_ohm,
+            self.shunt_resistance_ohm,
         )
-        if self.series_resistance_ohm == 0.0:
-            result = (
-                iph
-                - self._ideal_diode_current(voltage_arr, iph)
-                - voltage_arr / self.shunt_resistance_ohm
-            )
-            return self._match_shape(result, voltage)
 
-        rs = self.series_resistance_ohm
-        rsh = self.shunt_resistance_ohm
-        converged = False
-        for _ in range(_NEWTON_MAX_ITERATIONS):
-            diode_v = voltage_arr + current_arr * rs
-            exp_term = np.exp(np.clip(diode_v / scale, -60.0, 60.0))
-            f = (
-                iph
-                - self.saturation_current_a * (exp_term - 1.0)
-                - diode_v / rsh
-                - current_arr
-            )
-            df = -self.saturation_current_a * exp_term * rs / scale - rs / rsh - 1.0
-            step = f / df
-            current_arr = current_arr - step
-            if np.max(np.abs(step)) < _NEWTON_TOLERANCE_A:
-                converged = True
-                break
-        if not converged:
-            raise ConvergenceError(
-                "single-diode Newton iteration failed to converge; "
-                f"max residual step {np.max(np.abs(step)):.3e} A"
-            )
-        return self._match_shape(current_arr, voltage)
-
-    def current_scalar(
-        self,
-        voltage: float,
-        irradiance: float = 1.0,
-        guess: "float | None" = None,
-    ) -> float:
+    def current_scalar(self, voltage: float, irradiance: float = 1.0) -> float:
         """Terminal current at one scalar voltage, without array machinery [A].
 
-        This is the transient simulator's hot path: the same damped
-        Newton iteration as :meth:`current`, expressed in plain floats.
-        Every operation mirrors the array path exactly -- same seed,
-        same clip bounds, same expression order, and scalar ``np.exp``
-        (which is bit-identical to the vectorised ``np.exp`` element,
-        unlike ``math.exp``) -- so the cold-started result equals
-        ``float(self.current(voltage, irradiance))`` bit for bit.
-
-        ``guess`` optionally warm-starts the iteration (e.g. from the
-        previous time step's converged current).  A warm start converges
-        in fewer iterations but may settle on a *different* last-bit
-        representation of the root: the floating-point Newton map has
-        several attracting fixed points within ~1e-16 A of each other,
-        so warm-started results agree with the cold path only to the
-        solver tolerance (measured divergence < 1e-15 A; see
-        ``docs/performance.md``).  The engine therefore cold-starts.
+        The damped Newton iteration on
+        ``f(I) = Iph - I0*(exp((V+I*Rs)/scale)-1) - (V+I*Rs)/Rsh - I = 0``
+        in plain floats, cold-started from the ideal-diode seed.  It is
+        the transient simulator's per-step PV call, and it reproduces the
+        frozen per-point reference ``tests/golden/pv_current_reference.json``
+        exactly.  Scalar ``np.exp`` is used rather than ``math.exp``
+        because it is bit-identical to the vectorised ``np.exp`` element,
+        which keeps :func:`newton_current` equal to this loop.
         """
         iph = self.photo_current(irradiance)
         scale = self.diode_scale_v
@@ -245,16 +263,12 @@ class SingleDiodeCell:
             return iph - ideal - voltage / rsh
 
         rs = self.series_resistance_ohm
-        if guess is None:
-            seed = iph - ideal
-            lo = -iph - 1e-3
-            if seed < lo:
-                seed = lo
-            elif seed > iph:
-                seed = iph
-            current = seed
-        else:
-            current = guess
+        current = iph - ideal
+        lo = -iph - 1e-3
+        if current < lo:
+            current = lo
+        elif current > iph:
+            current = iph
         for _ in range(_NEWTON_MAX_ITERATIONS):
             diode_v = voltage + current * rs
             exponent = diode_v / scale
@@ -332,22 +346,6 @@ class SingleDiodeCell:
     def short_circuit_current(self, irradiance: float = 1.0) -> float:
         """Short-circuit current ``Isc`` at the given irradiance [A]."""
         return float(self.current(0.0, irradiance))
-
-    # -- internals ----------------------------------------------------------
-
-    def _ideal_diode_current(self, voltage_arr: np.ndarray, iph: float) -> np.ndarray:
-        """Diode current ignoring series resistance (Newton seed)."""
-        del iph  # seed does not depend on it; kept for signature clarity
-        exponent = np.clip(voltage_arr / self.diode_scale_v, -60.0, 60.0)
-        return self.saturation_current_a * (np.exp(exponent) - 1.0)
-
-    @staticmethod
-    def _match_shape(
-        result: np.ndarray, template: "float | np.ndarray"
-    ) -> "float | np.ndarray":
-        if np.isscalar(template) or getattr(template, "ndim", 1) == 0:
-            return float(result[0])
-        return result
 
 
 def kxob22_cell() -> SingleDiodeCell:

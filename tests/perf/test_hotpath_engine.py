@@ -14,7 +14,8 @@ on the default engine and requires every recorded scalar, event and
 array summary to be *equal* to the frozen one -- no tolerance, as the
 old in-process comparison had none.  The golden-regression test checks
 the same fixture at its cross-platform tolerance; the solver itself is
-pinned against the array path in ``test_scalar_fastpath.py``.
+pinned against the frozen per-point reference in
+``test_scalar_fastpath.py``.
 """
 
 import json
@@ -55,9 +56,9 @@ class CountingCell:
         self.calls["power"] += 1
         return self._cell.power(voltage, irradiance)
 
-    def current_scalar(self, voltage, irradiance=1.0, guess=None):
+    def current_scalar(self, voltage, irradiance=1.0):
         self.calls["current_scalar"] += 1
-        return self._cell.current_scalar(voltage, irradiance, guess)
+        return self._cell.current_scalar(voltage, irradiance)
 
 
 @pytest.fixture(scope="module")
