@@ -28,7 +28,7 @@ and its ablation bench.
 
 from __future__ import annotations
 
-from typing import ClassVar, Optional, Sequence
+from typing import Sequence
 
 from dataclasses import dataclass
 
@@ -240,8 +240,6 @@ class DutyCycleController(DvfsController):
     node recovers -- the defensive variant of the paper's duty cycling.
     """
 
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "duty_cycle"
-
     def __init__(
         self,
         point: OperatingPoint,
@@ -314,16 +312,6 @@ class DutyCycleController(DvfsController):
             self.job_start_times_s.append(view.time_s)
             return self._decision(self.point.frequency_hz)
         return ControlDecision(mode="halt", frequency_hz=0.0)
-
-    def vector_state(self) -> "tuple[bool, bool, float]":
-        """``(running, paused, job_start_cycles)`` snapshot.
-
-        The fleet control plane mirrors this after every real
-        :meth:`decide` call; between calls the controller's output is
-        constant, so the mirror plus the family's trigger thresholds
-        fully determine when the next real call is needed.
-        """
-        return (self._running, self._paused, self._job_start_cycles)
 
     def measured_rate(self, duration_s: float) -> float:
         """Completed jobs per second over a run of ``duration_s``."""

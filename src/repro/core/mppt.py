@@ -21,11 +21,14 @@ controller for the Fig. 8 waveform reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar, Optional
 
 from repro.core.operating_point import OperatingPoint, OperatingPointOptimizer
 from repro.core.system import EnergyHarvestingSoC
-from repro.errors import InfeasibleOperatingPointError, ModelParameterError
+from repro.errors import (
+    InfeasibleOperatingPointError,
+    ModelParameterError,
+    OperatingRangeError,
+)
 from repro.monitor.estimator import DischargeTimePowerEstimator, PowerEstimate
 from repro.monitor.lut import MppLookupTable
 from repro.sim.dvfs import ControlDecision, ControllerView, DvfsController
@@ -179,8 +182,6 @@ class MppTrackingController(DvfsController):
     window -- a comparator-driven hill climb for brightening light.
     """
 
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "mppt"
-
     def __init__(
         self,
         tracker: DischargeTimeMppTracker,
@@ -244,7 +245,7 @@ class MppTrackingController(DvfsController):
                 point.delivered_power_w,
                 v_in=max(v_node, point.processor_voltage_v + 1e-3),
             )
-        except Exception:
+        except OperatingRangeError:
             return point.extracted_power_w
 
     def _maybe_retune(self, view: ControllerView) -> None:

@@ -85,10 +85,11 @@ PLANNER_SLOTS = 40
 ENGINES = ("auto", "scalar", "fleet")
 
 #: Crossover shard size below which ``engine="auto"`` routes to the
-#: scalar path: per ``BENCH_fleet_engine.json`` the fleet engine's
-#: fixed per-step array overhead makes it *slower* than the scalar
-#: loop at tiny batches (well under 1x at batch 1, roughly break-even
-#: at batch 16) and the win only compounds beyond that.  Explicit
+#: scalar path, taken from the Fig. 8 step-loop microbench in
+#: ``BENCH_fleet_engine.json`` (well under 1x at batch 1, roughly
+#: break-even at batch 16).  On real 16-seed campaigns the fleet beats
+#: the scalar engine for no scheme; see "Real campaigns" in
+#: ``docs/performance.md``.  Explicit
 #: ``engine="fleet"`` always batches regardless (the differential
 #: harness runs batch 1 on purpose); ``auto`` is a throughput policy.
 FLEET_AUTO_MIN_BATCH = 16

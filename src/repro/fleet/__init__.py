@@ -3,16 +3,17 @@
 :class:`FleetSimulator` advances many independent harvest-store-compute
 nodes per step with masked array updates, bit-identical lane-for-lane
 to the scalar :class:`~repro.sim.engine.TransientSimulator` (the
-differential harness in ``tests/fleet/`` is the contract).  Campaigns
-dispatch homogeneous-config shards here automatically; see
-``docs/fleet.md``.
+differential harness in ``tests/fleet/`` is the contract).  Lanes
+whose controller is a plain
+:class:`~repro.core.mppt.MppTrackingController` run in the vectorized
+core; every other lane runs through the scalar engine inside the
+batch.  Campaigns dispatch homogeneous-config shards here
+automatically; see ``docs/fleet.md``.
 """
 
 from repro.fleet.bench import FleetReport, run_fleet_benchmark
 from repro.fleet.campaign import fleet_transient_batch_task
 from repro.fleet.control import (
-    FALLBACK_FAMILY,
-    FAMILY_CODES,
     ControlPlane,
     classify_controller,
     shared_decision_caches,
@@ -24,8 +25,6 @@ from repro.fleet.state import NO_MODE, FleetState
 __all__ = [
     "CellParams",
     "ControlPlane",
-    "FALLBACK_FAMILY",
-    "FAMILY_CODES",
     "FleetNode",
     "FleetReport",
     "FleetSimulator",

@@ -3,22 +3,23 @@
 :class:`FleetSimulator` advances ``B`` *independent* harvest-store-
 compute nodes.  Each run is split in three parts:
 
-* a per-lane **classifier** (:func:`vector_family`) that admits a lane
+* a per-lane **classifier** (:func:`vectorizable`) that admits a lane
   to the vectorized core when its cell is a plain
   :class:`~repro.pv.cell.SingleDiodeCell`, its trace can be sampled up
-  front, its controller classifies into a control-plane family
+  front, its controller is a plain MPP tracker
   (:func:`repro.fleet.control.classify_controller`) and its cycle
   target survives the float mirror;
 * the **vectorized core**, which marches the admitted lanes through
   one shared time grid: the implicit single-diode PV solve and the
   capacitor integration run as masked array updates, and the control
   plane (:mod:`repro.fleet.control`) advances the decisions through
-  batched skip predicates and masked array resolution (real
-  ``decide`` calls only when a controller's own trigger conditions
+  a batched skip predicate and masked array resolution (real
+  ``decide`` calls only when a tracker's own trigger conditions
   fire);
-* every other lane runs through the scalar
-  :class:`~repro.sim.engine.TransientSimulator` itself, so the scalar
-  engine holds the only per-lane copy of the step semantics.
+* every other lane -- any other controller among them -- runs through
+  the scalar :class:`~repro.sim.engine.TransientSimulator` itself, so
+  the scalar engine holds the only per-lane copy of the step
+  semantics.
 
 Per-lane results and :class:`~repro.fleet.state.FleetState` rows are
 merged back in input lane order.
@@ -51,8 +52,6 @@ import numpy as np
 from repro.errors import ModelParameterError, SimulationError
 from repro.core.mppt import MppTrackingController
 from repro.fleet.control import (
-    FALLBACK_FAMILY,
-    FAMILY_CODES,
     M_HALT,
     MODE_NAMES,
     ComparatorLens,
@@ -107,10 +106,10 @@ class FleetNode:
     seed: "int | None" = None
 
 
-def vector_family(
+def vectorizable(
     node: FleetNode, trace: IrradianceTrace, steps: int
-) -> "str | None":
-    """The lane's control-plane family, or ``None`` for the scalar engine.
+) -> bool:
+    """Whether the lane runs in the vectorized core (else the scalar engine).
 
     A lane vectorizes only when the batched PV solve applies (a plain
     :class:`SingleDiodeCell`), its irradiance can be precomputed for
@@ -120,28 +119,27 @@ def vector_family(
     target is exactly representable as a float.
     """
     if type(node.cell) is not SingleDiodeCell:
-        return None
+        return False
     if (
         steps + 1 > _IRR_PRECOMPUTE_MAX_SAMPLES
         or getattr(trace, "step_samples", None) is None
     ):
-        return None
-    family = classify_controller(
+        return False
+    target = node.workload.cycles if node.workload is not None else None
+    if target is not None and float(target) != target:
+        return False  # the float mirror would round
+    return classify_controller(
         node.controller,
         node.processor,
         node.regulator,
         node.transitions is not None,
     )
-    target = node.workload.cycles if node.workload is not None else None
-    if target is not None and float(target) != target:
-        return None  # the float mirror would round
-    return family
 
 
 class FleetSimulator:
     """Simulate a batch of independent nodes on per-lane traces.
 
-    Lanes that :func:`vector_family` admits advance together through
+    Lanes that :func:`vectorizable` admits advance together through
     the vectorized core; every other lane runs through
     :class:`~repro.sim.engine.TransientSimulator` (see the module
     docstring).  Either way each lane is bit-identical to its scalar
@@ -157,9 +155,8 @@ class FleetSimulator:
     telemetry:
         Optional *fleet-level* session for control-plane counters
         (``fleet.lanes``, ``fleet.lanes.vectorized``, ``fleet.lanes.
-        fallback``, ``fleet.lanes.family.<name>``).  Per-lane sessions
-        stay on the nodes so lane metrics remain bit-identical to
-        scalar runs.
+        fallback``).  Per-lane sessions stay on the nodes so lane
+        metrics remain bit-identical to scalar runs.
     """
 
     def __init__(
@@ -176,7 +173,7 @@ class FleetSimulator:
         #: Populated by :meth:`run`; the end-of-run SoA snapshot.
         self.state: "FleetState | None" = None
         #: Populated by :meth:`run`; lane classification counts
-        #: (``{"lanes", "vectorized", "fallback", "families"}``).
+        #: (``{"lanes", "vectorized", "fallback"}``).
         self.control_summary: "Dict[str, object] | None" = None
         #: Optional per-phase wall profiler installed by benchmarks
         #: (see :class:`~repro.telemetry.profiling.PhaseTimer`); it
@@ -223,39 +220,31 @@ class FleetSimulator:
                 "raise time_step_s or max_steps"
             )
 
-        families = [
-            vector_family(node, trace, steps)
+        vectorized = [
+            vectorizable(node, trace, steps)
             for node, trace in zip(nodes, traces)
         ]
-        fast = [i for i, fam in enumerate(families) if fam is not None]
-        family_counts: "Dict[str, int]" = {}
-        for fam in families:
-            if fam is not None:
-                family_counts[fam] = family_counts.get(fam, 0) + 1
+        fast = [i for i, ok in enumerate(vectorized) if ok]
         self.control_summary = {
             "lanes": lanes,
             "vectorized": len(fast),
             "fallback": lanes - len(fast),
-            "families": dict(sorted(family_counts.items())),
         }
         fleet_tel = self.telemetry
         fleet_tel.count("fleet.lanes", float(lanes))
         fleet_tel.count("fleet.lanes.vectorized", float(len(fast)))
         fleet_tel.count("fleet.lanes.fallback", float(lanes - len(fast)))
-        for fam, fam_count in sorted(family_counts.items()):
-            fleet_tel.count(f"fleet.lanes.family.{fam}", float(fam_count))
 
         outcomes: "Dict[int, LaneOutcome]" = {}
         if fast:
             core = self._run_vectorized(
                 [nodes[i] for i in fast],
                 [traces[i] for i in fast],
-                [cast(str, families[i]) for i in fast],
                 steps,
             )
             outcomes.update(zip(fast, core))
         for i, node in enumerate(nodes):
-            if families[i] is not None:
+            if vectorized[i]:
                 continue
             simulator = TransientSimulator(
                 cell=node.cell,
@@ -274,7 +263,7 @@ class FleetSimulator:
             outcomes[i] = (result, simulator.end_state)
 
         ordered = [outcomes[i] for i in range(lanes)]
-        self.state = _fleet_state(nodes, families, ordered)
+        self.state = _fleet_state(nodes, vectorized, ordered)
         return [result for result, _ in ordered]
 
     # -- the vectorized core -------------------------------------------------
@@ -283,7 +272,6 @@ class FleetSimulator:
         self,
         nodes: Sequence[FleetNode],
         traces: Sequence[IrradianceTrace],
-        families: Sequence[str],
         steps: int,
     ) -> List[LaneOutcome]:
         """March classified lanes through one shared time grid."""
@@ -296,7 +284,10 @@ class FleetSimulator:
                 node.comparators.reset()
 
         # -- per-lane constants ---------------------------------------
-        controllers = [node.controller for node in nodes]
+        # The classifier admits MPP trackers only.
+        controllers = [
+            cast(MppTrackingController, node.controller) for node in nodes
+        ]
         processors = [node.processor for node in nodes]
         comparators = [node.comparators for node in nodes]
         tels = [
@@ -318,7 +309,6 @@ class FleetSimulator:
         # processors share one (v_eval, commanded_hz) cache (value-
         # transparent -- sharing changes hit rates, never values).
         plane = ControlPlane(
-            families,
             controllers,
             processors,
             [node.regulator for node in nodes],
@@ -454,34 +444,28 @@ class FleetSimulator:
                         tel.observe("brownout.outage_s", t - outage_start)
                         outage_started_s[k] = None
 
-            # Real decide calls only where the skip predicates fire.
+            # Real decide calls only where the skip predicate fires.
             need = plane.decision_flags(
-                step, t, v, v_prev, cycles, recovering, bocount, pend
+                step, t, v, v_prev, recovering, bocount, pend
             )
             need &= alive
             if need.any():
                 for k in np.nonzero(need)[0].tolist():
                     controller = controllers[k]
-                    if step > 0 and families[k] == "mppt":
-                        cast(
-                            MppTrackingController, controller
-                        ).sync_last_node_v(float(v_prev[k]))
-                    v_node = float(v[k])
+                    if step > 0:
+                        controller.sync_last_node_v(float(v_prev[k]))
                     view = ControllerView(
                         time_s=t,
-                        node_voltage_v=v_node,
+                        node_voltage_v=float(v[k]),
                         processor_voltage_v=float(prev_vproc[k]),
                         cycles_done=float(cycles[k]),
                         comparator_events=pending_events[k],
                         recovering=bool(recovering[k]),
                         brownout_count=int(bocount[k]),
                     )
-                    plane.refresh(k, controller.decide(view), v_node)
-            plane.bypass_commands(v, alive)
+                    plane.refresh(k, controller.decide(view))
 
-            v_proc, f, p_proc, p_draw, mode, dec_f, dec_mode = plane.resolve(
-                v, alive
-            )
+            v_proc, f, p_proc, p_draw, mode = plane.resolve(v, alive)
             if recovering.any():
                 gate = recovering & alive
                 v_proc = np.where(gate, 0.0, v_proc)
@@ -508,10 +492,10 @@ class FleetSimulator:
 
             # Brownout: commanded work the supply cannot run.
             stalled = (
-                (dec_f > 0.0)
+                (plane.dec_f > 0.0)
                 & (f == 0.0)
                 & (mode == M_HALT)
-                & (dec_mode != M_HALT)
+                & (plane.dec_mode != M_HALT)
                 & ~completed
                 & ~recovering
                 & alive
@@ -744,7 +728,7 @@ class FleetSimulator:
 
 def _fleet_state(
     nodes: Sequence[FleetNode],
-    families: Sequence["str | None"],
+    vectorized: Sequence[bool],
     outcomes: Sequence[LaneOutcome],
 ) -> FleetState:
     """Merge per-lane results and end states into the SoA snapshot.
@@ -806,13 +790,7 @@ def _fleet_state(
             [end.node_collapsed for end in ends], dtype=bool
         ),
         live=np.zeros(len(nodes), dtype=bool),
-        control_family=np.array(
-            [
-                FALLBACK_FAMILY if fam is None else FAMILY_CODES[fam]
-                for fam in families
-            ],
-            dtype=np.int8,
-        ),
+        vectorized=np.array(vectorized, dtype=bool),
         capacitance_f=np.array([cap.capacitance_f for cap in capacitors]),
         esr_ohm=np.array([cap.esr_ohm for cap in capacitors]),
         max_voltage_v=np.array([cap.max_voltage_v for cap in capacitors]),

@@ -69,12 +69,10 @@ class FleetState:
     node_collapsed: np.ndarray
     live: np.ndarray
 
-    # -- control-plane classification (int8, one per lane) --
-    #: :data:`repro.fleet.control.FAMILY_CODES` code of the lane's
-    #: vectorized controller family, or
-    #: :data:`~repro.fleet.control.FALLBACK_FAMILY` (-1) for lanes that
-    #: ran on the scalar engine.
-    control_family: np.ndarray
+    # -- control-plane classification (bool, one per lane) --
+    #: ``True`` for lanes that ran in the vectorized core, ``False``
+    #: for lanes that ran on the scalar engine.
+    vectorized: np.ndarray
 
     # -- materialized per-node fault draws (float64, one per lane) --
     capacitance_f: np.ndarray

@@ -13,8 +13,10 @@ The adapters here close that gap so a plan drives
   observed node voltage) against its forecast -- the planner policy.
 
 Both are pure functions of the observable :class:`ControllerView`
-plus deterministic internal slot state, so scalar and fleet engines
-produce bit-identical runs (asserted in ``tests/planner/``).
+plus deterministic internal slot state.  The fleet engine runs their
+lanes through the scalar engine (only MPP trackers vectorize), so
+scalar and fleet engines produce bit-identical runs (asserted in
+``tests/planner/``).
 Telemetry instrumentation follows the sprint controller's idiom:
 ``planner.replans``, ``planner.slot_advances``, ``planner.
 deadline_misses`` counters and plan-vs-actual ``planner.energy_gap_j``
@@ -22,8 +24,6 @@ gauges ride the normal metrics pipeline.
 """
 
 from __future__ import annotations
-
-from typing import ClassVar, Optional
 
 from repro.core.system import EnergyHarvestingSoC
 from repro.errors import ModelParameterError
@@ -124,24 +124,6 @@ class _PlanFollower(DvfsController):
             output_voltage_v=action.processor_voltage_v,
         )
 
-    # -- fleet control-plane seams ------------------------------------
-    #
-    # Between real ``decide`` calls a plan follower's state only moves
-    # at slot boundaries and at the single deadline-miss event; the
-    # per-step energy gate in ``_decision_for`` is a pure function of
-    # the observed voltage.  These seams expose exactly the state the
-    # control plane mirrors to reproduce that split.
-
-    def vector_geometry(self) -> "tuple[float, float, int]":
-        """``(start_s, slot_s, slots)`` of the slot clock."""
-        raise NotImplementedError
-
-    def vector_state(
-        self,
-    ) -> "tuple[bool, int | None, PlannerAction | None]":
-        """``(miss_counted, slot, current_action)`` snapshot."""
-        raise NotImplementedError
-
 
 class PlanController(_PlanFollower):
     """Follow a fixed :class:`Plan` slot by slot.
@@ -152,8 +134,6 @@ class PlanController(_PlanFollower):
     fix).  At each slot boundary the plan-vs-actual stored-energy gap
     is published as the ``planner.energy_gap_j`` gauge.
     """
-
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "plan"
 
     def __init__(
         self,
@@ -176,17 +156,6 @@ class PlanController(_PlanFollower):
     def _slot_of(self, view: ControllerView) -> int:
         raw = int((view.time_s - self.plan.start_s) / self.plan.slot_s)
         return min(max(raw, 0), self.plan.slots - 1)
-
-    def vector_geometry(self) -> "tuple[float, float, int]":
-        return (self.plan.start_s, self.plan.slot_s, self.plan.slots)
-
-    def vector_state(
-        self,
-    ) -> "tuple[bool, int | None, PlannerAction | None]":
-        action = (
-            None if self._slot is None else self.plan.steps[self._slot].action
-        )
-        return (self._miss_counted, self._slot, action)
 
     def decide(self, view: ControllerView) -> ControlDecision:
         self._check_deadline(view)
@@ -214,8 +183,6 @@ class RecedingHorizonController(_PlanFollower):
     next boundary.  ``planner.replans`` counts the re-solves.
     """
 
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "receding"
-
     def __init__(
         self,
         forecast: EnergyForecast,
@@ -241,18 +208,6 @@ class RecedingHorizonController(_PlanFollower):
     def _slot_of(self, view: ControllerView) -> int:
         raw = int((view.time_s - self.forecast.start_s) / self.forecast.slot_s)
         return min(max(raw, 0), self.forecast.slots - 1)
-
-    def vector_geometry(self) -> "tuple[float, float, int]":
-        return (
-            self.forecast.start_s,
-            self.forecast.slot_s,
-            self.forecast.slots,
-        )
-
-    def vector_state(
-        self,
-    ) -> "tuple[bool, int | None, PlannerAction | None]":
-        return (self._miss_counted, self._slot, self._action)
 
     def _replan(self, slot: int, view: ControllerView) -> PlannerAction:
         energy = self._measured_energy_j(view)

@@ -14,7 +14,7 @@ controllers the baselines and tests use.
 from __future__ import annotations
 
 import abc
-from typing import Callable, ClassVar, Optional
+from typing import Callable
 from dataclasses import dataclass
 
 from repro.errors import ModelParameterError
@@ -90,15 +90,6 @@ class ControlDecision:
 class DvfsController(abc.ABC):
     """Per-step decision maker closing the Fig. 1 feedback loop."""
 
-    #: Vectorization family tag for the fleet control plane
-    #: (:mod:`repro.fleet.control`).  ``None`` (the default) means
-    #: "unknown controller: advance per lane, exactly like the scalar
-    #: engine".  Classes that set a tag promise their ``decide`` is
-    #: fully described by the family's skip predicate; the control
-    #: plane additionally verifies ``decide`` was not overridden, so a
-    #: subclass with custom behaviour falls back automatically.
-    VECTOR_FAMILY: ClassVar[Optional[str]] = None
-
     @abc.abstractmethod
     def decide(self, view: ControllerView) -> ControlDecision:
         """Return this step's actuation given the observable state."""
@@ -113,8 +104,6 @@ class FixedOperatingPointController(DvfsController):
     The simplest policy: what a conventionally-designed system does
     after picking its (local) optimum at design time.
     """
-
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "fixed"
 
     def __init__(self, output_voltage_v: float, frequency_hz: float) -> None:
         if output_voltage_v <= 0.0:
@@ -143,8 +132,6 @@ class ConstantSpeedController(DvfsController):
     frequency sized to ``N / T``, no speed modulation, regulator always
     on.
     """
-
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "constant_speed"
 
     def __init__(
         self, output_voltage_v: float, frequency_hz: float, total_cycles: int
@@ -187,8 +174,6 @@ class BypassController(DvfsController):
     provides the frequency law to avoid a dependency on the processor
     model here).
     """
-
-    VECTOR_FAMILY: ClassVar[Optional[str]] = "bypass"
 
     def __init__(self, frequency_law: "Callable[[float], float]") -> None:
         if not callable(frequency_law):

@@ -1,10 +1,12 @@
 """Tests for discharge-time MPP tracking (Section VI-A)."""
 
+import copy
+
 import pytest
 
 from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
 from repro.core.system import paper_system
-from repro.errors import ModelParameterError
+from repro.errors import ModelParameterError, OperatingRangeError
 from repro.monitor.comparator import CrossingEvent
 from repro.pv.traces import step_trace
 from repro.sim.dvfs import ControllerView
@@ -100,6 +102,50 @@ class TestControllerUnit:
         controller.retunes.append("sentinel")
         controller.reset()
         assert controller.retunes == []
+
+
+class _RaisingRegulator:
+    """A regulator stub whose input-power model always raises."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
+    def input_power(self, *args, **kwargs):
+        raise self.error
+
+
+class _StubSystem:
+    def __init__(self, regulator) -> None:
+        self._regulator = regulator
+
+    def regulator(self, name):
+        return self._regulator
+
+
+class TestNodeDrawPower:
+    def controller_with(self, tracker, error):
+        controller = MppTrackingController(tracker, initial_irradiance=1.0)
+        assert not controller.operating_point.bypassed
+        stub = copy.copy(tracker)
+        stub.system = _StubSystem(_RaisingRegulator(error))
+        controller.tracker = stub
+        return controller
+
+    def test_operating_range_error_falls_back_to_extracted_power(
+        self, tracker
+    ):
+        controller = self.controller_with(
+            tracker, OperatingRangeError("unreachable output")
+        )
+        assert (
+            controller._node_draw_power(1.0)
+            == controller.operating_point.extracted_power_w
+        )
+
+    def test_other_errors_propagate(self, tracker):
+        controller = self.controller_with(tracker, TypeError("bad regulator"))
+        with pytest.raises(TypeError, match="bad regulator"):
+            controller._node_draw_power(1.0)
 
 
 class TestClosedLoop:

@@ -257,6 +257,26 @@ def _fig8_mppt_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
     }
 
 
+def _blind_mppt_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
+    """An MPPT lane without comparators: it never re-tunes on a falling
+    pair, so a deep dim browns it out (the core's death and recovery
+    branches) where :func:`_fig8_mppt_parts` rides the dim out."""
+    parts = _fig8_mppt_parts(telemetry)
+    parts["comparators"] = None
+    return parts
+
+
+def short_job(make_parts: PartsBuilder, cycles: int) -> PartsBuilder:
+    """``make_parts`` plus a ``cycles``-cycle workload (early completion)."""
+
+    def parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
+        lane_parts = make_parts(telemetry)
+        lane_parts["workload"] = Workload("short", cycles)
+        return lane_parts
+
+    return parts
+
+
 def _transitions_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
     parts = _fig8_mppt_parts(telemetry)
     parts["transitions"] = DvfsTransitionModel()
@@ -295,12 +315,13 @@ MATRIX_SCENARIOS: "Tuple[Scenario, ...]" = (
 )
 
 
-# -- control-plane family lanes ----------------------------------------------
+# -- controller lanes ---------------------------------------------------------
 #
-# One lane per vectorizable controller family, all sharing
-# MATRIX_CONFIG / MATRIX_TRACE so the whole set (plus the sprint lane
-# as the unknown-subclass fallback) mixes in a single heterogeneous
-# batch.  The planner artifacts (action set, value grid, forecast,
+# One lane per stock controller class, all sharing MATRIX_CONFIG /
+# MATRIX_TRACE so the whole set mixes in a single heterogeneous batch.
+# Only the MPPT lane runs in the vectorized core; the other six are
+# fallback lanes that the differential matrix still checks against
+# scalar.  The planner artifacts (action set, value grid, forecast,
 # oracle plan) are immutable and shared across lanes exactly like the
 # MPP tracker; the controllers built from them are fresh per lane.
 
@@ -321,7 +342,7 @@ ORACLE_PLAN = solve_plan(
 #: bright-light FIXED_POINT so the lanes are distinguishable).
 DUTY_POINT = OperatingPointOptimizer(SYSTEM).best_point("sc", 0.5)
 
-#: Cycle budget of the planner family lanes.
+#: Cycle budget of the planner lanes.
 PLANNER_CYCLES = 400_000
 
 
@@ -383,8 +404,8 @@ def _receding_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
     return parts
 
 
-#: One lane per vectorizable family (scenario name = family name).
-FAMILY_SCENARIOS: "Tuple[Scenario, ...]" = (
+#: One lane per controller class (scenario name = controller kind).
+CONTROLLER_SCENARIOS: "Tuple[Scenario, ...]" = (
     Scenario("fixed", MATRIX_CONFIG, MATRIX_TRACE, _fig6_fixed_parts),
     Scenario(
         "constant_speed", MATRIX_CONFIG, MATRIX_TRACE, _constant_speed_parts
@@ -412,17 +433,15 @@ class CallableTrace:
 
 
 def _custom_cell_parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
-    parts = _fig6_fixed_parts(telemetry)
+    parts = _fig8_mppt_parts(telemetry)
     parts["cell"] = CustomCell(**asdict(SYSTEM.cell))
     return parts
 
 
-#: Every vectorizable family plus fallback lanes that run on the
-#: scalar engine: an unknown controller subclass (the sprint controller
-#: has no VECTOR_FAMILY tag), a cell subclass, a DVFS transition model
-#: and a trace without ``step_samples`` (the last three with otherwise
-#: vectorizable controllers).
-HETERO_SCENARIOS: "Tuple[Scenario, ...]" = FAMILY_SCENARIOS + (
+#: Every controller lane plus more fallback lanes: the sprint
+#: controller, and MPPT lanes that a cell subclass, a DVFS transition
+#: model or a trace without ``step_samples`` keeps out of the core.
+HETERO_SCENARIOS: "Tuple[Scenario, ...]" = CONTROLLER_SCENARIOS + (
     Scenario(
         "sprint_fallback", MATRIX_CONFIG, MATRIX_TRACE, _sprint_parts
     ),
@@ -442,55 +461,60 @@ HETERO_SCENARIOS: "Tuple[Scenario, ...]" = FAMILY_SCENARIOS + (
         "callable_trace_fallback",
         MATRIX_CONFIG,
         cast(IrradianceTrace, CallableTrace(MATRIX_TRACE)),
-        _fig6_fixed_parts,
+        _fig8_mppt_parts,
     ),
 )
 
-#: Expected classification per heterogeneous lane (None = fallback).
-EXPECTED_FAMILY: "Dict[str, Optional[str]]" = {
-    scenario.name: scenario.name for scenario in FAMILY_SCENARIOS
-}
-EXPECTED_FAMILY["sprint_fallback"] = None
-EXPECTED_FAMILY["custom_cell_fallback"] = None
-EXPECTED_FAMILY["transitions_fallback"] = None
-EXPECTED_FAMILY["callable_trace_fallback"] = None
+#: The heterogeneous lanes that run in the vectorized core.
+VECTORIZED_LANES = frozenset({"mppt"})
 
+#: A dim deep enough to brown out an MPPT lane without comparators
+#: (at t ~ 11 ms) while :func:`_fig8_mppt_parts` rides it out.
+DEATH_TRACE = step_trace(1.0, 0.01, 4e-3, 20e-3)
 
-def _stop_scenario(name: str, **overrides: Any) -> Scenario:
-    config = SimulationConfig(
-        time_step_s=10e-6, record_every=4, **overrides
-    )
-    if name == "stop_on_completion":
-        return Scenario(name, config, MATRIX_TRACE, _sprint_parts)
-    # The design-time fixed point has no headroom under the dimmed
-    # tail, so this lane actually browns out and dies early.
-    return Scenario(name, config, MATRIX_TRACE, _fig6_fixed_parts)
+#: A passing cloud that browns the comparator-less MPPT lane out and
+#: lets it recharge past the recovery threshold.
+RECOVERY_TRACE = cloud_trace(1.0, 0.01, 4e-3, 8e-3, 30e-3, edge_s=0.5e-3)
 
+#: Config of the brownout-recovery lanes.
+RECOVERY_CONFIG = SimulationConfig(
+    time_step_s=10e-6,
+    record_every=4,
+    stop_on_brownout=False,
+    recover_from_brownout=True,
+    recovery_voltage_v=1.05,
+)
 
-#: Early-exit scenarios: lane death by brownout and by completion.
+#: Early-exit scenarios, both on vectorized MPPT lanes: death by
+#: brownout and a short job's completion.
 STOP_SCENARIOS: "Tuple[Scenario, ...]" = (
-    _stop_scenario("stop_on_brownout", stop_on_brownout=True),
-    _stop_scenario(
+    Scenario(
+        "stop_on_brownout",
+        SimulationConfig(
+            time_step_s=10e-6, record_every=4, stop_on_brownout=True
+        ),
+        DEATH_TRACE,
+        _blind_mppt_parts,
+    ),
+    Scenario(
         "stop_on_completion",
-        stop_on_brownout=False,
-        stop_on_completion=True,
+        SimulationConfig(
+            time_step_s=10e-6,
+            record_every=4,
+            stop_on_brownout=False,
+            stop_on_completion=True,
+        ),
+        MATRIX_TRACE,
+        short_job(_fig8_mppt_parts, 50_000),
     ),
 )
 
-#: Brownout-recovery scenario: the fixed point under a passing cloud
-#: browns out, halts through the recovery gate, recharges past the
-#: threshold and is released -- exercising the outage span both ways.
+#: Brownout-recovery scenario: the comparator-less MPPT lane under a
+#: passing cloud browns out, halts through the recovery gate,
+#: recharges past the threshold and is released -- exercising the
+#: outage span both ways in the vectorized core.
 RECOVERY_SCENARIO = Scenario(
-    "brownout_recovery",
-    SimulationConfig(
-        time_step_s=10e-6,
-        record_every=4,
-        stop_on_brownout=False,
-        recover_from_brownout=True,
-        recovery_voltage_v=1.05,
-    ),
-    cloud_trace(1.0, 0.01, 2e-3, 5e-3, 20e-3, edge_s=0.5e-3),
-    _fig6_fixed_parts,
+    "brownout_recovery", RECOVERY_CONFIG, RECOVERY_TRACE, _blind_mppt_parts
 )
 
 ALL_SCENARIOS: "Tuple[Scenario, ...]" = (

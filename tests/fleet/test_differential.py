@@ -16,7 +16,12 @@ from dataclasses import asdict
 
 import pytest
 
-from repro.faults import CampaignConfig, FaultSpec, run_transient_campaign
+from repro.faults import (
+    SCHEMES,
+    CampaignConfig,
+    FaultSpec,
+    run_transient_campaign,
+)
 from repro.faults.campaign import ENGINES
 from repro.errors import ModelParameterError
 from repro.telemetry.session import TelemetrySession
@@ -80,9 +85,8 @@ def test_dying_lane_does_not_perturb_survivors() -> None:
 
     dying = STOP_SCENARIOS[0]  # stop_on_brownout: dies early
     survivor = next(s for s in MATRIX_SCENARIOS if s.name == "fig8_mppt")
-    config = dying.config
     survivor_like = type(survivor)(
-        survivor.name, config, survivor.trace, survivor.parts
+        survivor.name, dying.config, dying.trace, survivor.parts
     )
     _, batched, _ = run_batch([dying, survivor_like])
     assert batched[0].brownout_count >= 1  # the kill really happened
@@ -91,10 +95,13 @@ def test_dying_lane_does_not_perturb_survivors() -> None:
     assert_results_identical(alone, batched[1])
 
 
-def test_campaign_fleet_engine_matches_scalar_engine() -> None:
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_campaign_fleet_engine_matches_scalar_engine(scheme: str) -> None:
     """run_transient_campaign(engine=...) is engine-transparent."""
     spec = FaultSpec(comparator_offset_sigma_v=80e-3, flicker_depth_max=0.6)
-    config = CampaignConfig(runs=4, duration_s=30e-3, dim_time_s=12e-3)
+    config = CampaignConfig(
+        runs=4, duration_s=30e-3, dim_time_s=12e-3, scheme=scheme
+    )
     scalar = run_transient_campaign(spec, config, engine="scalar")
     fleet = run_transient_campaign(spec, config, engine="fleet")
     sharded = run_transient_campaign(
