@@ -141,6 +141,62 @@ def pv_current_reference_payload() -> "dict[str, object]":
     }
 
 
+#: ``find_mpp`` reference: the paper cell at four temperatures, from
+#: deep dusk to above full sun.
+MINIMIZE_REFERENCE_TEMPERATURES_K = (273.15, 300.15, 330.0, 350.0)
+MINIMIZE_REFERENCE_IRRADIANCES = (
+    0.001, 0.01, 0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.85, 1.0, 1.2,
+)
+#: ``conventional_mep`` reference: activity factors across the model's
+#: (0, 2] range, each over the full window and three sub-windows
+#: (``None`` = the processor's own operating window).
+MEP_REFERENCE_ACTIVITIES = (0.1, 0.3, 0.6, 1.0, 1.5, 2.0)
+MEP_REFERENCE_WINDOWS = (None, (0.15, 0.4), (0.2, 0.8), (0.3, 1.0))
+
+
+def bounded_minimize_reference_payload() -> "dict[str, object]":
+    """The bounded minimizer's answers through its two callers.
+
+    ``find_mpp[repr(T)][repr(irradiance)]`` holds the MPP voltage,
+    current and power of the paper cell at temperature ``T``;
+    ``conventional_mep[repr(activity)][window]`` holds the conventional
+    MEP of the paper processor (``window`` is ``"full"`` or
+    ``"low,high"`` in repr floats).  The fixture was frozen from
+    scipy's ``minimize_scalar(method="bounded")``, so it is the
+    reference the in-repo port must reproduce exactly.
+    """
+    from repro.processor.energy import paper_processor
+    from repro.pv.mpp import find_mpp
+
+    def window_key(window: "tuple[float, float] | None") -> str:
+        return "full" if window is None else f"{window[0]!r},{window[1]!r}"
+
+    mpps = {}
+    for temperature in MINIMIZE_REFERENCE_TEMPERATURES_K:
+        cell = kxob22_cell().at_temperature(temperature)
+        mpps[repr(temperature)] = {}
+        for irradiance in MINIMIZE_REFERENCE_IRRADIANCES:
+            mpp = find_mpp(cell, irradiance)
+            mpps[repr(temperature)][repr(irradiance)] = {
+                "voltage_v": mpp.voltage_v,
+                "current_a": mpp.current_a,
+                "power_w": mpp.power_w,
+            }
+    meps = {}
+    for activity in MEP_REFERENCE_ACTIVITIES:
+        processor = paper_processor().with_activity(activity)
+        meps[repr(activity)] = {}
+        for window in MEP_REFERENCE_WINDOWS:
+            low, high = (None, None) if window is None else window
+            mep = processor.conventional_mep(low, high)
+            meps[repr(activity)][window_key(window)] = {
+                "voltage_v": mep.voltage_v,
+                "energy_per_cycle_j": mep.energy_per_cycle_j,
+                "frequency_hz": mep.frequency_hz,
+            }
+    return {"find_mpp": mpps, "conventional_mep": meps}
+
+
 def fig8_reference_payload() -> "dict[str, object]":
     """Scalar-engine runs that pin the PV fast path end to end.
 
@@ -366,6 +422,7 @@ PAYLOADS = {
     "transient_campaign.json": campaign_payload,
     "fleet_16node.json": fleet_16node_payload,
     "pv_current_reference.json": pv_current_reference_payload,
+    "bounded_minimize_reference.json": bounded_minimize_reference_payload,
 }
 
 #: fixture file name -> builder returning verbatim text (JSONL traces);

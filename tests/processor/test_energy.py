@@ -1,5 +1,8 @@
 """Tests for the combined processor model and the conventional MEP."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,6 +11,15 @@ from repro.errors import ModelParameterError, OperatingRangeError
 from repro.processor.energy import ProcessorModel, paper_processor
 from repro.processor.frequency import FrequencyModel
 from repro.processor.power import DynamicPowerModel, LeakageModel
+from tests.golden.builders import MEP_REFERENCE_ACTIVITIES
+
+MINIMIZE_REFERENCE = json.loads(
+    (
+        Path(__file__).resolve().parents[1]
+        / "golden"
+        / "bounded_minimize_reference.json"
+    ).read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -124,6 +136,29 @@ class TestConventionalMep:
     def test_rejects_bad_window(self, proc):
         with pytest.raises(ModelParameterError):
             proc.conventional_mep(low_v=0.9, high_v=0.5)
+
+
+    @pytest.mark.parametrize("activity", MEP_REFERENCE_ACTIVITIES)
+    def test_matches_frozen_reference_exactly(self, proc, activity):
+        """Every recorded MEP is reproduced to the last bit.
+
+        ``tests/golden/bounded_minimize_reference.json`` was frozen from
+        scipy's bounded minimizer; the comparison has no tolerance.
+        """
+        model = proc.with_activity(activity)
+        expected = MINIMIZE_REFERENCE["conventional_mep"][repr(activity)]
+        for window, recorded in expected.items():
+            low, high = (
+                (None, None)
+                if window == "full"
+                else (float(bound) for bound in window.split(","))
+            )
+            mep = model.conventional_mep(low, high)
+            assert {
+                "voltage_v": mep.voltage_v,
+                "energy_per_cycle_j": mep.energy_per_cycle_j,
+                "frequency_hz": mep.frequency_hz,
+            } == recorded, window
 
 
 class TestPaperCalibration:

@@ -1,5 +1,8 @@
 """Tests for maximum power point computation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +10,15 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ModelParameterError
 from repro.pv.cell import kxob22_cell
 from repro.pv.mpp import MaximumPowerPoint, fill_factor, find_mpp, mpp_table
+from tests.golden.builders import MINIMIZE_REFERENCE_TEMPERATURES_K
+
+MINIMIZE_REFERENCE = json.loads(
+    (
+        Path(__file__).resolve().parents[1]
+        / "golden"
+        / "bounded_minimize_reference.json"
+    ).read_text()
+)
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +81,25 @@ class TestFindMpp:
         p_hi = float(cell.power(mpp.voltage_v + eps, irradiance))
         assert p_lo <= mpp.power_w + 1e-8
         assert p_hi <= mpp.power_w + 1e-8
+
+
+class TestMinimizerReference:
+    @pytest.mark.parametrize("temperature", MINIMIZE_REFERENCE_TEMPERATURES_K)
+    def test_matches_frozen_reference_exactly(self, temperature):
+        """Every recorded MPP is reproduced to the last bit.
+
+        ``tests/golden/bounded_minimize_reference.json`` was frozen from
+        scipy's bounded minimizer; the comparison has no tolerance.
+        """
+        cell = kxob22_cell().at_temperature(temperature)
+        expected = MINIMIZE_REFERENCE["find_mpp"][repr(temperature)]
+        for irradiance, recorded in expected.items():
+            mpp = find_mpp(cell, float(irradiance))
+            assert {
+                "voltage_v": mpp.voltage_v,
+                "current_a": mpp.current_a,
+                "power_w": mpp.power_w,
+            } == recorded, irradiance
 
 
 class TestMppTable:
