@@ -105,30 +105,30 @@ class OperatingPointOptimizer:
             )
         high = min(voc, processor.max_operating_v)
         grid = self._voltage_grid(processor.min_operating_v, high)
-        best: "OperatingPoint | None" = None
-        for v in grid:
-            p_pv = float(cell.power(v, irradiance))
-            if p_pv <= 0.0:
-                continue
-            f = processor.frequency_for_power(float(v), p_pv)
-            if f <= 0.0:
-                continue
-            p_proc = float(processor.power(float(v), f))
-            if best is None or f > best.frequency_hz:
-                best = OperatingPoint(
-                    processor_voltage_v=float(v),
-                    frequency_hz=f,
-                    delivered_power_w=p_proc,
-                    extracted_power_w=p_proc,
-                    node_voltage_v=float(v),
-                    regulator_name="bypass",
-                    bypassed=True,
-                )
-        if best is None:
+        p_pv = np.asarray(cell.power(grid, irradiance))
+        harvesting = p_pv > 0.0
+        f = np.asarray(
+            processor.frequency_for_power(grid, np.where(harvesting, p_pv, 0.0))
+        )
+        feasible = harvesting & (f > 0.0)
+        if not feasible.any():
             raise InfeasibleOperatingPointError(
                 f"cell cannot sustain the processor at irradiance {irradiance}"
             )
-        return best
+        # argmax returns the first maximum, so ties go to the lowest voltage.
+        best = int(np.argmax(np.where(feasible, f, 0.0)))
+        v = float(grid[best])
+        f_best = float(f[best])
+        p_proc = float(processor.power(v, f_best))
+        return OperatingPoint(
+            processor_voltage_v=v,
+            frequency_hz=f_best,
+            delivered_power_w=p_proc,
+            extracted_power_w=p_proc,
+            node_voltage_v=v,
+            regulator_name="bypass",
+            bypassed=True,
+        )
 
     # -- regulated point ----------------------------------------------------------
 
@@ -155,42 +155,42 @@ class OperatingPointOptimizer:
                 f"{regulator_name}: no overlap between converter and "
                 "processor voltage ranges"
             )
-        best: "OperatingPoint | None" = None
-        for v in self._voltage_grid(low, high):
-            try:
-                available = regulator.max_output_power(
-                    float(v), mpp.power_w, v_in=mpp.voltage_v
-                )
-            except OperatingRangeError:
-                continue
-            if available <= 0.0:
-                continue
-            f = processor.frequency_for_power(float(v), available)
-            if f <= 0.0:
-                continue
-            p_proc = float(processor.power(float(v), f))
+        grid = self._voltage_grid(low, high)
+        available = regulator.max_output_power_grid(
+            grid, mpp.power_w, v_in=mpp.voltage_v
+        )
+        usable = available > 0.0  # False at NaN: out of the converter's range
+        f = np.asarray(
+            processor.frequency_for_power(grid, np.where(usable, available, 0.0))
+        )
+        candidates = np.flatnonzero(usable & (f > 0.0))
+        # Fastest first, lowest voltage first among equals.  A point
+        # whose input power raises is skipped, so the winner is the
+        # first fastest point that resolves.
+        ranked = candidates[np.argsort(-f[candidates], kind="stable")]
+        for index in ranked:
+            v = float(grid[index])
+            f_best = float(f[index])
+            p_proc = float(processor.power(v, f_best))
             try:
                 extracted = regulator.input_power(
-                    float(v), p_proc, v_in=mpp.voltage_v
+                    v, p_proc, v_in=mpp.voltage_v
                 )
             except OperatingRangeError:
                 continue
-            if best is None or f > best.frequency_hz:
-                best = OperatingPoint(
-                    processor_voltage_v=float(v),
-                    frequency_hz=f,
-                    delivered_power_w=p_proc,
-                    extracted_power_w=extracted,
-                    node_voltage_v=mpp.voltage_v,
-                    regulator_name=regulator_name,
-                    bypassed=False,
-                )
-        if best is None:
-            raise InfeasibleOperatingPointError(
-                f"{regulator_name}: no feasible operating point at "
-                f"irradiance {irradiance}"
+            return OperatingPoint(
+                processor_voltage_v=v,
+                frequency_hz=f_best,
+                delivered_power_w=p_proc,
+                extracted_power_w=extracted,
+                node_voltage_v=mpp.voltage_v,
+                regulator_name=regulator_name,
+                bypassed=False,
             )
-        return best
+        raise InfeasibleOperatingPointError(
+            f"{regulator_name}: no feasible operating point at "
+            f"irradiance {irradiance}"
+        )
 
     # -- the holistic choice --------------------------------------------------------
 
@@ -239,12 +239,7 @@ class OperatingPointOptimizer:
                 regulator.min_output_v,
                 min(regulator.max_output_v, mpp.voltage_v),
             )
-        powers = np.full(len(voltages), np.nan)
-        for i, v in enumerate(voltages):
-            try:
-                powers[i] = regulator.max_output_power(
-                    float(v), mpp.power_w, v_in=mpp.voltage_v
-                )
-            except OperatingRangeError:
-                continue
-        return np.asarray(voltages, dtype=float), powers
+        grid = np.asarray(voltages, dtype=float)
+        return grid, regulator.max_output_power_grid(
+            grid, mpp.power_w, v_in=mpp.voltage_v
+        )

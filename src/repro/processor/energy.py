@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.errors import ModelParameterError, OperatingRangeError
+from repro.minimize import bounded_minimize
 from repro.processor.frequency import FrequencyModel
 from repro.processor.power import DynamicPowerModel, LeakageModel
 from repro.units import mega_hertz, milli_amps, pico_farads
@@ -170,24 +170,33 @@ class ProcessorModel:
 
     # -- inverse problems -------------------------------------------------------
 
-    def frequency_for_power(self, voltage_v: float, power_budget_w: float) -> float:
+    def frequency_for_power(
+        self,
+        voltage_v: "float | np.ndarray",
+        power_budget_w: "float | np.ndarray",
+    ) -> "float | np.ndarray":
         """Fastest clock sustainable inside ``power_budget_w`` at ``voltage_v``.
 
         Solves ``Pdyn(V, f) + Pleak(V) = budget`` for ``f``, clamped to
         the maximum frequency.  Returns 0 when leakage alone exceeds the
         budget (the processor cannot even idle at this voltage).
+        Vectorised over voltages and budgets: every element has the bits
+        of its own scalar call, and scalar inputs return a float.
         """
-        self.check_voltage(voltage_v)
-        if power_budget_w < 0.0:
+        scalar = np.ndim(voltage_v) == 0 and np.ndim(power_budget_w) == 0
+        if scalar:
+            self.check_voltage(float(voltage_v))
+        budget = np.asarray(power_budget_w, dtype=float)
+        if np.any(budget < 0.0):
             raise OperatingRangeError(
                 f"power budget must be >= 0, got {power_budget_w}"
             )
-        leak = float(self.leakage.power(voltage_v))
-        headroom = power_budget_w - leak
-        if headroom <= 0.0:
-            return 0.0
-        f_budget = headroom / float(self.dynamic.energy_per_cycle(voltage_v))
-        return min(f_budget, float(self.max_frequency(voltage_v)))
+        v = np.asarray(voltage_v, dtype=float)
+        f_max = self.max_frequency(v)
+        headroom = budget - self.leakage.power(v)
+        f_budget = headroom / self.dynamic.energy_per_cycle(v)
+        f = np.where(headroom <= 0.0, 0.0, np.minimum(f_budget, f_max))
+        return float(f) if scalar else f
 
     def voltage_for_frequency(self, frequency_hz: float) -> float:
         """Lowest supply in the functional window reaching ``frequency_hz``."""
@@ -216,13 +225,12 @@ class ProcessorModel:
         seed = int(np.argmin(energies))
         bracket_low = grid[max(seed - 1, 0)]
         bracket_high = grid[min(seed + 1, len(grid) - 1)]
-        result = minimize_scalar(
-            lambda v: float(self.energy_per_cycle(float(v))),
-            bounds=(bracket_low, bracket_high),
-            method="bounded",
-            options={"xatol": 1e-6},
+        v_mep = bounded_minimize(
+            lambda v: float(self.energy_per_cycle(v)),
+            bracket_low,
+            bracket_high,
+            xatol=1e-6,
         )
-        v_mep = float(result.x)
         return MinimumEnergyPoint(
             voltage_v=v_mep,
             energy_per_cycle_j=float(self.energy_per_cycle(v_mep)),

@@ -4,9 +4,10 @@ Modern harvesters track the voltage at which the cell delivers maximum
 power (the MPP); the paper's entire holistic argument is about how much
 of that maximum actually reaches the processor.  This module computes
 the true MPP of a :class:`~repro.pv.cell.SingleDiodeCell` by bounded
-scalar optimisation (golden-section via :func:`scipy.optimize
-.minimize_scalar`), refined from a coarse grid seed so the solver cannot
-get stuck on the flat current-limited plateau.
+scalar optimisation (Brent's golden-section/parabolic search,
+:func:`repro.minimize.bounded_minimize`), refined from a coarse grid
+seed so the solver cannot get stuck on the flat current-limited
+plateau.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from repro.errors import ModelParameterError
+from repro.minimize import bounded_minimize
 from repro.pv.cell import SingleDiodeCell
 
 
@@ -61,13 +62,9 @@ def find_mpp(
     if high <= low:
         high = low + 1e-6
 
-    result = minimize_scalar(
-        lambda v: -float(cell.power(v, irradiance)),
-        bounds=(low, high),
-        method="bounded",
-        options={"xatol": 1e-7},
+    vmpp = bounded_minimize(
+        lambda v: -float(cell.power(v, irradiance)), low, high, xatol=1e-7
     )
-    vmpp = float(result.x)
     impp = float(cell.current(vmpp, irradiance))
     return MaximumPowerPoint(
         voltage_v=vmpp,

@@ -11,13 +11,18 @@ through exactly two questions:
 
 Subclasses implement :meth:`Regulator.input_power`; the inverse is
 provided generically by monotone bisection and may be overridden with a
-closed form where one exists.
+closed form where one exists.  :meth:`Regulator.max_output_power_grid`
+asks the inverse question over a whole output-voltage grid at once (the
+operating-point sweeps); converters whose closed form evaluates over an
+array with the scalar's exact bits override it.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+
+import numpy as np
 
 from repro.errors import (
     ConvergenceError,
@@ -134,6 +139,10 @@ class Regulator(abc.ABC):
                 f"[{self.min_output_v:.3f}, {self.max_output_v:.3f}] V"
             )
 
+    def _output_range_mask(self, v_out: np.ndarray) -> np.ndarray:
+        """Where :meth:`check_output_voltage` would accept ``v_out``."""
+        return (self.min_output_v <= v_out) & (v_out <= self.max_output_v)
+
     def supports_output_voltage(self, v_out: float, v_in: "float | None" = None) -> bool:
         """True when the converter can regulate ``v_out`` from ``v_in``."""
         v_in = self._resolve_input(v_in)
@@ -188,6 +197,26 @@ class Regulator(abc.ABC):
             input_power_w=self.input_power(v_out, p_out, v_in),
         )
 
+    def check_available_power(self, p_in_available: float) -> None:
+        """Raise :class:`OperatingRangeError` for a negative input budget."""
+        if p_in_available < 0.0:
+            raise OperatingRangeError(
+                f"{self.name}: available power must be >= 0, got {p_in_available}"
+            )
+
+    def _grid_input_voltage(
+        self, p_in_available: float, v_in: "float | None"
+    ) -> "float | None":
+        """The resolved input voltage for a grid evaluation.
+
+        ``None`` when the scalar arguments alone make
+        :meth:`max_output_power` raise at every voltage (a negative
+        budget or a non-positive input), so the whole grid is NaN.
+        """
+        if p_in_available < 0.0 or (v_in is not None and v_in <= 0.0):
+            return None
+        return self._resolve_input(v_in)
+
     def max_output_power(
         self, v_out: float, p_in_available: float, v_in: "float | None" = None
     ) -> float:
@@ -197,10 +226,7 @@ class Regulator(abc.ABC):
         when even the zero-load overhead exceeds the available power.
         Subclasses with closed-form inverses should override this.
         """
-        if p_in_available < 0.0:
-            raise OperatingRangeError(
-                f"{self.name}: available power must be >= 0, got {p_in_available}"
-            )
+        self.check_available_power(p_in_available)
         self.check_output_voltage(v_out)
         if self.input_power(v_out, 0.0, v_in) >= p_in_available:
             return 0.0
@@ -226,6 +252,31 @@ class Regulator(abc.ABC):
             if high - low < _BISECT_TOLERANCE_W:
                 break
         return low
+
+    def max_output_power_grid(
+        self,
+        v_out: np.ndarray,
+        p_in_available: float,
+        v_in: "float | None" = None,
+    ) -> np.ndarray:
+        """:meth:`max_output_power` at every voltage of a 1-D grid [W].
+
+        NaN wherever the scalar method raises
+        :class:`OperatingRangeError`.  This generic form calls the
+        scalar method point by point; converters whose closed form
+        evaluates over an array with the scalar's exact bits override
+        it.
+        """
+        voltages = np.asarray(v_out, dtype=float)
+        powers = np.full(voltages.shape, np.nan)
+        for i, v in enumerate(voltages):
+            try:
+                powers[i] = self.max_output_power(
+                    float(v), p_in_available, v_in=v_in
+                )
+            except OperatingRangeError:
+                continue
+        return powers
 
     # -- introspection ----------------------------------------------------------
 

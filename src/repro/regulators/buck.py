@@ -82,12 +82,12 @@ class BuckRegulator(Regulator):
         """Closed-form inverse of the quadratic loss model.
 
         Solves ``Pout + R*(Pout/Vout)^2 + Pfix = Pin`` for the positive
-        root.
+        root.  There is deliberately no array form: the root is Python
+        ``x ** 0.5`` (libm ``pow``), which numpy's array square roots
+        miss by 1 ulp at some points, so grids use the base per-point
+        :meth:`max_output_power_grid`.
         """
-        if p_in_available < 0.0:
-            raise OperatingRangeError(
-                f"{self.name}: available power must be >= 0, got {p_in_available}"
-            )
+        self.check_available_power(p_in_available)
         v_in_resolved = self._resolve_input(v_in)
         self.check_output_voltage(v_out)
         self._check_duty(v_out, v_in_resolved)

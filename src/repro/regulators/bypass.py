@@ -64,10 +64,9 @@ class BypassPath(Regulator):
     def max_output_power(
         self, v_out: float, p_in_available: float, v_in: "float | None" = None
     ) -> float:
-        if p_in_available < 0.0:
-            raise OperatingRangeError(
-                f"{self.name}: available power must be >= 0, got {p_in_available}"
-            )
+        """Closed-form inverse of the switch loss (scalar only, like
+        :meth:`BuckRegulator.max_output_power`, for its ``x ** 0.5``)."""
+        self.check_available_power(p_in_available)
         v_in_resolved = self._resolve_input(v_in)
         self.check_output_voltage(v_out)
         if abs(v_out - v_in_resolved) > self.VOLTAGE_TOLERANCE_V:

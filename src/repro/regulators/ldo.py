@@ -15,6 +15,8 @@ quiescent current counted, delivers slightly less.
 
 from __future__ import annotations
 
+import numpy as np
+
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.regulators.base import Regulator
 from repro.regulators.losses import QuiescentLoss
@@ -57,32 +59,56 @@ class LinearRegulator(Regulator):
             raise OperatingRangeError(
                 f"{self.name}: output power must be >= 0, got {p_out}"
             )
+        self._check_headroom(v_out, v_in)
+        i_out = p_out / v_out
+        return self.derate_input_power(v_in * i_out + self.quiescent.power(v_in))
+
+    def _check_headroom(self, v_out: float, v_in: float) -> None:
         if v_out > v_in - self.dropout_v:
             raise OperatingRangeError(
                 f"{self.name}: output {v_out:.3f} V needs more headroom than "
                 f"input {v_in:.3f} V provides (dropout {self.dropout_v:.2f} V)"
             )
-        i_out = p_out / v_out
-        return self.derate_input_power(v_in * i_out + self.quiescent.power(v_in))
 
     def max_output_power(
         self, v_out: float, p_in_available: float, v_in: "float | None" = None
     ) -> float:
-        """Closed-form inverse: ``Pout = Vout * (Pin/Vin - Iq)``."""
-        if p_in_available < 0.0:
-            raise OperatingRangeError(
-                f"{self.name}: available power must be >= 0, got {p_in_available}"
-            )
+        """Closed-form inverse (see :meth:`max_output_power_grid`).
+
+        Range-checks the arguments, then evaluates the grid form on the
+        one voltage.
+        """
+        self.check_available_power(p_in_available)
         v_in = self._resolve_input(v_in)
         self.check_output_voltage(v_out)
-        if v_out > v_in - self.dropout_v:
-            raise OperatingRangeError(
-                f"{self.name}: output {v_out:.3f} V needs more headroom than "
-                f"input {v_in:.3f} V provides (dropout {self.dropout_v:.2f} V)"
-            )
+        self._check_headroom(v_out, v_in)
+        return float(
+            self.max_output_power_grid(
+                np.array([v_out], dtype=float), p_in_available, v_in
+            )[0]
+        )
+
+    def max_output_power_grid(
+        self,
+        v_out: np.ndarray,
+        p_in_available: float,
+        v_in: "float | None" = None,
+    ) -> np.ndarray:
+        """Closed-form inverse over a voltage grid: ``Pout = Vout * (Pin/Vin - Iq)``.
+
+        NaN where ``Vout`` is out of range or lacks dropout headroom.
+        """
+        voltages = np.asarray(v_out, dtype=float)
+        v_in_resolved = self._grid_input_voltage(p_in_available, v_in)
+        if v_in_resolved is None:
+            return np.full(voltages.shape, np.nan)
         usable = self.derate_available_power(p_in_available)
-        i_available = usable / v_in - self.quiescent.current_a
-        return max(0.0, v_out * i_available)
+        i_available = usable / v_in_resolved - self.quiescent.current_a
+        power = voltages * i_available
+        regulable = self._output_range_mask(voltages) & ~(
+            voltages > v_in_resolved - self.dropout_v
+        )
+        return np.where(regulable, np.where(power > 0.0, power, 0.0), np.nan)
 
 
 def paper_ldo(nominal_input_v: float = 1.2) -> LinearRegulator:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.regulators.base import Regulator
 from repro.regulators.losses import FixedLoss, SwitchingLoss
@@ -236,30 +238,47 @@ class SwitchedCapacitorRegulator(Regulator):
     ) -> float:
         """Closed-form inverse, maximised over the ratio bank.
 
-        Within one band the deliverable current is limited both by the
-        power budget ``(Pin - Pfix) / (Vnl + Vdrop)`` and by the switch
-        matrix impedance.
+        Range-checks the arguments, then evaluates
+        :meth:`max_output_power_grid` on the one voltage.
         """
-        if p_in_available < 0.0:
-            raise OperatingRangeError(
-                f"{self.name}: available power must be >= 0, got {p_in_available}"
-            )
+        self.check_available_power(p_in_available)
         v_in_resolved = self._resolve_input(v_in)
         self.check_output_voltage(v_out)
+        return float(
+            self.max_output_power_grid(
+                np.array([v_out], dtype=float), p_in_available, v_in_resolved
+            )[0]
+        )
+
+    def max_output_power_grid(
+        self,
+        v_out: np.ndarray,
+        p_in_available: float,
+        v_in: "float | None" = None,
+    ) -> np.ndarray:
+        """The closed-form inverse over a voltage grid (NaN out of range).
+
+        Within one band the deliverable current is limited both by the
+        power budget ``(Pin - Pfix) / (Vnl + Vdrop)`` and by the switch
+        matrix impedance; the best band wins.  Every element has the
+        bits of a one-point evaluation.
+        """
+        voltages = np.asarray(v_out, dtype=float)
+        v_in_resolved = self._grid_input_voltage(p_in_available, v_in)
+        if v_in_resolved is None:
+            return np.full(voltages.shape, np.nan)
         budget = self.derate_available_power(p_in_available) - self.fixed.power(
             v_in_resolved
         )
-        if budget <= 0.0:
-            return 0.0
-        best = 0.0
-        for ratio in self.ratios:
-            vnl = self.no_load_voltage(ratio, v_in_resolved)
-            if vnl <= v_out:
-                continue
-            i_power = budget / (vnl + self.switching.drop_v)
-            i_cap = self.current_limit(ratio, v_out, v_in_resolved)
-            best = max(best, v_out * min(i_power, i_cap))
-        return best
+        best = np.zeros(voltages.shape)
+        if budget > 0.0:
+            for _, ratio_f in self._ratio_bank:
+                vnl = ratio_f * v_in_resolved
+                i_power = budget / (vnl + self.switching.drop_v)
+                i_cap = (vnl - voltages) / self.output_impedance_ohm
+                power = voltages * np.where(i_cap < i_power, i_cap, i_power)
+                best = np.where((vnl > voltages) & (power > best), power, best)
+        return np.where(self._output_range_mask(voltages), best, np.nan)
 
 
 #: Input voltage of the paper's Fig. 4 efficiency characterisation.  The

@@ -95,3 +95,26 @@ class TestQuickstartExample:
         assert result.returncode == 0, result.stderr
         assert "holistic-performance" in result.stdout
         assert "Holistic co-optimization vs direct connection" in result.stdout
+
+
+class TestImportHygiene:
+    def test_characterized_system_loads_no_scipy(self):
+        """numpy is the only numerical dependency: importing the package
+        and characterizing the shared system (LUT build, MPP searches)
+        must not pull in scipy, even where it is installed."""
+        script = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.parallel.cache import characterized_system\n"
+            "characterized_system()\n"
+            "print(sorted(m for m in sys.modules"
+            " if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
