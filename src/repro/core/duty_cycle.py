@@ -79,9 +79,9 @@ class DutyCycleScheduler:
         self._mep_point_cache: "dict[float, OperatingPoint]" = {}
 
     def _mep_point(self, irradiance: float) -> OperatingPoint:
-        """The holistic-MEP operating point for this light (cached)."""
-        key = round(irradiance, 9)
-        if key not in self._mep_point_cache:
+        """The holistic-MEP operating point for this light (cached on
+        the exact irradiance, like :meth:`EnergyHarvestingSoC.mpp`)."""
+        if irradiance not in self._mep_point_cache:
             from repro.core.mep import HolisticMepOptimizer
 
             mpp = self.system.mpp(irradiance)
@@ -95,7 +95,7 @@ class DutyCycleScheduler:
             extracted = regulator.input_power(
                 mep.voltage_v, delivered, v_in=mpp.voltage_v
             )
-            self._mep_point_cache[key] = OperatingPoint(
+            self._mep_point_cache[irradiance] = OperatingPoint(
                 processor_voltage_v=mep.voltage_v,
                 frequency_hz=mep.frequency_hz,
                 delivered_power_w=delivered,
@@ -104,7 +104,7 @@ class DutyCycleScheduler:
                 regulator_name=self.regulator_name,
                 bypassed=False,
             )
-        return self._mep_point_cache[key]
+        return self._mep_point_cache[irradiance]
 
     def _rate_at_point(
         self, workload: Workload, irradiance: float, point: OperatingPoint

@@ -107,11 +107,14 @@ class EnergyHarvestingSoC:
         return ComparatorBank(list(self.comparator_thresholds_v))
 
     def mpp(self, irradiance: float) -> MaximumPowerPoint:
-        """The cell's MPP at an irradiance (cached -- it is pure)."""
-        key = round(irradiance, 9)
-        if key not in self._mpp_cache:
-            self._mpp_cache[key] = find_mpp(self.cell, irradiance)
-        return self._mpp_cache[key]
+        """The cell's MPP at an irradiance (cached -- it is pure).
+
+        Keyed on the exact float: a hit returns this irradiance's own
+        MPP, whatever was queried first.
+        """
+        if irradiance not in self._mpp_cache:
+            self._mpp_cache[irradiance] = find_mpp(self.cell, irradiance)
+        return self._mpp_cache[irradiance]
 
     def build_mpp_lut(self, points: int = 24) -> MppLookupTable:
         """Pre-characterise the power-to-MPP LUT for this cell."""

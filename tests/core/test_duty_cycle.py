@@ -1,5 +1,7 @@
 """Tests for duty-cycled operation and sustainable throughput."""
 
+import math
+
 import pytest
 
 from repro.core.duty_cycle import DutyCycleController, DutyCycleScheduler
@@ -106,6 +108,20 @@ class TestSustainableRate:
         assert curve[0][1] == 0.0
         assert curve[1][1] > 0.0
         assert curve[2][1] > curve[1][1]
+
+
+    @pytest.mark.parametrize("upper_first", [False, True])
+    def test_mep_point_cache_keys_on_exact_irradiance(self, upper_first):
+        """Irradiances 1 ulp apart get their own MEP point (node parked
+        at their own MPP), whichever is queried first."""
+        lower = 0.5078837166601279
+        upper = math.nextafter(lower, 1.0)
+        cached = DutyCycleScheduler(paper_system(), "sc")
+        for irradiance in (upper, lower) if upper_first else (lower, upper):
+            cached._mep_point(irradiance)
+        for irradiance in (lower, upper):
+            fresh = DutyCycleScheduler(paper_system(), "sc")
+            assert cached._mep_point(irradiance) == fresh._mep_point(irradiance)
 
 
 class TestDutyCycleController:

@@ -1,5 +1,7 @@
 """Tests for the system composition."""
 
+import math
+
 import pytest
 
 from repro.core.system import EnergyHarvestingSoC, paper_system
@@ -77,6 +79,19 @@ class TestAccessors:
         assert a is b  # cache hit
         truth = find_mpp(system.cell, 0.5)
         assert a.power_w == pytest.approx(truth.power_w, rel=1e-6)
+
+    @pytest.mark.parametrize("upper_first", [False, True])
+    def test_mpp_cache_keys_on_exact_irradiance(self, upper_first):
+        """Two irradiances 1 ulp apart each get their own MPP, whichever
+        is queried first (both once shared a ``round(x, 9)`` key)."""
+        lower = 0.5078837166601279
+        upper = math.nextafter(lower, 1.0)
+        system = paper_system()
+        for irradiance in (upper, lower) if upper_first else (lower, upper):
+            system.mpp(irradiance)
+        for irradiance in (lower, upper):
+            assert system.mpp(irradiance).irradiance == irradiance
+            assert system.mpp(irradiance) == find_mpp(system.cell, irradiance)
 
     def test_build_mpp_lut_spans_conditions(self):
         system = paper_system()
