@@ -88,8 +88,9 @@ ENGINES = ("auto", "scalar", "fleet")
 #: scalar path, taken from the Fig. 8 step-loop microbench in
 #: ``BENCH_fleet_engine.json`` (well under 1x at batch 1, roughly
 #: break-even at batch 16).  On real 16-seed campaigns the fleet beats
-#: the scalar engine for no scheme; see "Real campaigns" in
-#: ``docs/performance.md``.  Explicit
+#: the scalar engine for no scheme: holistic campaigns tie (0.79 vs
+#: 0.78 s), the others run every lane as a fallback lane; see "Real
+#: campaigns" in ``docs/performance.md``.  Explicit
 #: ``engine="fleet"`` always batches regardless (the differential
 #: harness runs batch 1 on purpose); ``auto`` is a throughput policy.
 FLEET_AUTO_MIN_BATCH = 16

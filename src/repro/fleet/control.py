@@ -26,8 +26,9 @@ mirroring exactly the state that determines when the next real
   -- constant halt, a regulated setpoint whose only per-step work is
   the switched-capacitor ratio scan, or a bypass point evaluated
   through the (elementwise, hence batchable) processor models.  The
-  ratio scan itself is hoisted into a per-band-plan
-  :class:`ScBandTable` evaluated as array ops in the exact expression
+  ratio scan itself is hoisted into one :class:`ScBandTable` per
+  batch, a row of regulator columns per lane, and runs once per step
+  over every regulated lane as array ops in the exact expression
   order of ``SwitchedCapacitorRegulator._best_band``, so every float
   it produces is bit-identical to the scalar loop by construction
   (asserted by the differential harness in ``tests/fleet``).
@@ -44,7 +45,7 @@ in the differential tests):
 
 from __future__ import annotations
 
-from typing import Any, Dict, Sequence, cast
+from typing import Any, Callable, Dict, Sequence
 
 import numpy as np
 
@@ -54,10 +55,7 @@ from repro.monitor.comparator import ComparatorBank
 from repro.parallel.ids import stable_fingerprint
 from repro.processor.energy import ProcessorModel
 from repro.regulators.base import Regulator
-from repro.regulators.switched_capacitor import (
-    ScBandPlan,
-    SwitchedCapacitorRegulator,
-)
+from repro.regulators.switched_capacitor import SwitchedCapacitorRegulator
 from repro.sim.dvfs import ControlDecision, DvfsController
 from repro.sim.engine import clamped_frequency_and_power
 from repro.sim.result import SimulationResult
@@ -84,7 +82,7 @@ def _share_key(obj: Any) -> Any:
     """Grouping key for value-identical model objects.
 
     Prefers the content fingerprint (so distinct-but-equal models share
-    caches and band tables); falls back to object identity, which is
+    caches and bypass groups); falls back to object identity, which is
     always safe, when the object is not fingerprintable.
     """
     try:
@@ -143,58 +141,76 @@ def classify_controller(
 
 
 class ScBandTable:
-    """Precomputed switched-capacitor band scan for one band plan.
+    """Switched-capacitor band scan over the lanes of one batch.
 
-    Mirrors :meth:`SwitchedCapacitorRegulator.band_plan` constants and
-    replays ``_best_band`` as masked array operations in the *exact*
+    One row per lane, read from that lane's regulator, and
+    ``_best_band`` replayed as masked array operations in the *exact*
     scalar expression order, so the winning band's input power (and
     hence every downstream float) is bit-identical by construction.
-    Lanes whose regulators share a band plan share one table.
+    ``ratios`` keeps each bank's ascending scan order, so walking the
+    columns in index order reproduces the scalar first-feasible
+    tie-break; shorter banks are padded with NaN, which fails both
+    feasibility tests, so a padded band is never picked.
+    ``efficiency_derating`` is read at construction; campaigns set it
+    before the run, never during one.
     """
 
-    def __init__(self, plan: ScBandPlan) -> None:
-        self.plan = plan
-        self.ratios: "tuple[float, ...]" = plan.ratios
-        self.switching_drop_v = plan.switching_drop_v
-        self.fixed_loss_w = plan.fixed_loss_w
-        self.fixed_reference_v = plan.fixed_loss_reference_v
-        self.output_impedance_ohm = plan.output_impedance_ohm
-        self.min_output_v = plan.min_output_v
-        self.max_output_v = plan.max_output_v
-        self.efficiency_derating = plan.efficiency_derating
+    def __init__(
+        self, regulators: Sequence[SwitchedCapacitorRegulator]
+    ) -> None:
+        width = max((len(reg.ratios) for reg in regulators), default=0)
+        self.ratios = np.full((len(regulators), width), np.nan)
+        for row, regulator in enumerate(regulators):
+            self.ratios[row, : len(regulator.ratios)] = [
+                float(ratio) for ratio in regulator.ratios
+            ]
+
+        def column(
+            read: Callable[[SwitchedCapacitorRegulator], float],
+        ) -> np.ndarray:
+            return np.array([read(reg) for reg in regulators], dtype=float)
+
+        self.switching_drop_v = column(lambda r: r.switching.drop_v)
+        self.fixed_loss_w = column(lambda r: r.fixed.power_w)
+        self.fixed_reference_v = column(lambda r: r.fixed.reference_input_v)
+        self.output_impedance_ohm = column(lambda r: r.output_impedance_ohm)
+        self.min_output_v = column(lambda r: r.min_output_v)
+        self.max_output_v = column(lambda r: r.max_output_v)
+        self.efficiency_derating = column(lambda r: r.efficiency_derating)
 
     def scan(
         self,
+        rows: np.ndarray,
         v_in: np.ndarray,
         v_out: np.ndarray,
         i_out: np.ndarray,
         switching_w: np.ndarray,
         i_threshold: np.ndarray,
     ) -> "tuple[np.ndarray, np.ndarray]":
-        """``(feasible, input_power_w)`` of the best band per lane.
+        """``(feasible, input_power_w)`` of the best band per row.
 
-        ``switching_w`` and ``i_threshold`` (``i_out`` minus the
-        feasibility tolerance) are per-lane constants precomputed from
-        the regulated setpoint; ``v_in`` is the live node voltage.
+        ``rows`` selects the lanes; the other arguments are aligned
+        with it.  ``switching_w`` and ``i_threshold`` (``i_out`` minus
+        the feasibility tolerance) are per-lane constants precomputed
+        from the regulated setpoint; ``v_in`` is the live node voltage.
         Infeasible lanes (no band, or a non-positive input voltage)
         report ``feasible=False`` -- the scalar path's
         ``OperatingRangeError -> halt`` degradation.
         """
-        ratio_q = v_in / self.fixed_reference_v
-        fixed_w = self.fixed_loss_w * ratio_q * ratio_q
+        ratio_q = v_in / self.fixed_reference_v[rows]
+        fixed_w = self.fixed_loss_w[rows] * ratio_q * ratio_q
+        rout = self.output_impedance_ohm[rows]
         best = np.full(v_in.shape, np.inf)
-        for ratio_f in self.ratios:
+        for ratio_f in self.ratios[rows].T:
             v_no_load = ratio_f * v_in
             headroom = v_no_load - v_out
-            current_limit = np.where(
-                headroom > 0.0, headroom / self.output_impedance_ohm, 0.0
-            )
+            current_limit = np.where(headroom > 0.0, headroom / rout, 0.0)
             usable = (current_limit >= i_threshold) & (v_no_load > v_out)
             p_in = v_no_load * i_out + switching_w + fixed_w
             take = usable & (p_in < best)
             best = np.where(take, p_in, best)
         feasible = (best < np.inf) & (v_in > 0.0)
-        p_draw = np.where(feasible, best / self.efficiency_derating, 0.0)
+        p_draw = np.where(feasible, best / self.efficiency_derating[rows], 0.0)
         return feasible, p_draw
 
 
@@ -210,7 +226,7 @@ class ControlPlane:
         self,
         controllers: Sequence[MppTrackingController],
         processors: Sequence[ProcessorModel],
-        regulators: Sequence["Regulator | None"],
+        regulators: Sequence[SwitchedCapacitorRegulator],
         caches: Sequence["dict[tuple[float, float], tuple[float, float]]"],
     ) -> None:
         n = len(controllers)
@@ -242,23 +258,7 @@ class ControlPlane:
         self.mp_seen = np.zeros(n, dtype=np.int64)
 
         # -- static resolution groups ---------------------------------
-        # Switched-capacitor band tables, shared across lanes whose
-        # regulators reduce to the same (hashable) band plan.
-        self._tables: "list[ScBandTable]" = []
-        table_of: "dict[ScBandPlan, ScBandTable]" = {}
-        sc_members: "dict[ScBandPlan, list[int]]" = {}
-        for k, regulator in enumerate(regulators):
-            plan = cast(SwitchedCapacitorRegulator, regulator).band_plan()
-            table = table_of.get(plan)
-            if table is None:
-                table = ScBandTable(plan)
-                table_of[plan] = table
-            self._tables.append(table)
-            sc_members.setdefault(plan, []).append(k)
-        self._sc_groups: "list[tuple[ScBandTable, np.ndarray]]" = [
-            (table_of[plan], np.array(members, dtype=np.intp))
-            for plan, members in sc_members.items()
-        ]
+        self._bands = ScBandTable(regulators)
         # Bypass evaluation groups, shared across value-identical
         # processor models.
         byp_members: "dict[Any, list[int]]" = {}
@@ -344,8 +344,8 @@ class ControlPlane:
         f, p_proc = clamped_frequency_and_power(
             processor, v_out, decision.frequency_hz, self._caches[k]
         )
-        table = self._tables[k]
-        if not table.min_output_v <= v_out <= table.max_output_v:
+        bands = self._bands
+        if not bands.min_output_v[k] <= v_out <= bands.max_output_v[k]:
             # check_output_voltage raises on every step; the scalar
             # path degrades that to a constant halt at v_out.
             self.res_kind[k] = K_CONSTHALT
@@ -355,7 +355,7 @@ class ControlPlane:
         self.rs_f[k] = f
         self.rs_pproc[k] = p_proc
         self.rs_iout[k] = i_out
-        self.rs_sw[k] = table.switching_drop_v * i_out
+        self.rs_sw[k] = bands.switching_drop_v[k] * i_out
         self.rs_ithresh[k] = i_out - (1e-9 + 1e-9 * i_out)
 
     # -- vector resolution --------------------------------------------
@@ -380,11 +380,10 @@ class ControlPlane:
         const_halt = kind == K_CONSTHALT
         if np.any(const_halt):
             v_proc[const_halt] = self.rs_vout[const_halt]
-        for table, members in self._sc_groups:
-            sub = members[(kind[members] == K_REG) & alive[members]]
-            if sub.size == 0:
-                continue
-            feasible, draw = table.scan(
+        sub = np.nonzero((kind == K_REG) & alive)[0]
+        if sub.size:
+            feasible, draw = self._bands.scan(
+                sub,
                 v[sub],
                 self.rs_vout[sub],
                 self.rs_iout[sub],

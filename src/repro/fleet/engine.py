@@ -67,6 +67,7 @@ from repro.processor.workloads import Workload
 from repro.pv.cell import SingleDiodeCell
 from repro.pv.traces import IrradianceTrace
 from repro.regulators.base import Regulator
+from repro.regulators.switched_capacitor import SwitchedCapacitorRegulator
 from repro.sim.dvfs import ControllerView, DvfsController
 from repro.sim.engine import (
     _IRR_PRECOMPUTE_MAX_SAMPLES,
@@ -284,7 +285,7 @@ class FleetSimulator:
                 node.comparators.reset()
 
         # -- per-lane constants ---------------------------------------
-        # The classifier admits MPP trackers only.
+        # The classifier admits MPP trackers on SC regulators only.
         controllers = [
             cast(MppTrackingController, node.controller) for node in nodes
         ]
@@ -311,7 +312,10 @@ class FleetSimulator:
         plane = ControlPlane(
             controllers,
             processors,
-            [node.regulator for node in nodes],
+            [
+                cast(SwitchedCapacitorRegulator, node.regulator)
+                for node in nodes
+            ],
             shared_decision_caches(processors),
         )
 

@@ -23,7 +23,6 @@ configurations must be used to cover large operating voltage range".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -33,31 +32,6 @@ from repro.errors import ModelParameterError, OperatingRangeError
 from repro.regulators.base import Regulator
 from repro.regulators.losses import FixedLoss, SwitchingLoss
 
-
-@dataclass(frozen=True)
-class ScBandPlan:
-    """Float-only snapshot of everything :meth:`_best_band` reads.
-
-    The fleet control plane hoists the per-query ratio scan into array
-    operations across lanes; this plan is the data it needs, expressed
-    without :class:`~fractions.Fraction` so it can key a
-    :func:`~repro.parallel.ids.stable_fingerprint` (lanes with equal
-    plans share one precomputed band table).  ``ratios`` keeps the
-    scan's ascending order, so an array scan that walks the columns in
-    index order reproduces the scalar first-feasible tie-break exactly.
-    ``efficiency_derating`` snapshots the fault-injected derating at
-    plan time; campaigns set it before the run, never during one.
-    """
-
-    ratios: Tuple[float, ...]
-    switching_drop_v: float
-    fixed_loss_w: float
-    fixed_loss_reference_v: float
-    output_impedance_ohm: float
-    min_output_v: float
-    max_output_v: float
-    nominal_input_v: float
-    efficiency_derating: float
 
 #: The paper's ratio bank (Fig. 4 schematic labels): 5:4, 3:2 and 2:1.
 PAPER_RATIOS: Tuple[Fraction, ...] = (
@@ -116,20 +90,6 @@ class SwitchedCapacitorRegulator(Regulator):
         # Fraction arithmetic from the simulator's hot path.
         self._ratio_bank: Tuple[Tuple[Fraction, float], ...] = tuple(
             (ratio, float(ratio)) for ratio in self.ratios
-        )
-
-    def band_plan(self) -> ScBandPlan:
-        """The scan's inputs as a frozen float-only plan (see above)."""
-        return ScBandPlan(
-            ratios=tuple(ratio_f for _, ratio_f in self._ratio_bank),
-            switching_drop_v=self.switching.drop_v,
-            fixed_loss_w=self.fixed.power_w,
-            fixed_loss_reference_v=self.fixed.reference_input_v,
-            output_impedance_ohm=self.output_impedance_ohm,
-            min_output_v=self.min_output_v,
-            max_output_v=self.max_output_v,
-            nominal_input_v=self.nominal_input_v,
-            efficiency_derating=self._efficiency_derating,
         )
 
     # -- per-ratio primitives -------------------------------------------------

@@ -15,20 +15,29 @@ subclass, a DVFS transition model or a trace without
 * core lanes stay independent through death (``stop_on_brownout``),
   brownout recovery and early completion, and the state's shared
   time is the latest lane end;
-* lane order is physically meaningless (``FleetState.permuted``).
+* lane order is physically meaningless (``FleetState.permuted``);
+* lanes whose switched-capacitor regulators differ -- ratio banks of
+  different lengths, impedance, output range, losses, derating --
+  share one band table and each still matches its scalar run.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Any, Dict, List, Tuple
+from fractions import Fraction
+from typing import Any, Callable, Dict, List, Tuple
 
 import pytest
 
 from repro.core.mppt import MppTrackingController
 from repro.fleet import classify_controller
+from repro.regulators.switched_capacitor import (
+    FIG4_BENCH_INPUT_V,
+    SwitchedCapacitorRegulator,
+)
 from repro.sim.dvfs import ControlDecision, ControllerView
 from repro.sim.engine import SimulationConfig
+from repro.sim.result import results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
 from repro.units import micro_seconds
 
@@ -50,6 +59,7 @@ from tests.fleet.scenarios import (
     assert_results_identical,
     assert_state_row_matches,
     run_batch,
+    run_scalar,
     run_scalar_lane,
     short_job,
 )
@@ -295,3 +305,74 @@ class TestPermutationInvariance:
         assert perm_state.vectorized.tolist() == [
             bool(base_state.vectorized[lane]) for lane in order
         ]
+
+
+def _sc(**changes: Any) -> SwitchedCapacitorRegulator:
+    return SwitchedCapacitorRegulator(
+        nominal_input_v=FIG4_BENCH_INPUT_V, **changes
+    )
+
+
+def _derated_sc() -> SwitchedCapacitorRegulator:
+    regulator = _sc(switching_drop_v=0.08)
+    regulator.set_efficiency_derating(0.8)
+    return regulator
+
+
+#: One regulator per lane: the paper's bank, then banks that differ in
+#: every column of the band table.  Each value changes its lane's run
+#: (the impedance caps the current, the range excludes tracker
+#: setpoints), so a lane read from another lane's row shows.
+MIXED_REGULATORS = (
+    ("paper", _sc),
+    ("half_only", lambda: _sc(ratios=(Fraction(1, 2),))),
+    (
+        "two_ratios_12ohm",
+        lambda: _sc(
+            ratios=(Fraction(4, 5), Fraction(1, 2)), output_impedance_ohm=12.0
+        ),
+    ),
+    (
+        "narrow_range_2mw",
+        lambda: _sc(
+            min_output_v=0.4,
+            max_output_v=0.6,
+            fixed_loss_w=2e-3,
+            fixed_loss_reference_v=1.0,
+        ),
+    ),
+    ("derated", _derated_sc),
+)
+
+
+def _with_regulator(
+    make: Callable[[], SwitchedCapacitorRegulator],
+) -> Callable[[Any], Dict[str, Any]]:
+    def parts(telemetry: Any) -> Dict[str, Any]:
+        lane_parts = _fig8_mppt_parts(telemetry)
+        lane_parts["regulator"] = make()
+        return lane_parts
+
+    return parts
+
+
+class TestMixedRegulators:
+    def test_each_lane_matches_its_scalar_run(self) -> None:
+        """Ratio banks of different lengths pad the band table with NaN;
+        a padded band must never win, and no lane's columns may leak
+        into another's."""
+        scenarios = tuple(
+            Scenario(
+                name, RECOVERY_CONFIG, MATRIX_TRACE, _with_regulator(make)
+            )
+            for name, make in MIXED_REGULATORS
+        )
+        simulator, results, _ = run_batch(scenarios)
+        state = simulator.state
+        assert state is not None
+        assert state.vectorized.tolist() == [True] * len(scenarios)
+        # The 2:1-only bank cannot hold the tracker's setpoints: it
+        # browns out, halts and recovers three times.
+        assert results[1].brownout_count == 3
+        for lane, scenario in enumerate(scenarios):
+            assert results_bit_identical(run_scalar(scenario), results[lane])
