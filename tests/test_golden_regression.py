@@ -4,8 +4,10 @@ Small canonical runs (the Fig. 6 operating points, a 5-seed transient
 fault campaign, a 16-lane fleet batch, five scalar-engine runs frozen
 from the historical reference loop, a dense per-point grid of
 single-diode currents frozen from the historical array solver, the
-MPPs and MEPs found by the bounded minimizer, frozen from scipy, and a
-telemetry JSONL trace of the Fig. 6 operating point) are serialized to committed JSON/JSONL under ``tests/golden/``.
+MPPs and MEPs found by the bounded minimizer, frozen from scipy, the
+receding-horizon planner's answers, frozen from one full DP solve per
+replan, and a telemetry JSONL trace of the Fig. 6 operating point) are
+serialized to committed JSON/JSONL under ``tests/golden/``.
 Each test recomputes the payload and compares it against the fixture
 within tight tolerances, so a refactor -- the parallel campaign
 executor especially -- cannot silently change the numbers while
