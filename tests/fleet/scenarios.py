@@ -53,7 +53,7 @@ from repro.sim.engine import EndState, SimulationConfig, TransientSimulator
 from repro.sim.result import SimulationResult, results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
 from repro.telemetry.session import Telemetry, TelemetrySession
-from repro.units import milli_seconds
+from repro.units import micro_seconds, milli_seconds
 
 SYSTEM, LUT = characterized_system()
 
@@ -474,7 +474,9 @@ DEATH_TRACE = step_trace(1.0, 0.01, 4e-3, 20e-3)
 
 #: A passing cloud that browns the comparator-less MPPT lane out and
 #: lets it recharge past the recovery threshold.
-RECOVERY_TRACE = cloud_trace(1.0, 0.01, 4e-3, 8e-3, 30e-3, edge_s=0.5e-3)
+RECOVERY_TRACE = cloud_trace(
+    1.0, 0.01, 4e-3, 8e-3, 30e-3, edge_s=micro_seconds(500)
+)
 
 #: Config of the brownout-recovery lanes.
 RECOVERY_CONFIG = SimulationConfig(
@@ -491,7 +493,9 @@ STOP_SCENARIOS: "Tuple[Scenario, ...]" = (
     Scenario(
         "stop_on_brownout",
         SimulationConfig(
-            time_step_s=10e-6, record_every=4, stop_on_brownout=True
+            time_step_s=micro_seconds(10),
+            record_every=4,
+            stop_on_brownout=True,
         ),
         DEATH_TRACE,
         _blind_mppt_parts,
