@@ -3,7 +3,7 @@
 A fig. 9-style deadline study on the dim-step scenario: the same
 workload/deadline run closed-loop under three policies --
 
-* ``planner``: the receding-horizon DP (re-solved each slot from the
+* ``planner``: the receding-horizon DP (re-planned each slot from the
   measured node energy against a biased, noisy forecast);
 * ``oracle``: the one-shot DP plan solved on the true income series;
 * ``heuristic``: the paper's sprint schedule (Section VI-B).

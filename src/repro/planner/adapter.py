@@ -8,9 +8,11 @@ The adapters here close that gap so a plan drives
 
 * :class:`PlanController` follows a fixed plan (the *oracle* when the
   plan was solved on the true trace);
-* :class:`RecedingHorizonController` re-solves the suffix DP at every
-  slot boundary from the **measured** node energy (``CV^2/2`` of the
-  observed node voltage) against its forecast -- the planner policy.
+* :class:`RecedingHorizonController` re-plans at every slot boundary
+  from the **measured** node energy (``CV^2/2`` of the observed node
+  voltage) against its forecast -- the planner policy.  It solves the
+  forecast's DP once; each replan reads that solve's policy and value
+  rows at the current slot and measured level.
 
 Both are pure functions of the observable :class:`ControllerView`
 plus deterministic internal slot state.  The fleet engine runs their
@@ -174,13 +176,18 @@ class PlanController(_PlanFollower):
 
 
 class RecedingHorizonController(_PlanFollower):
-    """Re-solve the suffix DP at every slot boundary.
+    """Re-plan from the measured state at every slot boundary.
 
     The controller holds a (possibly wrong) forecast; each time the
     simulated clock crosses into a new slot it measures the node
-    energy from the observed voltage, solves the remaining-horizon DP
-    from that state, and executes the first planned action until the
-    next boundary.  ``planner.replans`` counts the re-solves.
+    energy from the observed voltage and executes, until the next
+    boundary, the first action of the remaining-horizon DP from that
+    state.  Backward induction over ``forecast.suffix(slot)`` yields
+    exactly rows ``slot..`` of the full-horizon solve, so the forecast
+    is solved once, at the first replan, and every replan is a lookup
+    of ``policy[slot, level]`` and ``value[slot, level]``.  The solve
+    depends only on the constructor arguments, so :meth:`reset` keeps
+    it.  ``planner.replans`` counts the replans.
     """
 
     def __init__(
@@ -197,6 +204,7 @@ class RecedingHorizonController(_PlanFollower):
         self.forecast = forecast
         self.actions = actions
         self.grid = grid
+        self._plan: "Plan | None" = None
         self._slot: "int | None" = None
         self._action: "PlannerAction | None" = None
 
@@ -209,23 +217,30 @@ class RecedingHorizonController(_PlanFollower):
         raw = int((view.time_s - self.forecast.start_s) / self.forecast.slot_s)
         return min(max(raw, 0), self.forecast.slots - 1)
 
+    def _solved(self) -> Plan:
+        # The value and policy tables are all a replan reads; the
+        # plan's own start state (empty store) is never executed.
+        if self._plan is None:
+            self._plan = solve_plan(
+                self.forecast.income_j,
+                self.actions,
+                self.grid,
+                0.0,
+                self.forecast.slot_s,
+                start_s=self.forecast.start_s,
+            )
+        return self._plan
+
     def _replan(self, slot: int, view: ControllerView) -> PlannerAction:
         energy = self._measured_energy_j(view)
-        suffix = self.forecast.suffix(slot)
-        plan = solve_plan(
-            suffix.income_j,
-            self.actions,
-            self.grid,
-            energy,
-            suffix.slot_s,
-            start_s=suffix.start_s,
-        )
+        plan = self._solved()
+        level = self.grid.index_of(energy)
         self.telemetry.count("planner.replans")
         self.telemetry.gauge("planner.measured_energy_j", energy)
         self.telemetry.gauge(
-            "planner.expected_cycles", plan.expected_cycles
+            "planner.expected_cycles", float(plan.value[slot, level])
         )
-        return plan.steps[0].action
+        return self.actions[int(plan.policy[slot, level])]
 
     def decide(self, view: ControllerView) -> ControlDecision:
         self._check_deadline(view)

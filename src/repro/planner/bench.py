@@ -4,7 +4,7 @@ Runs the fig6/fig8-style scenario matrix (dim-step, MPPT-dim, cloud
 burst, volatile walk, sunset ramp) at two levels:
 
 * **model world** -- the DP's own slotted grid: oracle (DP on the
-  true income), receding horizon (re-solved each slot against a
+  true income), receding horizon (re-planned each slot against a
   biased, noisy forecast) and the myopic greedy baseline, with the
   oracle-bounds chain (oracle >= receding >= greedy on completed
   cycles) *asserted*, not assumed -- cycle rewards are integer-valued

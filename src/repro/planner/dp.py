@@ -16,10 +16,11 @@ of the horizon.  This module solves that exactly on a quantized grid:
   value function provably monotone non-decreasing in stored energy
   (more banked energy can only unlock actions, never worsen a
   transition), the invariant the hypothesis suite checks;
-* **solver**: backward value iteration, vectorized over energy levels,
-  with deterministic *work-first* tie-breaking -- among equal-value
-  actions prefer the one retiring more cycles this slot, then the
-  lower draw, then table order.  Deferring work is only ever chosen
+* **solver**: backward value iteration, one ``(actions, levels)``
+  array pass per slot (:class:`BellmanBackup`), with deterministic
+  *work-first* tie-breaking -- among equal-value actions prefer the
+  one retiring more cycles this slot, then the lower draw, then table
+  order.  Deferring work is only ever chosen
   when it strictly beats working now; that hedges the executed plan
   against income that fails to materialize (a receding-horizon
   controller that charges on a tie bets on a forecast, one that works
@@ -344,6 +345,55 @@ def _validate_inputs(
         )
 
 
+class BellmanBackup:
+    """One slot of backward induction over a fixed action table and grid.
+
+    :meth:`row` maps the next slot's value row and this slot's income
+    to this slot's ``(value_row, policy_row)``, evaluating every
+    (action, level) pair as one ``(actions, levels)`` array.
+    :func:`solve_plan` runs it once per slot; a receding-horizon
+    executor runs it once per replan, against the cached value row of
+    the forecast's solve, when only the arriving slot's income changed.
+    """
+
+    def __init__(
+        self, actions: "Sequence[PlannerAction]", grid: EnergyGrid
+    ) -> None:
+        self.grid = grid
+        energies = grid.level_energies()
+        draws = np.array([a.draw_j for a in actions])[:, None]
+        thresholds = np.array([a.min_energy_j for a in actions])[:, None]
+        # ``(energies - draw) + income`` is the transition's operation
+        # order; the first difference does not depend on the slot.
+        self._net_j = energies - draws
+        self._feasible = energies >= thresholds
+        self._rewards = np.array([a.cycles for a in actions])[:, None]
+        # Work-first tie-break: scan actions by descending immediate
+        # cycles (then ascending draw, then table order) so np.argmax's
+        # first-occurrence picks the hardest-working action among ties.
+        self._order = np.array(
+            sorted(
+                range(len(actions)),
+                key=lambda a: (-actions[a].cycles, actions[a].draw_j, a),
+            ),
+            dtype=np.int64,
+        )
+        self._columns = np.arange(grid.levels)
+
+    def row(
+        self, next_value: np.ndarray, income_j: float
+    ) -> "Tuple[np.ndarray, np.ndarray]":
+        """``(value_row, policy_row)`` of a slot with income ``income_j``."""
+        nxt = np.clip(self._net_j + income_j, 0.0, self.grid.capacity_j)
+        q = np.where(
+            self._feasible,
+            self._rewards + next_value[self.grid.indices_of(nxt)],
+            -np.inf,
+        )
+        best = self._order[np.argmax(q[self._order], axis=0)]
+        return q[best, self._columns], best
+
+
 def solve_plan(
     income_j: np.ndarray,
     actions: "Sequence[PlannerAction]",
@@ -358,7 +408,8 @@ def solve_plan(
     with stored-energy level ``e``.  Transitions clip to
     ``[0, capacity]`` and floor-quantize onto the grid; infeasible
     actions score ``-inf``; ties break work-first (most immediate
-    cycles, then lowest draw, then table order).  The forward pass replays
+    cycles, then lowest draw, then table order).  Each slot is one
+    :meth:`BellmanBackup.row`.  The forward pass replays
     the policy from the quantized initial state with the *same*
     transition arithmetic, so the realized trajectory is exactly a
     path of the solved MDP and its cycle total is exactly
@@ -367,39 +418,11 @@ def solve_plan(
     income = np.asarray(income_j, dtype=float)
     _validate_inputs(income, actions, initial_energy_j)
     slots = len(income)
-    levels = grid.levels
-    energies = grid.level_energies()
-    value = np.zeros((slots + 1, levels))
-    policy = np.zeros((slots, levels), dtype=np.int64)
-
-    draws = np.array([a.draw_j for a in actions])
-    rewards = np.array([a.cycles for a in actions])
-    thresholds = np.array([a.min_energy_j for a in actions])
-    # Work-first tie-break: scan actions by descending immediate
-    # cycles (then ascending draw, then table order) so np.argmax's
-    # first-occurrence picks the hardest-working action among ties.
-    order = np.array(
-        sorted(
-            range(len(actions)),
-            key=lambda a: (-actions[a].cycles, actions[a].draw_j, a),
-        ),
-        dtype=np.int64,
-    )
-
+    value = np.zeros((slots + 1, grid.levels))
+    policy = np.zeros((slots, grid.levels), dtype=np.int64)
+    backup = BellmanBackup(actions, grid)
     for t in range(slots - 1, -1, -1):
-        q = np.empty((len(actions), levels))
-        for a_index in range(len(actions)):
-            feasible = energies >= thresholds[a_index]
-            nxt = np.clip(
-                energies - draws[a_index] + income[t], 0.0, grid.capacity_j
-            )
-            next_value = value[t + 1][grid.indices_of(nxt)]
-            q[a_index] = np.where(
-                feasible, rewards[a_index] + next_value, -np.inf
-            )
-        best = order[np.argmax(q[order], axis=0)]
-        policy[t] = best
-        value[t] = q[best, np.arange(levels)]
+        value[t], policy[t] = backup.row(value[t + 1], income[t])
 
     level = grid.index_of(initial_energy_j)
     steps: "List[PlanStep]" = []

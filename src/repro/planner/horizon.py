@@ -1,20 +1,24 @@
-"""Receding-horizon re-optimization: re-solve each slot as forecast
+"""Receding-horizon re-optimization: re-plan each slot as forecast
 becomes actual.
 
 A one-shot plan commits to a belief about the future; a receding-
-horizon (model-predictive) executor re-solves the suffix DP at every
-slot boundary from the *measured* stored energy, with the current
-slot's income replaced by its actual value as it arrives.  Under a
-perfect forecast this is exactly the oracle (Bellman's principle:
-executing the first action of each suffix-optimal plan reproduces the
-optimal trajectory, bit for bit given the deterministic tie-break);
-under a wrong forecast it is the practical policy whose regret the
-benchmarks measure.
+horizon (model-predictive) executor re-plans at every slot boundary
+from the *measured* stored energy, with the current slot's income
+replaced by its actual value as it arrives.  Under a perfect forecast
+this is exactly the oracle (Bellman's principle: executing the first
+action of each suffix-optimal plan reproduces the optimal trajectory,
+bit for bit given the deterministic tie-break); under a wrong forecast
+it is the practical policy whose regret the benchmarks measure.
+
+Backward induction over a forecast suffix yields exactly the trailing
+rows of the full-horizon solve, so neither executor re-solves a
+suffix: the forecast is solved once and each replan costs at most one
+DP row.
 
 The executor here runs entirely in the grid world (used by the
 invariant tests and the bench's model-level comparison); the
 simulator-facing version lives in :mod:`repro.planner.adapter`, which
-drives the same solver from measured node voltage.
+reads the forecast's solve from measured node voltage.
 """
 
 from __future__ import annotations
@@ -25,7 +29,13 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ModelParameterError
-from repro.planner.dp import EnergyGrid, Plan, PlanStep, PlannerAction, solve_plan
+from repro.planner.dp import (
+    BellmanBackup,
+    EnergyGrid,
+    PlanStep,
+    PlannerAction,
+    solve_plan,
+)
 from repro.planner.forecast import EnergyForecast
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
@@ -35,7 +45,7 @@ class HorizonOutcome:
     """Realized trajectory of a receding-horizon execution.
 
     ``steps`` carries the realized (not planned) on-grid state;
-    ``replans`` counts DP re-solves (one per slot);
+    ``replans`` counts replans (one per slot);
     ``forecast_income_j`` / ``actual_income_j`` are the per-slot
     belief/actual pair whose gap drove the re-planning.
     """
@@ -69,14 +79,18 @@ def execute_receding_horizon(
 ) -> HorizonOutcome:
     """Run the receding-horizon loop over a slotted world.
 
-    Per slot ``t``: build the effective suffix income (actual for the
-    arriving slot ``t``, forecast for ``t+1`` onward), solve the
-    suffix DP from the realized stored energy, execute the first
-    planned action, then advance the true state with the *actual*
-    income.  Every executed action was feasible at its realized state,
-    so the whole trajectory is an admissible policy of the true-income
-    MDP -- which is why the oracle (DP on the true series) bounds it
-    from above, exactly.
+    Per slot ``t``: take the suffix DP over the effective income
+    (actual for the arriving slot ``t``, forecast for ``t+1`` onward)
+    from the realized stored energy, execute its first action, then
+    advance the true state with the *actual* income.  Rows ``t+1..``
+    of that suffix DP are the forecast's own, so the forecast is
+    solved once and each replan computes the one row that differs --
+    slot ``t`` at the actual income, against the cached ``value[t+1]``
+    -- a :meth:`~repro.planner.dp.BellmanBackup.row` per slot instead
+    of a suffix solve.  Every executed action was feasible at its
+    realized state, so the whole trajectory is an admissible policy
+    of the true-income MDP -- which is why the oracle (DP on the true
+    series) bounds it from above, exactly.
     """
     tel = telemetry if telemetry is not None else NULL_TELEMETRY
     if actual.slots != forecast.slots:
@@ -89,26 +103,27 @@ def execute_receding_horizon(
             f"actual ({actual.slot_s}) and forecast ({forecast.slot_s}) "
             "disagree on slot width"
         )
+    if np.any(np.asarray(actual.income_j) < 0.0):
+        raise ModelParameterError("actual income must be >= 0 in every slot")
     slots = actual.slots
     level = grid.index_of(initial_energy_j)
+    belief = solve_plan(
+        forecast.income_j,
+        actions,
+        grid,
+        grid.energy_at(level),
+        forecast.slot_s,
+        start_s=forecast.start_s,
+    )
+    backup = BellmanBackup(actions, grid)
     steps: "List[PlanStep]" = []
     total = 0.0
     replans = 0
     for t in range(slots):
-        effective = np.concatenate(
-            ([actual.income_j[t]], forecast.income_j[t + 1:])
-        )
         energy_before = grid.energy_at(level)
-        suffix: Plan = solve_plan(
-            effective,
-            actions,
-            grid,
-            energy_before,
-            actual.slot_s,
-            start_s=actual.slot_start_s(t),
-        )
+        _, policy_row = backup.row(belief.value[t + 1], actual.income_j[t])
         replans += 1
-        action = suffix.steps[0].action
+        action = actions[int(policy_row[level])]
         tel.count("planner.replans")
         tel.gauge(
             "planner.forecast_gap_j",

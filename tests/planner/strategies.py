@@ -53,20 +53,17 @@ def planner_actions(draw):
     return tuple(actions)
 
 
+#: A random income for one slot (non-negative).
+slot_incomes = st.floats(
+    min_value=0.0, max_value=0.6, allow_nan=False, allow_infinity=False,
+)
+
+
 @st.composite
 def income_series(draw):
     """A random per-slot income array (1-12 slots, non-negative)."""
     slots = draw(st.integers(min_value=1, max_value=12))
-    values = draw(
-        st.lists(
-            st.floats(
-                min_value=0.0, max_value=0.6,
-                allow_nan=False, allow_infinity=False,
-            ),
-            min_size=slots,
-            max_size=slots,
-        )
-    )
+    values = draw(st.lists(slot_incomes, min_size=slots, max_size=slots))
     return np.array(values, dtype=float)
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.planner.adapter as adapter
 from repro.core.system import paper_system
 from repro.errors import ModelParameterError
 from repro.fleet.engine import FleetNode, FleetSimulator
@@ -166,6 +167,71 @@ class TestRecedingTelemetry:
         for t in (0.1e-3, 0.4e-3, 0.9e-3, 1.2e-3):
             controller.decide(_view(t, 1.2))
         assert session.metrics.as_dict()["planner.replans"] == 2.0
+
+
+class TestRecedingSolvesOnce:
+    def _controller(self, system, session=None):
+        return make_planner_controller(
+            system, "sc", TRACE, mode="receding", spec=SPEC,
+            error=ForecastErrorModel(bias=-0.15, noise_sigma=0.2, seed=3),
+            duration_s=DURATION_S, initial_voltage_v=1.2,
+            telemetry=session,
+        )
+
+    def test_one_solve_per_run(self, system, monkeypatch):
+        solves = []
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return solve_plan(*args, **kwargs)
+
+        monkeypatch.setattr(adapter, "solve_plan", counting_solve)
+        session = TelemetrySession()
+        controller = self._controller(system, session)
+
+        def run():
+            return TransientSimulator(
+                cell=system.cell,
+                node_capacitor=system.new_node_capacitor(1.2),
+                processor=system.processor,
+                regulator=system.regulator("sc"),
+                controller=controller,
+                comparators=system.new_comparator_bank(),
+                config=_sim_config(),
+            ).run(TRACE, duration_s=DURATION_S)
+
+        first = run()
+        assert len(solves) == 1
+        assert session.metrics.as_dict()["planner.replans"] == 20.0
+        # The solve depends only on the constructor, so a reset (the
+        # simulator resets its controller) keeps it.
+        controller.reset()
+        assert results_bit_identical(first, run())
+        assert len(solves) == 1
+
+    def test_replan_reads_the_suffix_solve(self, system):
+        # Each replan must give the first action and expected cycles
+        # of the DP solved on the forecast suffix from the measured
+        # energy -- the definition the lookup replaces.
+        session = TelemetrySession()
+        controller = self._controller(system, session)
+        forecast = controller.forecast
+        for slot in range(0, forecast.slots, 3):
+            suffix = forecast.suffix(slot)
+            for node_v in (0.0, 0.3, 0.45, 0.6, 0.9, 1.2, 1.6, 1.7):
+                view = _view(suffix.start_s, node_v)
+                energy = 0.5 * system.node_capacitance_f * node_v**2
+                reference = solve_plan(
+                    suffix.income_j, controller.actions, controller.grid,
+                    energy, suffix.slot_s, start_s=suffix.start_s,
+                )
+                action = controller._replan(slot, view)
+                gauges = session.metrics.as_dict()
+                assert action is reference.steps[0].action
+                assert (
+                    gauges["planner.expected_cycles"]
+                    == reference.expected_cycles
+                )
 
 
 class TestEngineBitIdentity:

@@ -8,6 +8,7 @@ from repro.core.system import paper_system
 from repro.errors import ModelParameterError
 from repro.planner.dp import (
     CHARGE_ACTION,
+    BellmanBackup,
     EnergyGrid,
     PlannerAction,
     PlannerSpec,
@@ -16,11 +17,13 @@ from repro.planner.dp import (
     realized_cycles,
     solve_plan,
 )
+from repro.planner.forecast import EnergyForecast
 from tests.planner.strategies import (
     GRID,
     income_series,
     initial_energies,
     planner_actions,
+    slot_incomes,
 )
 
 
@@ -198,3 +201,40 @@ class TestInvariants:
         plan = solve_plan(income, actions, GRID, e0, 1.0)
         finite = plan.value[np.isfinite(plan.value)]
         assert np.array_equal(finite, np.floor(finite))
+
+
+class TestSuffixRows:
+    """What lets a receding horizon read replans off one solve."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(planner_actions(), income_series(), initial_energies)
+    def test_suffix_solve_is_the_full_solve_rows(self, actions, income, e0):
+        full = solve_plan(income, actions, GRID, e0, 1.0)
+        forecast = EnergyForecast(
+            slot_s=1.0, start_s=0.0, irradiance=income, income_j=income
+        )
+        for slot in range(forecast.slots):
+            suffix = forecast.suffix(slot)
+            part = solve_plan(
+                suffix.income_j, actions, GRID, e0, 1.0,
+                start_s=suffix.start_s,
+            )
+            assert np.array_equal(full.value[slot:], part.value)
+            assert np.array_equal(full.policy[slot:], part.policy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planner_actions(), income_series(), slot_incomes, initial_energies)
+    def test_row_at_actual_income_is_the_effective_suffix_solve(
+        self, actions, income, actual, e0
+    ):
+        # A replan's suffix differs from the forecast only in the
+        # arriving slot, so one row against the forecast's cached
+        # value row equals the solve of the whole effective suffix.
+        full = solve_plan(income, actions, GRID, e0, 1.0)
+        backup = BellmanBackup(actions, GRID)
+        for slot in range(len(income)):
+            effective = np.concatenate(([actual], income[slot + 1:]))
+            reference = solve_plan(effective, actions, GRID, e0, 1.0)
+            value_row, policy_row = backup.row(full.value[slot + 1], actual)
+            assert np.array_equal(value_row, reference.value[0])
+            assert np.array_equal(policy_row, reference.policy[0])

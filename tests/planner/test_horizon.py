@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import repro.planner.horizon as horizon
 from repro.errors import ModelParameterError
 from repro.planner.forecast import EnergyForecast
 from repro.planner.horizon import execute_receding_horizon
 from repro.planner.dp import (
     CHARGE_ACTION,
+    BellmanBackup,
     PlannerAction,
     greedy_plan,
     realized_cycles,
@@ -97,6 +99,39 @@ class TestOutcome:
         )
         assert outcome.replans == 6
         assert outcome.slots == 6
+
+    def test_one_solve_and_one_row_per_slot(self, monkeypatch):
+        # O(slots) work: one solve of the forecast (one row per slot)
+        # plus one row per replan -- not a suffix solve per slot.
+        solves, rows = [], []
+        original_row = BellmanBackup.row
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return solve_plan(*args, **kwargs)
+
+        def counting_row(self, next_value, income_j):
+            rows.append(income_j)
+            return original_row(self, next_value, income_j)
+
+        monkeypatch.setattr(horizon, "solve_plan", counting_solve)
+        monkeypatch.setattr(BellmanBackup, "row", counting_row)
+        actual = np.linspace(0.0, 0.3, 9)
+        belief = np.full(9, 0.1)
+        outcome = execute_receding_horizon(
+            _forecast(actual), _forecast(belief), TABLE, GRID, 0.5
+        )
+        assert len(solves) == 1
+        assert len(rows) == 2 * outcome.slots
+        # The replan rows run at the actual incomes, in slot order.
+        assert rows[outcome.slots:] == list(actual)
+
+    def test_rejects_negative_actual_income(self):
+        with pytest.raises(ModelParameterError):
+            execute_receding_horizon(
+                _forecast([0.1, -0.1]), _forecast([0.1, 0.1]),
+                TABLE, GRID, 0.5,
+            )
 
     def test_forecast_bias_is_belief_minus_actual(self):
         actions = TABLE
