@@ -1,130 +1,82 @@
-"""Fleet engine bench -- aggregate steps/s and lane bit-identity.
+"""Fleet engine -- lane bit-identity and campaign engine transparency.
 
-Runs the Fig. 8 MPPT closed loop at batch sizes 1/16/128/1024 through
-the fleet engine and as N independent scalar runs, and records both
-aggregate steps/s to ``BENCH_fleet_engine.json`` at the repository
-root (the same file ``python -m repro bench --fleet`` writes).  Two
-claims:
+Two claims, both correctness (nothing here is timed; the campaign
+measurements in ``docs/performance.md`` carry the fleet's speed):
 
-* **bit-identity** (asserted unconditionally): the batch-of-1 fleet
-  run equals the scalar run exactly -- measured in-harness by the
-  bench itself on the actual outputs;
-* **speedup** (asserted only when the report says the 50x aggregate
-  target was reached): on a 1-CPU container the per-lane Python
-  controller dispatch bounds the win once the PV solve batches, so
-  the measured curve is recorded -- visible in the committed JSON
-  history -- but not asserted, exactly like
-  ``BENCH_parallel_campaign.json`` handles its speedup half.
-
-A second test shares the campaign cache with the parallel bench and
-pins the engine-transparency claim: ``run_transient_campaign`` must
-produce identical records through the scalar and fleet engines.
+* **lane bit-identity**: the Fig. 8 MPPT closed loop (a 1.0 -> 0.3 sun
+  step, one shared memoizing ``DischargeTimeMppTracker``, the SC
+  regulator and a noiseless comparator bank) run through
+  :class:`~repro.fleet.engine.FleetSimulator` at batch 1 and at batch
+  16 equals N independent scalar runs exactly.  The batch-16 case
+  keeps the noiseless ``ComparatorLens`` path covered at N > 1;
+* **campaign engine transparency**: ``run_transient_campaign`` produces
+  identical records through the scalar and fleet engines (the summaries
+  come from the campaign cache shared with the parallel bench).
 """
 
-import json
 import math
 from dataclasses import asdict
-from pathlib import Path
 
-import pytest
-from conftest import assert_bench_schema, emit
-
-from repro.experiments.report import format_table
+from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
 from repro.faults import CampaignConfig, FaultSpec
-from repro.fleet.bench import (
-    BATCH_SIZES,
-    run_fleet_benchmark,
-    write_report,
-)
+from repro.fleet import FleetNode, FleetSimulator
+from repro.parallel.cache import characterized_system
+from repro.pv.traces import step_trace
+from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.result import results_bit_identical
+from repro.units import micro_seconds, milli_seconds
 
-BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_fleet_engine.json"
+BEFORE_SUNS, AFTER_SUNS = 1.0, 0.3
+DURATION_S = milli_seconds(10)
+DIM_TIME_S = DURATION_S / 3
 
-#: Key -> type contract of BENCH_fleet_engine.json.
-BENCH_SCHEMA = {
-    "bench": str,
-    "workload": str,
-    "time_step_s": (int, float),
-    "duration_s": (int, float),
-    "rounds": int,
-    "smoke": bool,
-    "batches": dict,
-    "max_batch": int,
-    "speedup_at_max_batch": (int, float),
-    "target_speedup": (int, float),
-    "speedup_asserted": bool,
-    "note": str,
-    "batch1_bit_identical": bool,
-    "platform": str,
-    "python": str,
-    "numpy": str,
-}
-
-#: Key -> type contract of each per-batch entry.
-BATCH_SCHEMA = {
-    "steps": int,
-    "fleet_best_wall_s": (int, float),
-    "scalar_best_wall_s": (int, float),
-    "fleet_steps_per_s": (int, float),
-    "scalar_steps_per_s": (int, float),
-    "speedup": (int, float),
-    "fleet_phase_wall_s": dict,
-}
-
-#: Phases the fleet engine's step loop must account for.
-PHASES = ("capacitor", "control", "pv", "record")
-
-
-#: One timed round after the warm-up: the committed full-size file
-#: comes from ``python -m repro bench --fleet`` (rounds=3, ~20 min on
-#: 1 CPU); this gate re-measures the same trace at half the wall.
-ROUNDS = 1
+#: Batch 1 is the scalar-equivalence probe; batch 16 exercises the
+#: shared noiseless ``ComparatorLens`` across several lanes.
+BATCHES = (1, 16)
 
 
 def test_fleet_engine_bench_and_bit_identity():
-    report = run_fleet_benchmark(rounds=ROUNDS)
-    payload = report.as_dict()
-    assert_bench_schema(payload, BENCH_SCHEMA)
-    assert sorted(payload["batches"]) == sorted(
-        str(batch) for batch in BATCH_SIZES
-    )
-    for entry in payload["batches"].values():
-        assert_bench_schema(entry, BATCH_SCHEMA)
-        breakdown = entry["fleet_phase_wall_s"]
-        assert sorted(breakdown) == sorted(PHASES), breakdown
-        # The phases bracket only the step loop, so they sum to less
-        # than (but a meaningful share of) the total wall.
-        assert 0.0 < sum(breakdown.values()) <= entry["fleet_best_wall_s"]
-    write_report(report, BENCH_PATH)
-    # The file on disk must parse back to the schema-checked payload.
-    assert_bench_schema(json.loads(BENCH_PATH.read_text()), BENCH_SCHEMA)
-
-    emit(
-        "Fleet engine bench -- aggregate steps/s",
-        format_table(
-            ["batch", "fleet steps/s", "scalar steps/s", "speedup"],
-            [
-                (
-                    timing.batch,
-                    f"{timing.fleet_steps_per_s:,.0f}",
-                    f"{timing.scalar_steps_per_s:,.0f}",
-                    f"{timing.speedup:.2f}x",
-                )
-                for timing in report.timings
-            ],
-        ),
+    system, lut = characterized_system()
+    # One memoizing tracker shared by every lane and every scalar run:
+    # its operating-point memo is a pure function of irradiance, so
+    # sharing it is value-transparent.
+    tracker = DischargeTimeMppTracker(system, "sc", lut=lut)
+    trace = step_trace(BEFORE_SUNS, AFTER_SUNS, DIM_TIME_S, DURATION_S)
+    config = SimulationConfig(
+        time_step_s=micro_seconds(10), record_every=4, stop_on_brownout=False
     )
 
-    # The correctness half of the claim holds everywhere.
-    assert report.batch1_bit_identical, (
-        "fleet batch-of-1 diverged from the scalar engine"
-    )
+    def parts():
+        return dict(
+            cell=system.cell,
+            capacitor=system.new_node_capacitor(
+                system.mpp(BEFORE_SUNS).voltage_v
+            ),
+            processor=system.processor,
+            regulator=system.regulator("sc"),
+            controller=MppTrackingController(
+                tracker, initial_irradiance=BEFORE_SUNS
+            ),
+            comparators=system.new_comparator_bank(),
+        )
 
-    # The performance half is recorded honestly; asserted only when
-    # the container actually reached the target.
-    if report.speedup_asserted:
-        assert report.speedup_at_max_batch >= report.target_speedup
-    else:
-        pytest.skip(report.note)
+    def scalar_run():
+        node = parts()
+        simulator = TransientSimulator(
+            node_capacitor=node.pop("capacitor"), config=config, **node
+        )
+        return simulator.run(trace)
+
+    for batch in BATCHES:
+        scalar = [scalar_run() for _ in range(batch)]
+        nodes = [FleetNode(**parts()) for _ in range(batch)]
+        fleet = FleetSimulator(nodes, config=config).run([trace] * batch)
+        assert len(fleet) == batch
+        for lane, (want, got) in enumerate(zip(scalar, fleet)):
+            assert results_bit_identical(want, got), (
+                f"fleet lane {lane} of {batch} diverged from the scalar "
+                "engine"
+            )
 
 
 def _records_equal(left, right) -> bool:

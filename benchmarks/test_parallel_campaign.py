@@ -64,7 +64,7 @@ def test_parallel_campaign_speedup_and_bit_identity(campaign_cache):
     serial = run_transient_campaign(SPEC, CONFIG, workers=1)
     serial_s = time.perf_counter() - started
     # Seed the shared cache: other benches asking for this campaign
-    # (the robustness tables, the fleet bench) reuse the timed run.
+    # (the robustness tables) reuse the timed run.
     campaign_cache.store(SPEC, CONFIG, serial)
 
     started = time.perf_counter()

@@ -10,7 +10,7 @@ Exposes the library's main entry points to a terminal user::
     python -m repro sprint --deadline-ms 10 --dim-to 0.35
     python -m repro faults --runs 50 --scheme both
     python -m repro trace fig8 --out fig8_trace.json
-    python -m repro bench --fleet --smoke
+    python -m repro bench --planner --smoke
 
 Every command builds the paper's demonstration system and prints plain
 text tables, so the paper's results are reachable without writing any
@@ -437,64 +437,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    if args.planner:
-        return _cmd_bench_planner(args)
-    return _cmd_bench_fleet(args)
-
-
-def _cmd_bench_fleet(args: argparse.Namespace) -> int:
-    from repro.fleet.bench import run_fleet_benchmark, write_report
-
-    report = run_fleet_benchmark(rounds=args.rounds, smoke=args.smoke)
-    path = write_report(report, args.out or "BENCH_fleet_engine.json")
-    print(f"wrote {path}")
-    rows = [
-        (
-            str(timing.batch),
-            f"{timing.fleet_steps_per_s:,.0f}",
-            f"{timing.scalar_steps_per_s:,.0f}",
-            f"{timing.speedup:.2f}x",
-        )
-        for timing in report.timings
-    ] + [
-        (
-            "bit-identical (batch 1)",
-            str(report.batch1_bit_identical),
-            "",
-            "",
-        ),
-        (
-            f"target ({report.target_speedup:.0f}x)",
-            "asserted" if report.speedup_asserted else "recorded only",
-            "",
-            "",
-        ),
-    ]
-    print(
-        format_table(
-            ["batch", "fleet steps/s", "scalar steps/s", "speedup"], rows
-        )
-    )
-    top = report.timings[-1]
-    print(
-        format_table(
-            ["step-loop phase", f"wall s (batch {top.batch})"],
-            [
-                (phase, f"{wall:.3f}")
-                for phase, wall in sorted(top.fleet_phase_wall_s.items())
-            ],
-        )
-    )
-    if not report.batch1_bit_identical:
-        print(
-            "error: fleet engine diverged from the scalar engine",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_bench_planner(args: argparse.Namespace) -> int:
     from repro.planner.bench import run_planner_benchmark, write_report
 
@@ -808,18 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser(
         "bench",
-        help="benchmark the batched fleet engine (--fleet) or the DP "
-        "energy planner (--planner)",
+        help="benchmark the DP energy planner (--planner)",
     )
-    bench_mode = p_bench.add_mutually_exclusive_group(required=True)
-    bench_mode.add_argument(
-        "--fleet", action="store_true",
-        help="benchmark the batched fleet engine against N scalar runs "
-        "(aggregate steps/s at batch sizes 1/16/128/1024; writes "
-        "BENCH_fleet_engine.json)",
-    )
-    bench_mode.add_argument(
-        "--planner", action="store_true",
+    p_bench.add_argument(
+        "--planner", action="store_true", required=True,
         help="benchmark the DP energy planner: planned vs paper "
         "heuristic vs oracle across the scenario matrix "
         "(writes BENCH_planner.json)",
@@ -834,9 +768,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_bench.add_argument(
         "--out", default=None,
-        help="report JSON output path (default: the mode's BENCH file)",
+        help="report JSON output path (default: BENCH_planner.json)",
     )
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench.set_defaults(func=_cmd_bench_planner)
 
     p_planner = sub.add_parser(
         "planner",

@@ -85,14 +85,14 @@ PLANNER_SLOTS = 40
 ENGINES = ("auto", "scalar", "fleet")
 
 #: Crossover shard size below which ``engine="auto"`` routes to the
-#: scalar path, taken from the Fig. 8 step-loop microbench in
-#: ``BENCH_fleet_engine.json`` (well under 1x at batch 1, roughly
-#: break-even at batch 16).  On real 16-seed campaigns the fleet beats
-#: the scalar engine for no scheme: holistic campaigns tie (0.79 vs
-#: 0.78 s), the others run every lane as a fallback lane; see "Real
-#: campaigns" in ``docs/performance.md``.  Explicit
-#: ``engine="fleet"`` always batches regardless (the differential
-#: harness runs batch 1 on purpose); ``auto`` is a throughput policy.
+#: scalar path.  Measured on real holistic campaigns ("Real campaigns"
+#: in ``docs/performance.md``, and the campaign measurements under
+#: ROADMAP's open items): the engines tie at 16 seeds, and the fleet
+#: is 1.5-2x faster at 50 and 2.3-2.6x at 256; schemes other than
+#: ``holistic`` run every lane as a fallback lane and tie.  ROADMAP
+#: item 4 decides the value.  Explicit ``engine="fleet"`` always
+#: batches regardless (the differential harness runs batch 1 on
+#: purpose); ``auto`` is a throughput policy.
 FLEET_AUTO_MIN_BATCH = 16
 
 

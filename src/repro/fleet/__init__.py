@@ -11,7 +11,6 @@ batch.  Campaigns dispatch homogeneous-config shards here
 automatically; see ``docs/fleet.md``.
 """
 
-from repro.fleet.bench import FleetReport, run_fleet_benchmark
 from repro.fleet.campaign import fleet_transient_batch_task
 from repro.fleet.control import (
     ControlPlane,
@@ -26,13 +25,11 @@ __all__ = [
     "CellParams",
     "ControlPlane",
     "FleetNode",
-    "FleetReport",
     "FleetSimulator",
     "FleetState",
     "NO_MODE",
     "batched_current",
     "classify_controller",
     "fleet_transient_batch_task",
-    "run_fleet_benchmark",
     "shared_decision_caches",
 ]

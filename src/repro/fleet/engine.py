@@ -78,7 +78,7 @@ from repro.sim.engine import (
 from repro.sim.result import SimulationResult
 from repro.sim.transitions import DvfsTransitionModel
 from repro.storage.capacitor import Capacitor
-from repro.telemetry.profiling import PhaseTimer, Stopwatch
+from repro.telemetry.profiling import Stopwatch
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
 #: One lane's outcome: its result plus the loop state it ended in.
@@ -176,10 +176,6 @@ class FleetSimulator:
         #: Populated by :meth:`run`; lane classification counts
         #: (``{"lanes", "vectorized", "fallback"}``).
         self.control_summary: "Dict[str, object] | None" = None
-        #: Optional per-phase wall profiler installed by benchmarks
-        #: (see :class:`~repro.telemetry.profiling.PhaseTimer`); it
-        #: times the vectorized core.
-        self.phase_timer: "PhaseTimer | None" = None
 
     # -- the run -------------------------------------------------------------
 
@@ -415,20 +411,14 @@ class FleetSimulator:
             end_step[k] = lane_step
             end_time[k] = lane_t
 
-        timer = self.phase_timer
         all_alive = True
         t = 0.0
         step = 0
-        t_mark = 0.0
         for step in range(steps + 1):
-            if timer is not None:
-                t_mark = timer.mark()
             # One batched PV solve across all live lanes.
             irr = irr_steps[step]
             i_pv = batched_current(params, v, irr, alive)
             p_pv = v * i_pv
-            if timer is not None:
-                t_mark = timer.add("pv", t_mark)
 
             any_died = False
 
@@ -550,8 +540,6 @@ class FleetSimulator:
             in_bo[(f > 0.0) & alive] = False
 
             if step % cfg.record_every == 0:
-                if timer is not None:
-                    t_mark = timer.add("control", t_mark)
                 col = step // cfg.record_every
                 sel = np.nonzero(alive)[0] if any_died else alive_pos
                 rec_t[sel, col] = t
@@ -563,8 +551,6 @@ class FleetSimulator:
                 rec_pdraw[sel, col] = p_draw[sel]
                 rec_irr[sel, col] = irr[sel]
                 rec_mode[sel, col] = mode[sel]
-                if timer is not None:
-                    t_mark = timer.add("record", t_mark)
 
             if step < steps:
                 # Cycle bookkeeping and completion detection.
@@ -615,8 +601,6 @@ class FleetSimulator:
                 # Dead lanes get don't-care values; the capacitor
                 # update never applies them (live mask).
                 i_net = i_pv - i_draw
-            if timer is not None:
-                t_mark = timer.add("control", t_mark)
 
             if step == steps:
                 break
@@ -668,8 +652,6 @@ class FleetSimulator:
                         pending_events[k] = tuple(new_events)
                         pend[k] = True
                         pend_rows.append(k)
-            if timer is not None:
-                t_mark = timer.add("capacitor", t_mark)
 
             t += dt
 

@@ -14,8 +14,8 @@ records the events themselves:
 * :mod:`~repro.telemetry.session` -- the injectable
   :class:`Telemetry` seam: a no-op default so instrumentation costs
   ~nothing when disabled, and :class:`TelemetrySession` to record;
-* :mod:`~repro.telemetry.profiling` -- ``time.perf_counter`` helpers
-  for step-loop wall timing (observability only);
+* :mod:`~repro.telemetry.profiling` -- a ``time.perf_counter``
+  stopwatch for step-loop wall timing (observability only);
 * :mod:`~repro.telemetry.export` -- JSONL event logs and Chrome
   ``chrome://tracing`` trace-event JSON, both byte-deterministic;
 * :mod:`~repro.telemetry.aggregate` -- campaign-level reduction of
@@ -52,7 +52,7 @@ from repro.telemetry.metrics import (
     MetricsSnapshot,
     merge_snapshots,
 )
-from repro.telemetry.profiling import Stopwatch, profiled
+from repro.telemetry.profiling import Stopwatch
 from repro.telemetry.session import (
     NULL_TELEMETRY,
     NullTelemetry,
@@ -80,7 +80,6 @@ __all__ = [
     "aggregate_run_metrics",
     "merge_snapshots",
     "metrics_tuple_as_dict",
-    "profiled",
     "run_metric_tuple",
     "to_chrome_trace",
     "to_jsonl",

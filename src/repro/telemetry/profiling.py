@@ -1,23 +1,18 @@
-"""Wall-clock profiling hooks (observability only).
+"""Wall-clock profiling hook (observability only).
 
 ``time.perf_counter`` is the one clock allowed inside the
 deterministic packages (REP002 permits it precisely because it is the
 right tool for *measuring* elapsed wall time and never a valid input
-to simulated physics).  Everything recorded through these helpers
-lands in the :class:`~repro.telemetry.metrics.MetricsRegistry`'s
-profiling namespace, which is excluded from snapshots, flattened
-metric dicts and every deterministic export -- timing noise cannot
-reach a golden fixture.
+to simulated physics).  Elapsed times measured here are reported
+through ``Telemetry.profile``, which files them in the
+:class:`~repro.telemetry.metrics.MetricsRegistry`'s profiling
+namespace -- excluded from snapshots, flattened metric dicts and every
+deterministic export, so timing noise cannot reach a golden fixture.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator
-
-from contextlib import contextmanager
-
-from repro.telemetry.session import Telemetry
 
 
 class Stopwatch:
@@ -33,51 +28,3 @@ class Stopwatch:
     def elapsed_s(self) -> float:
         """Wall seconds since construction / last restart."""
         return time.perf_counter() - self._started
-
-
-class PhaseTimer:
-    """Accumulate wall time into named phases (bench-only hook).
-
-    The fleet engine exposes an optional ``phase_timer`` attribute;
-    when a benchmark installs one, the engine brackets its per-step
-    phases (PV solve, control plane, record, capacitor) with
-    :meth:`mark`/:meth:`add` pairs.  Like every profiling helper the
-    accumulated walls are observability only -- they never feed
-    simulated physics or deterministic exports.
-    """
-
-    def __init__(self) -> None:
-        #: Accumulated wall seconds per phase name.
-        self.phase_wall_s: "dict[str, float]" = {}
-
-    def mark(self) -> float:
-        """An opaque reference instant for a following :meth:`add`."""
-        return time.perf_counter()
-
-    def add(self, phase: str, started: float) -> float:
-        """Accrue now-minus-``started`` to ``phase``; return now.
-
-        Returning the new instant lets back-to-back phases chain:
-        ``mark = timer.add("pv", mark)``.
-        """
-        now = time.perf_counter()
-        self.phase_wall_s[phase] = (
-            self.phase_wall_s.get(phase, 0.0) + (now - started)
-        )
-        return now
-
-
-@contextmanager
-def profiled(telemetry: Telemetry, name: str) -> "Iterator[None]":
-    """Time a block and accumulate it under ``name``.
-
-    Usage::
-
-        with profiled(telemetry, "engine.run_wall_s"):
-            ... the step loop ...
-    """
-    started = time.perf_counter()
-    try:
-        yield
-    finally:
-        telemetry.profile(name, time.perf_counter() - started)
