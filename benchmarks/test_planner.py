@@ -1,4 +1,4 @@
-"""Planner bench -- oracle-bounds chain, bit-identity and deltas.
+"""Planner bench -- oracle-bounds chain and frozen sim-world deltas.
 
 Runs the DP energy planner's scenario matrix (dim-step, MPPT-dim,
 cloud burst, volatile walk, sunset ramp) and records the report to
@@ -9,16 +9,20 @@ cloud burst, volatile walk, sunset ramp) and records the report to
   in the model world ``oracle >= receding horizon >= greedy`` on
   completed cycles -- exactly, since cycle rewards are integer-valued
   and every value-function sum is an exact double;
-* **bit-identity** (asserted unconditionally): the receding-horizon
-  adapter's batch-of-1 fleet run equals the scalar run, and the
-  ``planner`` campaign scheme produces identical records across
-  engines and worker counts -- all measured in-harness on actual
-  outputs;
-* **sim-world deltas** (recorded, not asserted): harvested energy and
-  deadline misses for planner vs oracle vs the paper heuristic.  The
-  bin model's MPP income upper-bounds plant harvest (an idle node
-  drifts off the MPP voltage), so the closed-loop numbers are honest
-  measurements, and the report note explains the gap.
+* **frozen report** (asserted before the file is rewritten): the
+  fresh report equals the committed ``BENCH_planner.json`` on every
+  key but the platform fields, so the sim-world numbers -- harvested
+  energy and deadline misses for planner vs oracle vs the paper
+  heuristic -- are an exact oracle.  The bin model's MPP income
+  upper-bounds plant harvest (an idle node drifts off the MPP
+  voltage), and the report note explains the gap.
+
+Bit-identity across engines and worker counts is owned by
+``tests/planner``:
+``test_adapter.py::TestEngineBitIdentity::test_batch_of_one_matches_scalar``
+(receding and oracle adapters, scalar vs fleet batch of one) and
+``test_campaign.py::test_campaign_engines_and_workers_bit_identical``
+(``planner``/``oracle`` campaign records across engines and workers).
 """
 
 import json
@@ -43,16 +47,8 @@ BENCH_SCHEMA = {
     "slot_s": (int, float),
     "levels": int,
     "workload_cycles": int,
-    "rounds": int,
-    "smoke": bool,
     "scenarios": dict,
     "all_bounds_hold": bool,
-    "batch1_bit_identical": bool,
-    "campaign_engines_identical": bool,
-    "campaign_workers_identical": bool,
-    "solver_cells": int,
-    "solver_best_wall_s": (int, float),
-    "solver_cells_per_s": (int, float),
     "note": str,
     "platform": str,
     "python": str,
@@ -79,14 +75,12 @@ SIM_SCHEMA = {
     "brownouts": int,
 }
 
-#: One timed round: the committed full-size file comes from
-#: ``python -m repro bench --planner`` (rounds=3); this gate
-#: re-measures the same claims at lower wall cost.
-ROUNDS = 1
+#: Report keys that describe the host, not the code.
+PLATFORM_KEYS = ("platform", "python", "numpy")
 
 
 def test_planner_bench_chain_and_bit_identity():
-    report = run_planner_benchmark(rounds=ROUNDS)
+    report = run_planner_benchmark()
     payload = report.as_dict()
     assert_bench_schema(payload, BENCH_SCHEMA)
     assert len(payload["scenarios"]) >= 4
@@ -96,6 +90,14 @@ def test_planner_bench_chain_and_bit_identity():
         assert sorted(entry["sim"]) == sorted(SIM_POLICIES), name
         for leg in entry["sim"].values():
             assert_bench_schema(leg, SIM_SCHEMA)
+    # The committed report is a frozen oracle: a fresh run must equal
+    # it on every key that the code, not the host, determines.
+    committed = json.loads(BENCH_PATH.read_text())
+    fresh = json.loads(json.dumps(payload))
+    for key in PLATFORM_KEYS:
+        committed.pop(key)
+        fresh.pop(key)
+    assert fresh == committed
     write_report(report, BENCH_PATH)
     # The file on disk must parse back to the schema-checked payload.
     assert_bench_schema(json.loads(BENCH_PATH.read_text()), BENCH_SCHEMA)
@@ -143,15 +145,3 @@ def test_planner_bench_chain_and_bit_identity():
             >= model.greedy_cycles
         ), f"{scenario.name}: oracle-bounds chain violated"
     assert report.all_bounds_hold
-
-    # Bit-identity claims hold everywhere, measured on real outputs.
-    assert report.batch1_bit_identical, (
-        "planner adapter batch-of-1 diverged from the scalar engine"
-    )
-    assert report.campaign_engines_identical, (
-        "planner campaign records diverged between engines"
-    )
-    assert report.campaign_workers_identical, (
-        "planner campaign records diverged across worker counts"
-    )
-    assert report.solver_cells_per_s > 0.0

@@ -10,7 +10,7 @@ Exposes the library's main entry points to a terminal user::
     python -m repro sprint --deadline-ms 10 --dim-to 0.35
     python -m repro faults --runs 50 --scheme both
     python -m repro trace fig8 --out fig8_trace.json
-    python -m repro bench --planner --smoke
+    python -m repro bench --planner
 
 Every command builds the paper's demonstration system and prints plain
 text tables, so the paper's results are reachable without writing any
@@ -440,7 +440,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 def _cmd_bench_planner(args: argparse.Namespace) -> int:
     from repro.planner.bench import run_planner_benchmark, write_report
 
-    report = run_planner_benchmark(rounds=args.rounds, smoke=args.smoke)
+    report = run_planner_benchmark()
     path = write_report(report, args.out or "BENCH_planner.json")
     print(f"wrote {path}")
     rows = []
@@ -456,26 +456,6 @@ def _cmd_bench_planner(args: argparse.Namespace) -> int:
                 str(sum(leg.deadline_missed for leg in scenario.legs)),
             )
         )
-    rows.append(
-        (
-            "bit-identical (batch 1)",
-            str(report.batch1_bit_identical),
-            "",
-            "",
-            "",
-            "",
-        )
-    )
-    rows.append(
-        (
-            "solver cells/s",
-            f"{report.solver_cells_per_s:,.0f}",
-            "",
-            "",
-            "",
-            "",
-        )
-    )
     print(
         format_table(
             [
@@ -492,12 +472,6 @@ def _cmd_bench_planner(args: argparse.Namespace) -> int:
     if not report.all_bounds_hold:
         print(
             "error: oracle-bounds chain violated in the model world",
-            file=sys.stderr,
-        )
-        return 1
-    if not report.batch1_bit_identical:
-        print(
-            "error: fleet batch-of-1 diverged from the scalar engine",
             file=sys.stderr,
         )
         return 1
@@ -757,14 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="benchmark the DP energy planner: planned vs paper "
         "heuristic vs oracle across the scenario matrix "
         "(writes BENCH_planner.json)",
-    )
-    p_bench.add_argument(
-        "--rounds", type=int, default=3,
-        help="timed runs per measurement (best wall time is reported)",
-    )
-    p_bench.add_argument(
-        "--smoke", action="store_true",
-        help="short CI-sized run; correctness still measured on real runs",
     )
     p_bench.add_argument(
         "--out", default=None,

@@ -20,37 +20,29 @@ burst, volatile walk, sunset ramp) at two levels:
   harvests more in closed loop.  That gap is recorded honestly in the
   report note rather than tuned away.
 
-The report also measures (not assumes) batch-of-1 bit-identity of the
-receding adapter between the scalar and fleet engines, campaign
-bit-identity across engines and worker counts for the ``planner``
-scheme, and raw solver throughput in DP cells/s.
-``repro bench --planner`` writes the report as ``BENCH_planner.json``.
+:func:`run_policy` is the one closed-loop policy runner: the sim
+world here and the ``planner`` figure
+(:mod:`repro.experiments.planner_compare`) both call it.  The report
+holds no timing, so apart from its platform fields it is a pure
+function of the code.  ``repro bench --planner`` writes it as
+``BENCH_planner.json``.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import platform
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
 from repro.core.sprint import SprintController, SprintScheduler
 from repro.core.system import EnergyHarvestingSoC, paper_system
 from repro.errors import ModelParameterError
-from repro.faults.campaign import (
-    CampaignConfig,
-    RunRecord,
-    run_transient_campaign,
-)
-from repro.faults.models import FaultSpec
-from repro.fleet.engine import FleetNode, FleetSimulator
 from repro.planner.adapter import make_planner_controller
 from repro.planner.dp import (
-    EnergyGrid,
     PlannerSpec,
     build_actions,
     greedy_plan,
@@ -69,9 +61,7 @@ from repro.pv.traces import (
 )
 from repro.sim.dvfs import DvfsController
 from repro.sim.engine import SimulationConfig, TransientSimulator
-from repro.sim.result import results_bit_identical
-from repro.telemetry.profiling import Stopwatch
-from repro.units import micro_seconds, milli_seconds
+from repro.units import micro_seconds
 
 #: The sim-world policies each scenario is run under.
 SIM_POLICIES: Tuple[str, ...] = ("planner", "oracle", "heuristic")
@@ -82,6 +72,9 @@ DEFAULT_ERROR = ForecastErrorModel(bias=-0.15, noise_sigma=0.2, seed=3)
 
 #: Shared horizon of every scenario (the paper's transient window).
 DURATION_S = 80e-3
+
+#: Transient-simulator step of every closed-loop policy run.
+TIME_STEP_S = micro_seconds(20)
 
 #: Workload sized so completion discriminates between policies (the
 #: model oracle retires 19--34M cycles across the matrix).
@@ -123,12 +116,16 @@ class ModelOutcome:
 
 
 @dataclass(frozen=True)
-class SimLeg:
-    """One policy's measured transient-simulator outcome."""
+class PolicyRun:
+    """One policy's closed-loop trajectory and summary."""
 
     policy: str
+    time_s: np.ndarray
+    node_voltage_v: np.ndarray
+    frequency_hz: np.ndarray
     final_cycles: float
     harvested_energy_j: float
+    completion_time_s: "float | None"
     deadline_missed: bool
     brownouts: int
 
@@ -139,9 +136,9 @@ class ScenarioResult:
 
     name: str
     model: ModelOutcome
-    legs: Tuple[SimLeg, ...]
+    legs: Tuple[PolicyRun, ...]
 
-    def leg(self, policy: str) -> SimLeg:
+    def leg(self, policy: str) -> PolicyRun:
         """The sim leg for ``policy`` (raises if absent)."""
         for entry in self.legs:
             if entry.policy == policy:
@@ -158,16 +155,8 @@ class PlannerReport:
     slot_s: float
     levels: int
     workload_cycles: int
-    rounds: int
-    smoke: bool
     scenarios: Tuple[ScenarioResult, ...]
     all_bounds_hold: bool
-    batch1_bit_identical: bool
-    campaign_engines_identical: bool
-    campaign_workers_identical: bool
-    solver_cells: int
-    solver_best_wall_s: float
-    solver_cells_per_s: float
     note: str
 
     def as_dict(self) -> Dict[str, Any]:
@@ -179,8 +168,6 @@ class PlannerReport:
             "slot_s": self.slot_s,
             "levels": self.levels,
             "workload_cycles": self.workload_cycles,
-            "rounds": self.rounds,
-            "smoke": self.smoke,
             "scenarios": {
                 scenario.name: {
                     "model": {
@@ -214,12 +201,6 @@ class PlannerReport:
                 for scenario in self.scenarios
             },
             "all_bounds_hold": self.all_bounds_hold,
-            "batch1_bit_identical": self.batch1_bit_identical,
-            "campaign_engines_identical": self.campaign_engines_identical,
-            "campaign_workers_identical": self.campaign_workers_identical,
-            "solver_cells": self.solver_cells,
-            "solver_best_wall_s": round(self.solver_best_wall_s, 6),
-            "solver_cells_per_s": round(self.solver_cells_per_s, 1),
             "note": self.note,
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -277,47 +258,49 @@ def _model_outcome(
     )
 
 
-def _sim_controller(
+def run_policy(
     system: EnergyHarvestingSoC,
     trace: IrradianceTrace,
     policy: str,
-    spec: PlannerSpec,
     workload: Workload,
-) -> DvfsController:
+    record_every: int,
+) -> PolicyRun:
+    """Run one of :data:`SIM_POLICIES` closed-loop over ``DURATION_S``.
+
+    ``planner`` is the receding-horizon adapter against
+    :data:`DEFAULT_ERROR`, ``oracle`` follows the DP plan solved on the
+    true income, and ``heuristic`` is the paper's sprint schedule
+    (Section VI-B).  The node starts at 1.2 V, every run lasts the full
+    horizon and a brownout halts and recharges to 1.05 V.
+    ``record_every`` thins the recorded trajectory.
+    """
+    controller: DvfsController
     if policy == "heuristic":
         plan = SprintScheduler(system, "sc").plan(workload, 1.2)
-        return SprintController(plan, deadline_s=workload.deadline_s)
-    return make_planner_controller(
-        system,
-        "sc",
-        trace,
-        mode="receding" if policy == "planner" else "oracle",
-        spec=spec,
-        error=DEFAULT_ERROR if policy == "planner" else None,
-        duration_s=DURATION_S,
-        workload=workload,
-        initial_voltage_v=1.2,
-    )
-
-
-def _sim_leg(
-    system: EnergyHarvestingSoC,
-    trace: IrradianceTrace,
-    policy: str,
-    spec: PlannerSpec,
-    workload: Workload,
-    time_step_s: float,
-) -> SimLeg:
+        controller = SprintController(plan, deadline_s=workload.deadline_s)
+    else:
+        controller = make_planner_controller(
+            system,
+            "sc",
+            trace,
+            mode="receding" if policy == "planner" else "oracle",
+            spec=PlannerSpec(),
+            error=DEFAULT_ERROR if policy == "planner" else None,
+            duration_s=DURATION_S,
+            workload=workload,
+            initial_voltage_v=1.2,
+        )
     simulator = TransientSimulator(
         cell=system.cell,
         node_capacitor=system.new_node_capacitor(1.2),
         processor=system.processor,
         regulator=system.regulator("sc"),
-        controller=_sim_controller(system, trace, policy, spec, workload),
+        controller=controller,
         comparators=system.new_comparator_bank(),
         workload=workload,
         config=SimulationConfig(
-            time_step_s=time_step_s,
+            time_step_s=TIME_STEP_S,
+            record_every=record_every,
             stop_on_completion=False,
             stop_on_brownout=False,
             recover_from_brownout=True,
@@ -329,132 +312,21 @@ def _sim_leg(
     missed = done is None or (
         workload.deadline_s is not None and done > workload.deadline_s
     )
-    return SimLeg(
+    return PolicyRun(
         policy=policy,
+        time_s=np.array(result.time_s, dtype=float),
+        node_voltage_v=np.array(result.node_voltage_v, dtype=float),
+        frequency_hz=np.array(result.frequency_hz, dtype=float),
         final_cycles=float(result.final_cycles),
         harvested_energy_j=float(result.harvested_energy_j()),
+        completion_time_s=done,
         deadline_missed=bool(missed),
         brownouts=int(result.brownout_count),
     )
 
 
-def _batch1_identity(
-    system: EnergyHarvestingSoC,
-    trace: IrradianceTrace,
-    spec: PlannerSpec,
-    workload: Workload,
-    time_step_s: float,
-) -> bool:
-    """Measure scalar-vs-fleet bit-identity of the receding adapter."""
-    config = SimulationConfig(
-        time_step_s=time_step_s,
-        stop_on_completion=False,
-        stop_on_brownout=False,
-        recover_from_brownout=True,
-        recovery_voltage_v=1.05,
-    )
-
-    def controller() -> DvfsController:
-        return _sim_controller(system, trace, "planner", spec, workload)
-
-    scalar = TransientSimulator(
-        cell=system.cell,
-        node_capacitor=system.new_node_capacitor(1.2),
-        processor=system.processor,
-        regulator=system.regulator("sc"),
-        controller=controller(),
-        comparators=system.new_comparator_bank(),
-        workload=workload,
-        config=config,
-    ).run(trace, duration_s=DURATION_S)
-    fleet = FleetSimulator(
-        [
-            FleetNode(
-                cell=system.cell,
-                capacitor=system.new_node_capacitor(1.2),
-                processor=system.processor,
-                regulator=system.regulator("sc"),
-                controller=controller(),
-                comparators=system.new_comparator_bank(),
-                workload=workload,
-            )
-        ],
-        config=config,
-    ).run([trace], duration_s=DURATION_S)[0]
-    return results_bit_identical(scalar, fleet)
-
-
-def _records_equal(a: RunRecord, b: RunRecord) -> bool:
-    left, right = asdict(a), asdict(b)
-    for key in left:
-        va, vb = left[key], right[key]
-        if isinstance(va, float) and isinstance(vb, float):
-            if va != vb and not (math.isnan(va) and math.isnan(vb)):
-                return False
-        elif va != vb:
-            return False
-    return True
-
-
-def _campaign_identity(smoke: bool) -> "Tuple[bool, bool]":
-    """Measure planner-scheme campaign bit-identity (engines, workers)."""
-    config = CampaignConfig(
-        runs=2 if smoke else 4,
-        scheme="planner",
-        duration_s=10e-3 if smoke else 20e-3,
-        dim_time_s=4e-3 if smoke else 8e-3,
-        time_step_s=micro_seconds(50),
-    )
-    spec = FaultSpec()
-    scalar = run_transient_campaign(spec, config, workers=1, engine="scalar")
-    fleet = run_transient_campaign(spec, config, workers=1, engine="fleet")
-    sharded = run_transient_campaign(spec, config, workers=2, engine="scalar")
-    engines = all(
-        _records_equal(a, b) for a, b in zip(scalar.records, fleet.records)
-    )
-    workers = all(
-        _records_equal(a, b) for a, b in zip(scalar.records, sharded.records)
-    )
-    return engines, workers
-
-
-def _solver_throughput(
-    system: EnergyHarvestingSoC, rounds: int
-) -> "Tuple[int, float, float]":
-    """Time the DP on a stress grid; returns (cells, wall, cells/s)."""
-    spec = PlannerSpec(slot_s=milli_seconds(1), levels=512)
-    actions, grid = build_actions(system, "sc", spec)
-    slots = 250
-    # Deterministic synthetic income sweeping dark to half the grid
-    # step budget -- exercises the full feasibility frontier.
-    income = np.linspace(0.0, grid.capacity_j / 16.0, slots)
-    initial = grid.capacity_j / 2.0
-    best = float("inf")
-    for timed in range(-1, rounds):  # round -1 is the warm-up
-        watch = Stopwatch()
-        plan = solve_plan(income, actions, grid, initial, spec.slot_s)
-        wall = watch.elapsed_s()
-        if timed >= 0:
-            best = min(best, wall)
-    return plan.cells, best, plan.cells / best
-
-
-def run_planner_benchmark(
-    rounds: int = 3, smoke: bool = False
-) -> PlannerReport:
-    """Run the full planner benchmark (see module doc).
-
-    ``smoke=True`` shrinks the run for CI gates: one timing round, a
-    coarser 50 us simulator step and a smaller campaign probe.  Every
-    claim is still *measured* (bounds chain, bit-identity); only the
-    wall-clock numbers lose statistical weight.
-    """
-    if rounds < 1:
-        raise ModelParameterError(f"rounds must be >= 1, got {rounds}")
-    time_step_s = micro_seconds(20)
-    if smoke:
-        rounds = 1
-        time_step_s = micro_seconds(50)
+def run_planner_benchmark() -> PlannerReport:
+    """Run the full planner benchmark (see module doc)."""
     system = paper_system()
     spec = PlannerSpec()
     workload = Workload(
@@ -467,19 +339,12 @@ def run_planner_benchmark(
     for name, trace in _scenario_traces().items():
         model = _model_outcome(system, trace, spec)
         legs = tuple(
-            _sim_leg(system, trace, policy, spec, workload, time_step_s)
+            run_policy(system, trace, policy, workload, record_every=1)
             for policy in SIM_POLICIES
         )
         scenarios.append(ScenarioResult(name=name, model=model, legs=legs))
 
     all_bounds = all(s.model.bounds_hold for s in scenarios)
-    first_trace = next(iter(_scenario_traces().values()))
-    identical = _batch1_identity(
-        system, first_trace, spec, workload, time_step_s
-    )
-    engines_ok, workers_ok = _campaign_identity(smoke)
-    cells, wall, throughput = _solver_throughput(system, rounds)
-
     heuristic_wins = sum(
         1
         for s in scenarios
@@ -499,20 +364,12 @@ def run_planner_benchmark(
     )
     return PlannerReport(
         duration_s=DURATION_S,
-        time_step_s=time_step_s,
+        time_step_s=TIME_STEP_S,
         slot_s=spec.slot_s,
         levels=spec.levels,
         workload_cycles=WORKLOAD_CYCLES,
-        rounds=rounds,
-        smoke=smoke,
         scenarios=tuple(scenarios),
         all_bounds_hold=bool(all_bounds),
-        batch1_bit_identical=bool(identical),
-        campaign_engines_identical=bool(engines_ok),
-        campaign_workers_identical=bool(workers_ok),
-        solver_cells=cells,
-        solver_best_wall_s=wall,
-        solver_cells_per_s=throughput,
         note=note,
     )
 

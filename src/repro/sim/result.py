@@ -167,9 +167,9 @@ class SimulationResult:
 def results_bit_identical(a: SimulationResult, b: SimulationResult) -> bool:
     """Exact equality of every recorded array, scalar and event.
 
-    The one definition of "bit-identical" shared by the fleet and
-    planner benches and the differential equivalence harness in
-    ``tests/fleet/``.
+    The one definition of "bit-identical" shared by the differential
+    equivalence harness in ``tests/fleet/``, the planner adapter tests
+    and the fleet engine bench.
     """
     arrays = (
         "time_s",
