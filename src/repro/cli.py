@@ -661,7 +661,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_faults.add_argument(
         "--chunk-size", type=int, default=None,
-        help="seeds per worker dispatch (default: auto load-balance)",
+        help="seed batches per worker dispatch; a batch is one seed "
+        "unless the fleet engine runs it (default: auto load-balance)",
     )
     p_faults.add_argument(
         "--progress", action="store_true",

@@ -48,10 +48,10 @@ from repro.faults.models import (
     ideal_draw,
 )
 from repro.core.system import EnergyHarvestingSoC
+from repro.fleet.engine import FleetNode
 from repro.intermittent.checkpoint import CheckpointStore
 from repro.intermittent.runtime import IntermittentRuntime
 from repro.intermittent.tasks import Task, TaskChain
-from repro.monitor.comparator import ComparatorBank
 from repro.monitor.lut import MppLookupTable
 from repro.parallel.cache import characterized_system
 from repro.parallel.executor import run_sharded
@@ -63,15 +63,10 @@ from repro.resilience.supervisor import ResilienceConfig, run_supervised
 from repro.processor.workloads import Workload
 from repro.pv.traces import IrradianceTrace, constant_trace, step_trace
 from repro.sim.dvfs import DvfsController, FixedOperatingPointController
-from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.engine import SimulationConfig
 from repro.sim.result import SimulationResult
-from repro.storage.capacitor import Capacitor
-from repro.telemetry.aggregate import (
-    MetricTuple,
-    aggregate_run_metrics,
-    run_metric_tuple,
-)
-from repro.telemetry.session import Telemetry, TelemetrySession
+from repro.telemetry.aggregate import MetricTuple, aggregate_run_metrics
+from repro.telemetry.session import Telemetry
 
 SCHEMES = ("holistic", "fixed", "planner", "oracle")
 
@@ -79,9 +74,9 @@ SCHEMES = ("holistic", "fixed", "planner", "oracle")
 PLANNER_SLOTS = 40
 
 #: Campaign engine selectors: ``"auto"`` batches through the fleet
-#: engine whenever the execution mode allows it (see
-#: :func:`run_transient_campaign`), ``"scalar"`` forces the historical
-#: one-run-at-a-time path, ``"fleet"`` requires batching.
+#: engine when the shard is large enough to pay off (see
+#: :func:`resolve_engine`), ``"scalar"`` forces the one-run-at-a-time
+#: path, ``"fleet"`` always runs each shard as a fleet batch.
 ENGINES = ("auto", "scalar", "fleet")
 
 #: Crossover shard size below which ``engine="auto"`` routes to the
@@ -90,24 +85,24 @@ ENGINES = ("auto", "scalar", "fleet")
 #: ROADMAP's open items): the engines tie at 16 seeds, and the fleet
 #: is 1.5-2x faster at 50 and 2.3-2.6x at 256; schemes other than
 #: ``holistic`` run every lane as a fallback lane and tie.  ROADMAP
-#: item 4 decides the value.  Explicit ``engine="fleet"`` always
-#: batches regardless (the differential harness runs batch 1 on
-#: purpose); ``auto`` is a throughput policy.
+#: item 4 decides the value.  A campaign under a resilience policy
+#: runs 1-seed shards, so ``auto`` picks scalar there.  Explicit
+#: ``engine="fleet"`` always batches regardless (the differential
+#: harness runs batch 1 on purpose); ``auto`` is a throughput policy.
 FLEET_AUTO_MIN_BATCH = 16
 
+#: Most seeds one fleet shard holds; a shard is
+#: ``min(FLEET_BATCH_SIZE, ceil(runs / workers))`` seeds, so every
+#: worker gets a batch.
+FLEET_BATCH_SIZE = 64
 
-def resolve_engine(
-    engine: str,
-    runs: int,
-    batch_size: int,
-    resilience_active: bool = False,
-) -> str:
+
+def resolve_engine(engine: str, runs: int, batch_size: int) -> str:
     """The concrete engine (``"fleet"``/``"scalar"``) ``auto`` picks.
 
     Pure dispatch policy, exposed so tests can pin it: ``auto``
-    batches through the fleet engine only when no resilience policy
-    forces per-run tasks *and* the effective shard size
-    (``min(runs, batch_size)``) reaches the measured crossover
+    batches through the fleet engine only when the effective shard
+    size (``min(runs, batch_size)``) reaches the measured crossover
     :data:`FLEET_AUTO_MIN_BATCH`.
     """
     if engine not in ENGINES:
@@ -116,8 +111,6 @@ def resolve_engine(
         )
     if engine != "auto":
         return engine
-    if resilience_active:
-        return "scalar"
     if min(runs, batch_size) >= FLEET_AUTO_MIN_BATCH:
         return "fleet"
     return "scalar"
@@ -184,6 +177,16 @@ class CampaignConfig:
         """The un-faulted stress trace every run perturbs."""
         return step_trace(
             self.bright, self.dim_to, self.dim_time_s, self.duration_s
+        )
+
+    def simulation_config(self) -> SimulationConfig:
+        """The engine setting every run of the campaign shares."""
+        return SimulationConfig(
+            time_step_s=self.time_step_s,
+            stop_on_completion=False,
+            stop_on_brownout=False,
+            recover_from_brownout=True,
+            recovery_voltage_v=self.recovery_voltage_v,
         )
 
 
@@ -330,37 +333,56 @@ def _make_controller(
     )
 
 
-def _one_run(
+def _lane(
     config: CampaignConfig,
     system: EnergyHarvestingSoC,
     lut: MppLookupTable,
+    draw: FaultDraw,
     trace: IrradianceTrace,
-    capacitor: Capacitor,
-    bank: ComparatorBank,
     workload: "Workload | None",
     telemetry: "Telemetry | None" = None,
-) -> SimulationResult:
-    simulator = TransientSimulator(
+) -> FleetNode:
+    """One run's node: ``draw``'s capacitor and bank on ``system``."""
+    return FleetNode(
         cell=system.cell,
-        node_capacitor=capacitor,
+        capacitor=faulted_node_capacitor(
+            system, draw, config.initial_voltage_v
+        ),
         processor=system.processor,
         regulator=system.regulator(config.regulator_name),
         controller=_make_controller(
             config, system, lut,
             telemetry=telemetry, trace=trace, workload=workload,
         ),
-        comparators=bank,
+        comparators=faulted_comparator_bank(system, draw),
         workload=workload,
-        config=SimulationConfig(
-            time_step_s=config.time_step_s,
-            stop_on_completion=False,
-            stop_on_brownout=False,
-            recover_from_brownout=True,
-            recovery_voltage_v=config.recovery_voltage_v,
-        ),
         telemetry=telemetry,
+        seed=draw.seed,
     )
-    return simulator.run(trace, duration_s=config.duration_s)
+
+
+def campaign_lane(
+    spec: FaultSpec,
+    config: CampaignConfig,
+    workload_cycles: int,
+    seed: int,
+    telemetry: "Telemetry | None" = None,
+) -> "Tuple[FaultDraw, FleetNode, IrradianceTrace]":
+    """Build seed ``seed``'s faulted run: ``(draw, node, trace)``.
+
+    The one builder of a campaign run: the batch task and
+    :func:`replay_transient_run` both call it, on either engine.  It
+    uses the per-process characterised system, so each worker pays
+    the LUT characterization once.
+    """
+    reference_system, lut = characterized_system()
+    comparator_count = len(reference_system.comparator_thresholds_v)
+    draw = draw_faults(spec, seed, comparator_count=comparator_count)
+    system = faulted_system(draw)
+    trace = faulted_trace(config.base_trace(), draw)
+    workload = Workload(name="campaign", cycles=workload_cycles)
+    node = _lane(config, system, lut, draw, trace, workload, telemetry)
+    return draw, node, trace
 
 
 def _survived(result: SimulationResult, config: CampaignConfig) -> bool:
@@ -398,17 +420,10 @@ def _campaign_reference(
     ideal = ideal_draw(
         seed=config.base_seed, comparator_count=comparator_count
     )
-    probe = _one_run(
-        config,
-        reference_system,
-        lut,
-        base_trace,
-        faulted_node_capacitor(
-            reference_system, ideal, config.initial_voltage_v
-        ),
-        faulted_comparator_bank(reference_system, ideal),
-        workload=None,
-    )
+    sim_config = config.simulation_config()
+    probe = _lane(
+        config, reference_system, lut, ideal, base_trace, workload=None
+    ).simulator(sim_config).run(base_trace, duration_s=config.duration_s)
     if probe.final_cycles <= 0.0:
         raise ModelParameterError(
             "ideal reference run retires no cycles: the campaign scenario "
@@ -418,85 +433,10 @@ def _campaign_reference(
         name="campaign",
         cycles=max(1, int(config.workload_fraction * probe.final_cycles)),
     )
-    ideal_result = _one_run(
-        config,
-        reference_system,
-        lut,
-        base_trace,
-        faulted_node_capacitor(
-            reference_system, ideal, config.initial_voltage_v
-        ),
-        faulted_comparator_bank(reference_system, ideal),
-        workload=workload,
-    )
+    ideal_result = _lane(
+        config, reference_system, lut, ideal, base_trace, workload=workload
+    ).simulator(sim_config).run(base_trace, duration_s=config.duration_s)
     return workload, ideal_result, float(ideal_result.final_cycles)
-
-
-def _faulted_transient_result(
-    spec: FaultSpec,
-    config: CampaignConfig,
-    workload_cycles: int,
-    seed: int,
-    telemetry: "Telemetry | None" = None,
-) -> "Tuple[FaultDraw, SimulationResult]":
-    """One faulted run, built exactly as the serial campaign does.
-
-    Module-level and fully determined by its picklable arguments, so it
-    serves as the process-pool task: each worker characterises the
-    reference system once (per-worker cache) and then executes runs.
-    """
-    reference_system, lut = characterized_system()
-    comparator_count = len(reference_system.comparator_thresholds_v)
-    draw = draw_faults(spec, seed, comparator_count=comparator_count)
-    system = faulted_system(draw)
-    result = _one_run(
-        config,
-        system,
-        lut,
-        faulted_trace(config.base_trace(), draw),
-        faulted_node_capacitor(system, draw, config.initial_voltage_v),
-        faulted_comparator_bank(system, draw),
-        workload=Workload(name="campaign", cycles=workload_cycles),
-        telemetry=telemetry,
-    )
-    return draw, result
-
-
-def _transient_run_task(
-    seed: int,
-    *,
-    spec: FaultSpec,
-    config: CampaignConfig,
-    workload_cycles: int,
-    ideal_cycles: float,
-    with_metrics: bool = False,
-) -> RunRecord:
-    """Execute one seeded run and reduce it to its :class:`RunRecord`.
-
-    With ``with_metrics`` each run gets its own fresh
-    :class:`~repro.telemetry.session.TelemetrySession` (sessions are
-    not picklable and must not be shared across processes); only the
-    flat metric tuple rides back on the record.
-    """
-    session = TelemetrySession() if with_metrics else None
-    _, result = _faulted_transient_result(
-        spec, config, workload_cycles, seed, telemetry=session
-    )
-    return RunRecord(
-        seed=seed,
-        run_id=campaign_run_id(spec, config, seed),
-        survived=_survived(result, config),
-        completed=result.completed,
-        completion_time_s=result.completion_time_s,
-        brownout_count=result.brownout_count,
-        downtime_s=result.downtime_s,
-        final_cycles=float(result.final_cycles),
-        throughput_ratio=float(result.final_cycles) / ideal_cycles,
-        min_node_voltage_v=result.min_node_voltage_v(),
-        metrics=(
-            run_metric_tuple(session.metrics) if session is not None else None
-        ),
-    )
 
 
 def _run_seeds(
@@ -555,6 +495,34 @@ def _run_seeds(
     return list(outcome.results), outcome.failures
 
 
+class _SeedProgress:
+    """Forwards executor progress counted in runs, not seed batches.
+
+    Every batch holds ``batch`` seeds except possibly the last, so a
+    completed batch counts ``batch`` runs, capped at the runs not yet
+    reported: no line exceeds ``runs``, and the last line equals it.
+    """
+
+    def __init__(self, progress: ProgressReporter, runs: int, batch: int):
+        self._progress = progress
+        self._runs = runs
+        self._batch = batch
+        self._reported = 0
+
+    def start(self, total: int, workers: int) -> None:
+        self._progress.start(self._runs, workers)
+
+    def update(
+        self, completed: int, worker_id: "int | str", busy_s: float
+    ) -> None:
+        step = min(completed * self._batch, self._runs - self._reported)
+        self._reported += step
+        self._progress.update(step, worker_id, busy_s)
+
+    def finish(self) -> None:
+        self._progress.finish()
+
+
 def run_transient_campaign(
     spec: FaultSpec,
     config: "CampaignConfig | None" = None,
@@ -565,7 +533,6 @@ def run_transient_campaign(
     telemetry: "Telemetry | None" = None,
     resilience: "ResilienceConfig | None" = None,
     engine: str = "auto",
-    batch_size: int = 64,
 ) -> CampaignSummary:
     """Fan ``config.runs`` seeded fault draws across the simulator.
 
@@ -577,12 +544,14 @@ def run_transient_campaign(
     process and shared -- the cell itself is never faulted, light-path
     faults live on the trace.
 
-    ``workers=1`` executes runs serially in-process; ``workers>1``
-    shards the seeds across spawn-safe worker processes and reduces
-    the records back in seed order, so the summary is bit-identical at
-    any worker count (see :mod:`repro.parallel`).  ``chunk_size``
-    tunes seeds-per-dispatch; ``progress`` accepts a
-    :class:`repro.parallel.progress.ProgressReporter`.
+    The work unit is a batch of seeds, run by
+    :func:`repro.fleet.campaign.transient_batch_task`.  ``workers=1``
+    executes batches serially in-process; ``workers>1`` shards them
+    across spawn-safe worker processes and reduces the records back in
+    seed order, so the summary is bit-identical at any worker count
+    (see :mod:`repro.parallel`).  ``chunk_size`` tunes batches per
+    dispatch; ``progress`` accepts a
+    :class:`repro.parallel.progress.ProgressReporter` and counts runs.
 
     With an enabled ``telemetry`` sink, every run records its own
     metric snapshot (MPPT retracks, mode switches, brownout outages,
@@ -597,81 +566,62 @@ def run_transient_campaign(
     ``CampaignSummary.failed_runs`` instead of aborting the campaign;
     a ``journal_path`` makes the campaign resumable after interruption
     with a bit-identical summary.  ``None`` (the default) keeps the
-    legacy fail-stop path.
+    legacy fail-stop path.  Under ``resilience`` every batch holds one
+    seed, so retries and quarantine stay per seed.
 
-    ``engine`` selects the simulation core.  ``"auto"`` (the default)
-    batches seeds through the structure-of-arrays fleet engine
-    (:mod:`repro.fleet`), falling back to the scalar path under
-    ``resilience`` (the supervised runtime retries and quarantines
-    *individual* seeds, which requires per-run tasks) or when the
-    effective shard size sits below the measured fleet/scalar
-    crossover :data:`FLEET_AUTO_MIN_BATCH` (see :func:`resolve_engine`).
-    A fleet shard holds ``min(batch_size, ceil(runs / workers))``
-    seeds, so every worker gets a batch.  ``"fleet"`` requires
-    batching and raises when combined with ``resilience``;
-    ``"scalar"`` forces the historical path.  The two
-    engines are bit-identical run for run (``tests/fleet/``), so the
-    summary does not depend on the choice.
+    ``engine`` selects the simulation core.  Without ``resilience`` a
+    batch holds ``min(FLEET_BATCH_SIZE, ceil(runs / workers))`` seeds,
+    so every worker gets one.  ``"auto"`` (the default) runs a batch
+    through the structure-of-arrays fleet engine (:mod:`repro.fleet`)
+    when it reaches the measured fleet/scalar crossover
+    :data:`FLEET_AUTO_MIN_BATCH` (see :func:`resolve_engine`), and
+    otherwise runs 1-seed batches on the scalar engine.  ``"fleet"``
+    always runs the fleet, ``"scalar"`` never does.  The two engines
+    are bit-identical run for run (``tests/fleet/``), so the summary
+    does not depend on the choice.
     """
+    # Function-local: repro.fleet.campaign imports this module.
+    from repro.fleet.campaign import transient_batch_task
+
     config = config or CampaignConfig()
-    if batch_size < 1:
-        raise ModelParameterError(
-            f"batch_size must be >= 1, got {batch_size}"
-        )
-    if engine == "fleet" and resilience is not None:
-        raise ModelParameterError(
-            "engine='fleet' cannot run under a resilience policy: the "
-            "supervised runtime retries/quarantines individual seeds; "
-            "use engine='auto' (scalar fallback) or engine='scalar'"
-        )
-    shard_size = min(batch_size, math.ceil(config.runs / max(1, workers)))
-    use_fleet = (
-        resolve_engine(
-            engine,
-            config.runs,
-            shard_size,
-            resilience_active=resilience is not None,
-        )
-        == "fleet"
+    batch = (
+        1
+        if resilience is not None
+        else min(FLEET_BATCH_SIZE, math.ceil(config.runs / max(1, workers)))
     )
+    vectorize = resolve_engine(engine, config.runs, batch) == "fleet"
+    if not vectorize:
+        batch = 1
     with_metrics = telemetry is not None and telemetry.enabled
     workload, ideal_result, ideal_cycles = _campaign_reference(config)
     seeds = [config.base_seed + index for index in range(config.runs)]
-    if use_fleet:
-        from repro.fleet.campaign import fleet_transient_batch_task
-
-        run_task = fleet_transient_batch_task
-        items: list = [
-            seeds[start:start + shard_size]
-            for start in range(0, len(seeds), shard_size)
-        ]
-    else:
-        run_task, items = _transient_run_task, seeds
-    task = partial(
-        run_task,
-        spec=spec,
-        config=config,
-        workload_cycles=workload.cycles,
-        ideal_cycles=ideal_cycles,
-        with_metrics=with_metrics,
-    )
     results, failed_runs = _run_seeds(
-        task,
-        items,
+        partial(
+            transient_batch_task,
+            vectorize=vectorize,
+            spec=spec,
+            config=config,
+            workload_cycles=workload.cycles,
+            ideal_cycles=ideal_cycles,
+            with_metrics=with_metrics,
+        ),
+        [seeds[start:start + batch] for start in range(0, len(seeds), batch)],
         resilience,
-        "transient-campaign",
+        # Journal entries are one-record lists; the label refuses
+        # journals that hold bare per-seed records.
+        "transient-campaign-batches",
         spec,
         config,
         workers=workers,
         chunk_size=chunk_size,
-        progress=progress,
+        progress=(
+            None
+            if progress is None
+            else _SeedProgress(progress, config.runs, batch)
+        ),
         telemetry=telemetry,
     )
-    records = (
-        [record for shard in results for record in shard]
-        if use_fleet
-        else results
-    )
+    records = [record for shard in results for record in shard]
     aggregated: "MetricTuple | None" = None
     if with_metrics and telemetry is not None and records:
         aggregated = aggregate_run_metrics([r.metrics for r in records])
@@ -769,9 +719,11 @@ def replay_transient_run(
     the natural way to pull a full trace of one interesting seed.
     """
     workload, _, _ = _campaign_reference(config)
-    return _faulted_transient_result(
-        spec, config, workload.cycles, seed, telemetry=telemetry
+    draw, node, trace = campaign_lane(
+        spec, config, workload.cycles, seed, telemetry
     )
+    simulator = node.simulator(config.simulation_config())
+    return draw, simulator.run(trace, duration_s=config.duration_s)
 
 
 # -- intermittent (checkpointed charge-burst) leg -----------------------------

@@ -7,11 +7,11 @@ differential harness in ``tests/fleet/`` is the contract).  Lanes
 whose controller is a plain
 :class:`~repro.core.mppt.MppTrackingController` run in the vectorized
 core; every other lane runs through the scalar engine inside the
-batch.  Campaigns dispatch homogeneous-config shards here
-automatically; see ``docs/fleet.md``.
+batch.  Transient campaigns run each seed batch through
+:func:`repro.fleet.campaign.transient_batch_task`, on this engine or
+the scalar one; see ``docs/fleet.md``.
 """
 
-from repro.fleet.campaign import fleet_transient_batch_task
 from repro.fleet.control import (
     ControlPlane,
     classify_controller,
@@ -30,6 +30,5 @@ __all__ = [
     "NO_MODE",
     "batched_current",
     "classify_controller",
-    "fleet_transient_batch_task",
     "shared_decision_caches",
 ]

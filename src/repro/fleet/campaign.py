@@ -1,125 +1,90 @@
-"""Fleet-batched execution of the transient robustness campaign.
+"""The transient robustness campaign's one work unit.
 
 :func:`run_transient_campaign <repro.faults.campaign.run_transient_
-campaign>` dispatches homogeneous-config shards here when its
-``engine`` resolves to ``"fleet"``: each shard of seeds becomes one
-:class:`~repro.fleet.engine.FleetSimulator` batch instead of N scalar
-runs.  Every lane is built by the *same* builders the scalar campaign
-task uses (seeded fault draw, faulted system/trace/capacitor/bank,
-scheme controller, per-lane telemetry session), so the resulting
-:class:`~repro.faults.campaign.RunRecord` stream is bit-identical to
-the scalar path -- asserted by ``tests/fleet/``.
+campaign>` splits its seeds into batches and maps
+:func:`transient_batch_task` over them.  Every lane is built by
+:func:`~repro.faults.campaign.campaign_lane` (seeded fault draw,
+faulted system/trace/capacitor/bank, scheme controller, per-lane
+telemetry session) and reduced to its
+:class:`~repro.faults.campaign.RunRecord` here, whichever engine runs
+it; the engines are bit-identical lane for lane, asserted by
+``tests/fleet/``.
 
-The batch task is module-level and fully determined by picklable
-arguments, so it shards across spawn-safe worker processes exactly
-like the scalar task does.
+The task is module-level and fully determined by picklable arguments,
+so batches shard across spawn-safe worker processes.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.faults.campaign import (
     CampaignConfig,
     RunRecord,
-    _make_controller,
     _survived,
+    campaign_lane,
 )
-from repro.faults.models import (
-    FaultSpec,
-    draw_faults,
-    faulted_comparator_bank,
-    faulted_node_capacitor,
-    faulted_system,
-    faulted_trace,
-)
-from repro.fleet.engine import FleetNode, FleetSimulator
-from repro.parallel.cache import characterized_system
+from repro.faults.models import FaultSpec
+from repro.fleet.engine import FleetSimulator
 from repro.parallel.ids import campaign_run_id
-from repro.processor.workloads import Workload
-from repro.pv.traces import IrradianceTrace
-from repro.sim.engine import SimulationConfig
 from repro.telemetry.aggregate import run_metric_tuple
 from repro.telemetry.session import TelemetrySession
 
 
-def fleet_transient_batch_task(
+def transient_batch_task(
     seed_batch: Sequence[int],
     *,
-    spec: "FaultSpec",
-    config: "CampaignConfig",
+    vectorize: bool,
+    spec: FaultSpec,
+    config: CampaignConfig,
     workload_cycles: int,
     ideal_cycles: float,
-    with_metrics: bool = False,
+    with_metrics: bool,
 ) -> "List[RunRecord]":
-    """Execute one shard of seeded runs as a single fleet batch.
+    """Run one batch of seeded campaign runs; one record per seed.
 
-    Mirrors :func:`repro.faults.campaign._transient_run_task` lane for
-    lane: same builders in the same order per seed, same
-    :class:`~repro.sim.engine.SimulationConfig`, same record reduction
-    -- only the inner engine differs, and the engines are bit-identical.
+    With ``vectorize`` the batch is one
+    :class:`~repro.fleet.engine.FleetSimulator`; without it each lane
+    runs its own scalar :class:`~repro.sim.engine.TransientSimulator`.
+    With ``with_metrics`` each run gets its own fresh
+    :class:`~repro.telemetry.session.TelemetrySession` (sessions are
+    not picklable and must not be shared across processes); only the
+    flat metric tuple rides back on the record.
     """
-    reference_system, lut = characterized_system()
-    comparator_count = len(reference_system.comparator_thresholds_v)
-    sim_config = SimulationConfig(
-        time_step_s=config.time_step_s,
-        stop_on_completion=False,
-        stop_on_brownout=False,
-        recover_from_brownout=True,
-        recovery_voltage_v=config.recovery_voltage_v,
-    )
-    sessions: "List[Optional[TelemetrySession]]" = []
-    nodes: List[FleetNode] = []
-    traces: List[IrradianceTrace] = []
-    for seed in seed_batch:
-        session = TelemetrySession() if with_metrics else None
-        draw = draw_faults(spec, seed, comparator_count=comparator_count)
-        system = faulted_system(draw)
-        trace = faulted_trace(config.base_trace(), draw)
-        workload = Workload(name="campaign", cycles=workload_cycles)
-        nodes.append(
-            FleetNode(
-                cell=system.cell,
-                capacitor=faulted_node_capacitor(
-                    system, draw, config.initial_voltage_v
-                ),
-                processor=system.processor,
-                regulator=system.regulator(config.regulator_name),
-                controller=_make_controller(
-                    config, system, lut,
-                    telemetry=session, trace=trace, workload=workload,
-                ),
-                comparators=faulted_comparator_bank(system, draw),
-                workload=workload,
-                telemetry=session,
-                seed=seed,
-            )
+    sessions = [
+        TelemetrySession() if with_metrics else None for _ in seed_batch
+    ]
+    lanes = [
+        campaign_lane(spec, config, workload_cycles, seed, session)
+        for seed, session in zip(seed_batch, sessions)
+    ]
+    sim_config = config.simulation_config()
+    if vectorize:
+        results = FleetSimulator(
+            [node for _, node, _ in lanes], config=sim_config
+        ).run([trace for _, _, trace in lanes], duration_s=config.duration_s)
+    else:
+        results = [
+            node.simulator(sim_config).run(trace, duration_s=config.duration_s)
+            for _, node, trace in lanes
+        ]
+    return [
+        RunRecord(
+            seed=seed,
+            run_id=campaign_run_id(spec, config, seed),
+            survived=_survived(result, config),
+            completed=result.completed,
+            completion_time_s=result.completion_time_s,
+            brownout_count=result.brownout_count,
+            downtime_s=result.downtime_s,
+            final_cycles=float(result.final_cycles),
+            throughput_ratio=float(result.final_cycles) / ideal_cycles,
+            min_node_voltage_v=result.min_node_voltage_v(),
+            metrics=(
+                run_metric_tuple(session.metrics)
+                if session is not None
+                else None
+            ),
         )
-        traces.append(trace)
-        sessions.append(session)
-
-    simulator = FleetSimulator(nodes, config=sim_config)
-    results = simulator.run(traces, duration_s=config.duration_s)
-
-    records: "List[RunRecord]" = []
-    for seed, session, result in zip(seed_batch, sessions, results):
-        records.append(
-            RunRecord(
-                seed=seed,
-                run_id=campaign_run_id(spec, config, seed),
-                survived=_survived(result, config),
-                completed=result.completed,
-                completion_time_s=result.completion_time_s,
-                brownout_count=result.brownout_count,
-                downtime_s=result.downtime_s,
-                final_cycles=float(result.final_cycles),
-                throughput_ratio=float(result.final_cycles) / ideal_cycles,
-                min_node_voltage_v=result.min_node_voltage_v(),
-                metrics=(
-                    run_metric_tuple(session.metrics)
-                    if session is not None
-                    else None
-                ),
-            )
-        )
-    return records
+        for seed, session, result in zip(seed_batch, sessions, results)
+    ]

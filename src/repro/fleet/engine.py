@@ -106,6 +106,21 @@ class FleetNode:
     telemetry: "Telemetry | None" = None
     seed: "int | None" = None
 
+    def simulator(self, config: SimulationConfig) -> TransientSimulator:
+        """This lane as a scalar :class:`TransientSimulator` run."""
+        return TransientSimulator(
+            cell=self.cell,
+            node_capacitor=self.capacitor,
+            processor=self.processor,
+            regulator=self.regulator,
+            controller=self.controller,
+            comparators=self.comparators,
+            workload=self.workload,
+            config=config,
+            transitions=self.transitions,
+            telemetry=self.telemetry,
+        )
+
 
 def vectorizable(
     node: FleetNode, trace: IrradianceTrace, steps: int
@@ -243,18 +258,7 @@ class FleetSimulator:
         for i, node in enumerate(nodes):
             if vectorized[i]:
                 continue
-            simulator = TransientSimulator(
-                cell=node.cell,
-                node_capacitor=node.capacitor,
-                processor=node.processor,
-                regulator=node.regulator,
-                controller=node.controller,
-                comparators=node.comparators,
-                workload=node.workload,
-                config=cfg,
-                transitions=node.transitions,
-                telemetry=node.telemetry,
-            )
+            simulator = node.simulator(cfg)
             result = simulator.run(traces[i], duration_s)
             assert simulator.end_state is not None
             outcomes[i] = (result, simulator.end_state)

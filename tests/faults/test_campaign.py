@@ -6,6 +6,7 @@ campaigns live in ``benchmarks/test_robustness_campaign.py``.
 """
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -19,11 +20,25 @@ from repro.faults import (
     run_intermittent_campaign,
     run_transient_campaign,
 )
+from repro.fleet import FleetSimulator
+from repro.parallel import ProgressReporter
+from repro.resilience import ResilienceConfig
 
 SMALL = CampaignConfig(
     runs=3, duration_s=40e-3, dim_time_s=15e-3, scheme="holistic"
 )
 SMALL_INTERMITTENT = IntermittentCampaignConfig(runs=3, duration_s=0.2)
+#: Exactly one crossover-sized shard at ``workers=1``.
+DISPATCH_16 = CampaignConfig(
+    runs=FLEET_AUTO_MIN_BATCH,
+    duration_s=4e-3,
+    dim_time_s=2e-3,
+    scheme="holistic",
+)
+
+
+def _poisoned_fleet_run(*args, **kwargs):
+    raise AssertionError("the campaign dispatched a batch to the fleet")
 
 
 @pytest.fixture(scope="module")
@@ -81,13 +96,17 @@ class TestEngineDispatch:
         # per-step array overhead.
         assert resolve_engine("auto", runs=1024, batch_size=4) == "scalar"
 
-    def test_resilience_forces_scalar(self):
-        assert (
-            resolve_engine(
-                "auto", runs=1024, batch_size=64, resilience_active=True
-            )
-            == "scalar"
+    def test_resilience_forces_scalar(self, monkeypatch):
+        # A resilience policy runs 1-seed shards, which sit below the
+        # crossover, so auto never reaches the fleet engine.
+        monkeypatch.setattr(FleetSimulator, "run", _poisoned_fleet_run)
+        summary = run_transient_campaign(
+            FaultSpec(),
+            DISPATCH_16,
+            engine="auto",
+            resilience=ResilienceConfig(),
         )
+        assert summary.runs == DISPATCH_16.runs
 
     def test_explicit_engines_pass_through(self):
         # Explicit selection is never second-guessed: the differential
@@ -101,16 +120,9 @@ class TestEngineDispatch:
 
     def test_campaign_auto_small_run_never_touches_fleet(self, monkeypatch):
         # A 3-run campaign sits below the crossover: auto must take the
-        # scalar path, so poisoning the fleet batch task proves the
+        # scalar path, so poisoning the fleet engine proves the
         # dispatch rather than trusting the (bit-identical) outputs.
-        import repro.fleet.campaign as fleet_campaign
-
-        def _poisoned(*args, **kwargs):
-            raise AssertionError("auto dispatched a tiny batch to the fleet")
-
-        monkeypatch.setattr(
-            fleet_campaign, "fleet_transient_batch_task", _poisoned
-        )
+        monkeypatch.setattr(FleetSimulator, "run", _poisoned_fleet_run)
         summary = run_transient_campaign(FaultSpec(), SMALL, engine="auto")
         assert summary.runs == SMALL.runs
 
@@ -119,42 +131,55 @@ class TestEngineDispatch:
     ):
         # 16 seeds fill one fleet batch at workers=1, but at workers=2
         # each worker's shard of 8 sits below the crossover: auto must
-        # take the scalar path rather than run one batch serially.
-        import repro.fleet.campaign as fleet_campaign
-
-        def _poisoned(*args, **kwargs):
-            raise AssertionError("auto ran a sub-crossover fleet shard")
-
-        monkeypatch.setattr(
-            fleet_campaign, "fleet_transient_batch_task", _poisoned
-        )
-        config = CampaignConfig(
-            runs=FLEET_AUTO_MIN_BATCH,
-            duration_s=4e-3,
-            dim_time_s=2e-3,
-            scheme="holistic",
-        )
+        # take the scalar path rather than run one batch serially.  One
+        # chunk holding every work unit keeps the executor in-process,
+        # where the poisoned engine is visible.
+        monkeypatch.setattr(FleetSimulator, "run", _poisoned_fleet_run)
         summary = run_transient_campaign(
-            FaultSpec(), config, workers=2, engine="auto"
+            FaultSpec(),
+            DISPATCH_16,
+            workers=2,
+            chunk_size=DISPATCH_16.runs,
+            engine="auto",
         )
-        assert summary.runs == config.runs
+        assert summary.runs == DISPATCH_16.runs
 
     def test_campaign_fleet_override_still_batches(self, monkeypatch):
-        import repro.fleet.campaign as fleet_campaign
-
         calls = {"count": 0}
-        original = fleet_campaign.fleet_transient_batch_task
+        original = FleetSimulator.run
 
         def _spying(*args, **kwargs):
             calls["count"] += 1
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(
-            fleet_campaign, "fleet_transient_batch_task", _spying
-        )
+        monkeypatch.setattr(FleetSimulator, "run", _spying)
         summary = run_transient_campaign(FaultSpec(), SMALL, engine="fleet")
         assert summary.runs == SMALL.runs
         assert calls["count"] >= 1
+
+    @pytest.mark.parametrize(
+        "runs, workers", [(FLEET_AUTO_MIN_BATCH, 1), (5, 2)]
+    )
+    def test_fleet_progress_counts_runs_not_batches(self, runs, workers):
+        # 16 seeds on one worker are one fleet batch; 5 seeds on two
+        # are batches of 3 and 2 (one in-process chunk), so the short
+        # batch must not push the count past the run total.
+        lines: "list[str]" = []
+        run_transient_campaign(
+            FaultSpec(),
+            replace(DISPATCH_16, runs=runs),
+            workers=workers,
+            chunk_size=runs,
+            engine="fleet",
+            progress=ProgressReporter(sink=lines.append, min_interval_s=0),
+        )
+        assert lines[0].startswith(f"campaign: starting {runs} runs")
+        assert f" {runs}/{runs} runs" in lines[-1]
+        counts = [
+            int(line.split(": ", 1)[1].split("/", 1)[0])
+            for line in lines[1:]
+        ]
+        assert max(counts) <= runs
 
 
 class TestTransientCampaign:

@@ -104,9 +104,8 @@ def test_campaign_fleet_engine_matches_scalar_engine(scheme: str) -> None:
     )
     scalar = run_transient_campaign(spec, config, engine="scalar")
     fleet = run_transient_campaign(spec, config, engine="fleet")
-    sharded = run_transient_campaign(
-        spec, config, engine="fleet", batch_size=2
-    )
+    # Two workers split the 4 seeds into fleet shards of 2.
+    sharded = run_transient_campaign(spec, config, engine="fleet", workers=2)
     for candidate_summary in (fleet, sharded):
         assert len(scalar.records) == len(candidate_summary.records)
         for left, right in zip(scalar.records, candidate_summary.records):
@@ -129,8 +128,6 @@ def test_campaign_engine_validation() -> None:
     assert ENGINES == ("auto", "scalar", "fleet")
     with pytest.raises(ModelParameterError):
         run_transient_campaign(spec, config, engine="vector")
-    with pytest.raises(ModelParameterError):
-        run_transient_campaign(spec, config, engine="fleet", batch_size=0)
 
 
 def test_summary_nan_semantics() -> None:

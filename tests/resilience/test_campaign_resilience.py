@@ -54,9 +54,14 @@ class _InterruptingProgress:
         pass
 
 
+#: The fleet engine composes with resilience: it runs 1-seed batches.
+ENGINES = pytest.mark.parametrize("engine", ("auto", "fleet"))
+
+
 class TestWorkerKillBitIdentity:
+    @ENGINES
     def test_crashed_workers_leave_the_summary_bit_identical(
-        self, reference_summary
+        self, reference_summary, engine
     ):
         chaotic = run_transient_campaign(
             SPEC,
@@ -66,6 +71,7 @@ class TestWorkerKillBitIdentity:
             resilience=ResilienceConfig(
                 policy=FAST, chaos=ChaosSpec(seed=5, crash_rate=0.5)
             ),
+            engine=engine,
         )
         assert chaotic.failed_runs == ()
         assert chaotic.records == reference_summary.records
@@ -81,8 +87,9 @@ class TestWorkerKillBitIdentity:
 
 
 class TestJournaledResumeByteIdentity:
+    @ENGINES
     def test_interrupted_campaign_resumes_byte_identically(
-        self, tmp_path, reference_summary
+        self, tmp_path, reference_summary, engine
     ):
         journal_path = str(tmp_path / "transient.jsonl")
         with pytest.raises(_InterruptCampaign):
@@ -93,6 +100,7 @@ class TestJournaledResumeByteIdentity:
                 chunk_size=1,
                 progress=_InterruptingProgress(after_updates=2),
                 resilience=ResilienceConfig(journal_path=journal_path),
+                engine=engine,
             )
         resumed = run_transient_campaign(
             SPEC,
@@ -100,12 +108,35 @@ class TestJournaledResumeByteIdentity:
             workers=1,
             chunk_size=1,
             resilience=ResilienceConfig(journal_path=journal_path),
+            engine=engine,
         )
         uninterrupted = run_transient_campaign(
             SPEC, CONFIG, workers=1, chunk_size=1
         )
         assert pickle.dumps(resumed) == pickle.dumps(uninterrupted)
+        assert resumed.records == reference_summary.records
         assert resumed.as_dict() == reference_summary.as_dict()
+
+    def test_journal_with_per_seed_results_is_refused(self, tmp_path):
+        # Journals once held one RunRecord per seed under this label;
+        # batch tasks journal one-record lists, so resuming such a
+        # journal must fail loudly instead of mixing result shapes.
+        from repro.errors import JournalError
+        from repro.parallel.ids import stable_fingerprint
+        from repro.resilience.journal import CampaignJournal
+
+        journal_path = tmp_path / "transient.jsonl"
+        CampaignJournal(
+            journal_path,
+            stable_fingerprint("transient-campaign", SPEC, CONFIG),
+        ).record_chunk([0], ["stale per-seed record"])
+        with pytest.raises(JournalError):
+            run_transient_campaign(
+                SPEC,
+                CONFIG,
+                workers=1,
+                resilience=ResilienceConfig(journal_path=str(journal_path)),
+            )
 
     def test_journal_for_a_different_campaign_is_refused(self, tmp_path):
         from repro.errors import JournalError
@@ -130,8 +161,9 @@ class TestJournaledResumeByteIdentity:
 
 
 class TestQuarantineAccounting:
+    @ENGINES
     def test_persistent_failure_is_quarantined_after_max_retries(
-        self, reference_summary
+        self, reference_summary, engine
     ):
         policy = RetryPolicy(max_retries=2, backoff_base_s=0.0)
         summary = run_transient_campaign(
@@ -143,6 +175,7 @@ class TestQuarantineAccounting:
                 policy=policy,
                 chaos=ChaosSpec(poison_units=(2,)),
             ),
+            engine=engine,
         )
         assert summary.quarantined == 1
         failure = summary.failed_runs[0]
