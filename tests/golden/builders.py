@@ -465,6 +465,44 @@ def planner_receding_reference_payload() -> "dict[str, object]":
     }
 
 
+def headline_claims_payload() -> "dict[str, object]":
+    """Every :class:`HeadlineClaims` field plus raw sprint joules.
+
+    ``analytic_extra_solar_energy`` holds the ``(E_solar_constant,
+    E_solar_sprint)`` pair of two eq. (12) setups on the bench-scale
+    47 uF node at the demo's dimmed light: ``fig11b`` starts at the
+    full-sun MPP voltage, as that figure does, and ``test_sprint`` at
+    1.2 V, as the sprint unit test does.  A change to the sprint
+    integration then shows up in joules, not only in the headline ratio.
+    """
+    from repro.core.sprint import SprintScheduler
+    from repro.core.system import paper_system
+    from repro.experiments.fig9_sprint import ANALYTIC_CAPACITANCE_F
+    from repro.experiments.headline import headline_claims
+    from repro.processor.workloads import image_frame_workload
+
+    scheduler = SprintScheduler(
+        paper_system(node_capacitance_f=ANALYTIC_CAPACITANCE_F),
+        "buck",
+        sprint_factor=0.2,
+    )
+    starts = {"fig11b": paper_system().mpp(1.0).voltage_v, "test_sprint": 1.2}
+    analytic = {}
+    for name, v_start in starts.items():
+        constant, sprint = scheduler.analytic_extra_solar_energy(
+            image_frame_workload(10e-3), 0.35, v_start
+        )
+        analytic[name] = {
+            "v_start": v_start,
+            "solar_constant_j": constant,
+            "solar_sprint_j": sprint,
+        }
+    return {
+        "claims": asdict(headline_claims()),
+        "analytic_extra_solar_energy": analytic,
+    }
+
+
 def fig6_trace_payload() -> str:
     """JSONL telemetry trace of a short run at the Fig. 6 best point.
 
@@ -515,6 +553,7 @@ PAYLOADS = {
     "pv_current_reference.json": pv_current_reference_payload,
     "bounded_minimize_reference.json": bounded_minimize_reference_payload,
     "planner_receding_reference.json": planner_receding_reference_payload,
+    "headline_claims.json": headline_claims_payload,
 }
 
 #: fixture file name -> builder returning verbatim text (JSONL traces);

@@ -6,7 +6,8 @@ from the historical reference loop, a dense per-point grid of
 single-diode currents frozen from the historical array solver, the
 MPPs and MEPs found by the bounded minimizer, frozen from scipy, the
 receding-horizon planner's answers, frozen from one full DP solve per
-replan, and a telemetry JSONL trace of the Fig. 6 operating point) are
+replan, every headline claim with the raw eq. (12) sprint joules, and
+a telemetry JSONL trace of the Fig. 6 operating point) are
 serialized to committed JSON/JSONL under ``tests/golden/``.
 Each test recomputes the payload and compares it against the fixture
 within tight tolerances, so a refactor -- the parallel campaign
@@ -115,3 +116,13 @@ def test_fixture_json_round_trips_exactly():
         assert (
             json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
         ), f"{name} is not in canonical serialized form"
+
+
+def test_headline_claims_are_byte_identical():
+    """The headline claims and the raw sprint joules behind
+    ``sprint_energy_gain`` reproduce the fixture bit for bit, not only
+    within ``REL_TOL``: no shortcut in the sprint integration may move
+    a single ulp."""
+    name = "headline_claims.json"
+    fresh = json.dumps(PAYLOADS[name](), indent=2, sort_keys=True) + "\n"
+    assert fresh == (GOLDEN_DIR / name).read_text()
