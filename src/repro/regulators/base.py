@@ -144,7 +144,16 @@ class Regulator(abc.ABC):
         return (self.min_output_v <= v_out) & (v_out <= self.max_output_v)
 
     def supports_output_voltage(self, v_out: float, v_in: "float | None" = None) -> bool:
-        """True when the converter can regulate ``v_out`` from ``v_in``."""
+        """True when the converter can regulate ``v_out`` from ``v_in``.
+
+        This generic form checks the output range and that the output
+        does not exceed the input.  Converters whose
+        :meth:`input_power` has further voltage conditions override it
+        to answer True exactly where :meth:`input_power` accepts the
+        voltages.  Where feasibility also depends on the load (the
+        switched-capacitor ratio bands), the answer is necessary, not
+        sufficient.
+        """
         v_in = self._resolve_input(v_in)
         return self.min_output_v <= v_out <= min(self.max_output_v, v_in)
 

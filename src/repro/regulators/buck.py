@@ -59,6 +59,20 @@ class BuckRegulator(Regulator):
                 f"{self.max_duty:.2f} from input {v_in:.3f} V"
             )
 
+    def supports_output_voltage(
+        self, v_out: float, v_in: "float | None" = None
+    ) -> bool:
+        """True exactly where :meth:`input_power` accepts the voltages.
+
+        The output range and the duty limit ``v_out <= max_duty * v_in``;
+        a buck's range does not depend on the load.
+        """
+        v_in_resolved = self._resolve_input(v_in)
+        return (
+            self.min_output_v <= v_out <= self.max_output_v
+            and not v_out > self.max_duty * v_in_resolved
+        )
+
     def input_power(
         self, v_out: float, p_out: float, v_in: "float | None" = None
     ) -> float:

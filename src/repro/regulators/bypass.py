@@ -44,6 +44,18 @@ class BypassPath(Regulator):
     #: Voltage mismatch tolerated between "input" and "output" [V].
     VOLTAGE_TOLERANCE_V = 1e-6
 
+    def supports_output_voltage(
+        self, v_out: float, v_in: "float | None" = None
+    ) -> bool:
+        """True exactly where :meth:`input_power` accepts the voltages:
+        the output range, with the output equal to the input to within
+        :attr:`VOLTAGE_TOLERANCE_V`."""
+        v_in_resolved = self._resolve_input(v_in)
+        return (
+            self.min_output_v <= v_out <= self.max_output_v
+            and not abs(v_out - v_in_resolved) > self.VOLTAGE_TOLERANCE_V
+        )
+
     def input_power(
         self, v_out: float, p_out: float, v_in: "float | None" = None
     ) -> float:

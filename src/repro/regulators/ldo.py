@@ -49,6 +49,20 @@ class LinearRegulator(Regulator):
         self.dropout_v = dropout_v
         self.quiescent = QuiescentLoss(quiescent_current_a)
 
+    def supports_output_voltage(
+        self, v_out: float, v_in: "float | None" = None
+    ) -> bool:
+        """True exactly where :meth:`input_power` accepts the voltages.
+
+        The output range and the dropout headroom
+        ``v_out <= v_in - dropout_v``; neither depends on the load.
+        """
+        v_in_resolved = self._resolve_input(v_in)
+        return (
+            self.min_output_v <= v_out <= self.max_output_v
+            and not v_out > v_in_resolved - self.dropout_v
+        )
+
     def input_power(
         self, v_out: float, p_out: float, v_in: "float | None" = None
     ) -> float:

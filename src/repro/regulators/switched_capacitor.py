@@ -178,6 +178,23 @@ class SwitchedCapacitorRegulator(Regulator):
 
     # -- Regulator interface ----------------------------------------------------
 
+    def supports_output_voltage(
+        self, v_out: float, v_in: "float | None" = None
+    ) -> bool:
+        """True when some ratio band can regulate ``v_out`` from ``v_in``.
+
+        Exactly where :meth:`input_power` accepts the voltages at zero
+        load: the output range and a band whose no-load voltage
+        ``k * Vin`` exceeds ``v_out``.  A band's current limit shrinks
+        as ``v_out`` nears its no-load voltage, so at a real load the
+        answer is necessary, not sufficient: :meth:`input_power` may
+        still raise.
+        """
+        v_in_resolved = self._resolve_input(v_in)
+        return self.min_output_v <= v_out <= self.max_output_v and any(
+            ratio_f * v_in_resolved > v_out for _, ratio_f in self._ratio_bank
+        )
+
     def input_power(
         self, v_out: float, p_out: float, v_in: "float | None" = None
     ) -> float:

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.regulators.base import Regulator
 from repro.regulators.buck import BuckRegulator, paper_buck
+from tests.regulators.support_grid import LOADS_W, accepts, support_grid
 
 
 @pytest.fixture
@@ -111,3 +112,23 @@ class TestEfficiencyShape:
         low = buck.efficiency(0.55, 2e-3, v_in=1.0)
         high = buck.efficiency(0.55, 2e-3, v_in=1.5)
         assert low > high
+
+
+class TestSupportsOutputVoltage:
+    def test_duty_limit_is_unsupported(self, buck):
+        """0.30 V from 0.30 V needs a duty above 0.95."""
+        assert not buck.supports_output_voltage(0.30, v_in=0.30)
+        assert buck.supports_output_voltage(0.285, v_in=0.30)
+
+    def test_agrees_with_input_power_on_a_grid(self, buck):
+        """True exactly where input_power accepts, at every load."""
+        grid = support_grid(buck, lambda v_in: [buck.max_duty * v_in])
+        for v_out, v_in in grid:
+            supported = buck.supports_output_voltage(v_out, v_in=v_in)
+            for p_out in LOADS_W:
+                assert supported == accepts(buck, v_out, v_in, p_out), (
+                    v_out, v_in, p_out,
+                )
+
+    def test_nominal_input_by_default(self, buck):
+        assert buck.supports_output_voltage(0.55) == accepts(buck, 0.55, None)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.regulators.bypass import BypassPath
+from tests.regulators.support_grid import LOADS_W, accepts, support_grid
 
 
 @pytest.fixture
@@ -56,3 +57,21 @@ class TestRangeChecks:
     def test_negative_available_rejected(self, bypass):
         with pytest.raises(OperatingRangeError):
             bypass.max_output_power(1.0, -1e-3, v_in=1.0)
+
+
+class TestSupportsOutputVoltage:
+    def test_only_the_input_voltage_is_supported(self, bypass):
+        assert bypass.supports_output_voltage(1.0)
+        assert not bypass.supports_output_voltage(0.55, v_in=1.0)
+
+    def test_agrees_with_input_power_on_a_grid(self, bypass):
+        tolerance = bypass.VOLTAGE_TOLERANCE_V
+        grid = support_grid(
+            bypass, lambda v_in: [v_in - tolerance, v_in, v_in + tolerance]
+        )
+        for v_out, v_in in grid:
+            supported = bypass.supports_output_voltage(v_out, v_in=v_in)
+            for p_out in LOADS_W:
+                assert supported == accepts(bypass, v_out, v_in, p_out), (
+                    v_out, v_in, p_out,
+                )

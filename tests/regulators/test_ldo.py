@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.regulators.ldo import LinearRegulator, paper_ldo
+from tests.regulators.support_grid import LOADS_W, accepts, support_grid
 
 
 @pytest.fixture
@@ -104,3 +105,20 @@ class TestPaperConclusion:
         p_in = 14e-3
         for v in (0.4, 0.55, 0.7):
             assert ldo.max_output_power(v, p_in) < p_in * v / ldo.nominal_input_v + 1e-9
+
+
+class TestSupportsOutputVoltage:
+    def test_dropout_is_unsupported(self, ldo):
+        """0.25 V from 0.30 V leaves 0.05 V, under the 0.10 V dropout."""
+        assert not ldo.supports_output_voltage(0.25, v_in=0.30)
+        assert ldo.supports_output_voltage(0.20, v_in=0.32)
+
+    def test_agrees_with_input_power_on_a_grid(self, ldo):
+        """True exactly where input_power accepts, at every load."""
+        grid = support_grid(ldo, lambda v_in: [v_in - ldo.dropout_v])
+        for v_out, v_in in grid:
+            supported = ldo.supports_output_voltage(v_out, v_in=v_in)
+            for p_out in LOADS_W:
+                assert supported == accepts(ldo, v_out, v_in, p_out), (
+                    v_out, v_in, p_out,
+                )

@@ -13,6 +13,7 @@ from repro.regulators.switched_capacitor import (
     SwitchedCapacitorRegulator,
     paper_switched_capacitor,
 )
+from tests.regulators.support_grid import LOADS_W, accepts, support_grid
 
 
 @pytest.fixture
@@ -153,3 +154,29 @@ class TestLiveInputVoltage:
         # 0.75 V output from a 0.9 V node: best band gives 0.72 V. No.
         with pytest.raises(OperatingRangeError):
             sc.input_power(0.75, 1e-3, v_in=0.9)
+
+
+class TestSupportsOutputVoltage:
+    def test_exact_at_zero_load_necessary_at_any_load(self, sc):
+        """Band feasibility depends on the load, so the answer is exact
+        only at zero load; at a real load it is necessary, not
+        sufficient."""
+        ratios = [float(r) for r in sc.ratios]
+        grid = support_grid(sc, lambda v_in: [k * v_in for k in ratios])
+        loaded_disagreements = 0
+        for v_out, v_in in grid:
+            supported = sc.supports_output_voltage(v_out, v_in=v_in)
+            assert supported == accepts(sc, v_out, v_in, 0.0), (v_out, v_in)
+            for p_out in LOADS_W:
+                if accepts(sc, v_out, v_in, p_out):
+                    assert supported, (v_out, v_in, p_out)
+                elif supported:
+                    loaded_disagreements += 1
+        # The load-dependence is real: the zero-load answer is too
+        # optimistic somewhere on the grid.
+        assert loaded_disagreements > 0
+
+    def test_no_band_above_the_top_ratio(self, sc):
+        """0.9 V from 1.0 V is above 4/5 of the input: no band."""
+        assert not sc.supports_output_voltage(0.9, v_in=1.0)
+        assert sc.supports_output_voltage(0.7, v_in=1.0)
