@@ -45,8 +45,9 @@ def find_mpp(
     """Locate the maximum power point at the given irradiance.
 
     A coarse grid over ``[0, Voc]`` brackets the optimum, then a bounded
-    scalar minimisation of ``-P(V)`` polishes it.  At zero irradiance the
-    MPP is degenerate (0 V, 0 W).
+    scalar minimisation of ``-P(V)`` polishes it.  At zero irradiance,
+    or a zero open-circuit voltage (an irradiance so small that the
+    photocurrent underflows to 0), the MPP is degenerate (0 V, 0 W).
     """
     if grid_points < 8:
         raise ModelParameterError(f"grid_points must be >= 8, got {grid_points}")
@@ -54,6 +55,8 @@ def find_mpp(
         return MaximumPowerPoint(0.0, 0.0, 0.0, irradiance)
 
     voc = cell.open_circuit_voltage(irradiance)
+    if voc == 0.0:
+        return MaximumPowerPoint(0.0, 0.0, 0.0, irradiance)
     grid = np.linspace(0.0, voc, grid_points)
     powers = cell.power(grid, irradiance)
     seed_index = int(np.argmax(powers))

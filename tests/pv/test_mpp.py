@@ -47,6 +47,15 @@ class TestFindMpp:
         assert mpp.power_w == 0.0
         assert mpp.voltage_v == 0.0
 
+    def test_underflowing_photocurrent_degenerate(self, cell):
+        """The smallest subnormal irradiance leaves Iph = 0: no power
+        anywhere, so the MPP is degenerate rather than a slightly
+        negative point found on a zero-width bracket."""
+        assert cell.photo_current(5e-324) == 0.0
+        mpp = find_mpp(cell, 5e-324)
+        assert (mpp.voltage_v, mpp.current_a, mpp.power_w) == (0.0, 0.0, 0.0)
+        assert mpp.irradiance == 5e-324
+
     def test_rejects_tiny_grid(self, cell):
         with pytest.raises(ModelParameterError):
             find_mpp(cell, 1.0, grid_points=4)
