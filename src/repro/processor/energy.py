@@ -115,7 +115,19 @@ class ProcessorModel:
     def max_frequency(
         self, voltage_v: "float | np.ndarray"
     ) -> "float | np.ndarray":
-        """Maximum clock at the given supply [Hz]."""
+        """Maximum clock at the given supply [Hz].
+
+        Raises outside the functional window; NaN passes through.  A
+        float (or int) is range-checked with plain comparisons and
+        takes the frequency model's scalar path, which returns its
+        array element's exact bits.
+        """
+        if isinstance(voltage_v, (float, int)):
+            if voltage_v < self.min_operating_v or voltage_v > self.max_operating_v:
+                raise OperatingRangeError(
+                    f"{self.name}: supply outside functional window"
+                )
+            return self.frequency.max_frequency(voltage_v)
         arr = np.atleast_1d(np.asarray(voltage_v, dtype=float))
         if np.any(arr < self.min_operating_v) or np.any(arr > self.max_operating_v):
             raise OperatingRangeError(

@@ -21,6 +21,7 @@ model for the sprint analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class FrequencyModel:
                 f"slope factor must be >= 1, got {self.subthreshold_slope_factor}"
             )
 
-    @property
+    @cached_property
     def _ekv_scale_v(self) -> float:
         """The ``2 m vt`` denominator of the EKV interpolation [V]."""
         return 2.0 * self.subthreshold_slope_factor * thermal_voltage(
@@ -109,19 +110,47 @@ class FrequencyModel:
         """Maximum stable clock at the given supply [Hz].
 
         Vectorised over numpy arrays.  Raises for voltages below the
-        functional minimum.
+        functional minimum; NaN passes through.  A Python or numpy
+        float (or an int) takes :meth:`_max_frequency_scalar`, which
+        returns its array element's exact bits.
         """
+        if isinstance(voltage_v, (float, int)):
+            return self._max_frequency_scalar(float(voltage_v))
         arr = np.atleast_1d(np.asarray(voltage_v, dtype=float))
         if np.any(arr < self.min_voltage_v):
             raise OperatingRangeError(
                 f"supply below functional minimum {self.min_voltage_v} V"
             )
         normalized = (arr - self.threshold_v) / self._ekv_scale_v
-        drive = np.log1p(np.exp(np.clip(normalized, -60.0, 60.0))) ** self.alpha
+        drive = np.power(
+            np.log1p(np.exp(np.clip(normalized, -60.0, 60.0))), self.alpha
+        )
         freq = self.drive_scale_hz * drive / arr
         if np.isscalar(voltage_v) or getattr(voltage_v, "ndim", 1) == 0:
             return float(freq[0])
         return freq
+
+    def _max_frequency_scalar(self, voltage_v: float) -> float:
+        """:meth:`max_frequency` at one float, without array machinery [Hz].
+
+        The array path's expressions in the same order: plain float
+        arithmetic, comparisons for the range check and the clip, and
+        the same numpy ufuncs (``np.exp``, ``np.log1p``, ``np.power``)
+        called on scalars, which give the vectorised elements' doubles.
+        ``**`` or :mod:`math` would not: numpy's scalar ``**`` misses
+        the array ``np.power`` by an ulp at some voltages.
+        """
+        if voltage_v < self.min_voltage_v:
+            raise OperatingRangeError(
+                f"supply below functional minimum {self.min_voltage_v} V"
+            )
+        normalized = (voltage_v - self.threshold_v) / self._ekv_scale_v
+        if normalized < -60.0:
+            normalized = -60.0
+        elif normalized > 60.0:
+            normalized = 60.0
+        drive = float(np.power(np.log1p(np.exp(normalized)), self.alpha))
+        return self.drive_scale_hz * drive / voltage_v
 
     def voltage_for_frequency(
         self, frequency_hz: float, v_max: float = 1.4

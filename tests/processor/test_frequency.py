@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.processor.frequency import FrequencyModel
 from repro.processor.energy import paper_processor
+from repro.units import mega_hertz
 
 
 @pytest.fixture(scope="module")
@@ -116,3 +117,133 @@ class TestLinearisation:
     def test_rejects_bad_window(self, model):
         with pytest.raises(ModelParameterError):
             model.linearize(0.8, 0.5)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def _window_voltages(rng, low, high, count=100_000):
+    """``count`` random voltages across ``[low, high]`` plus the edges."""
+    edges = [
+        low, np.nextafter(low, np.inf), np.nextafter(high, -np.inf), high,
+    ]
+    return np.concatenate([rng.uniform(low, high, count), edges])
+
+
+class TestScalarPathContract:
+    """A float takes the scalar path, which must return the exact bits
+    of its element of the array path, raise on exactly the inputs the
+    array path raises on, and pass NaN through unraised."""
+
+    @pytest.mark.parametrize("seed", [1])
+    def test_frequency_model_scalar_equals_array_element(self, model, seed):
+        # 0.05-1.4 V spans the functional minimum up to far past the
+        # processor window, through both EKV regimes.
+        voltages = _window_voltages(
+            np.random.default_rng(seed), model.min_voltage_v, 1.4
+        )
+        scalar = [model.max_frequency(float(v)) for v in voltages]
+        assert all(type(f) is float for f in scalar[:100])
+        np.testing.assert_array_equal(
+            _bits(scalar), _bits(model.max_frequency(voltages))
+        )
+
+    @pytest.mark.parametrize("seed", [2])
+    def test_processor_scalar_equals_array_element(self, seed):
+        processor = paper_processor()
+        voltages = _window_voltages(
+            np.random.default_rng(seed),
+            processor.min_operating_v,
+            processor.max_operating_v,
+        )
+        scalar = [processor.max_frequency(float(v)) for v in voltages]
+        np.testing.assert_array_equal(
+            _bits(scalar), _bits(processor.max_frequency(voltages))
+        )
+
+    @pytest.mark.parametrize("seed", [3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.3, 2.0, 2.5])
+    def test_contract_holds_for_any_alpha(self, alpha, seed):
+        """Both paths call ``np.power`` (never ``**``, which numpy
+        routes to ``sqrt``/``square`` at 0.5/2 on arrays and to scalar
+        math on numpy floats), so every alpha agrees."""
+        model = FrequencyModel(drive_scale_hz=mega_hertz(30.0), alpha=alpha)
+        voltages = _window_voltages(
+            np.random.default_rng(seed), model.min_voltage_v, 1.4, count=5_000
+        )
+        scalar = [model.max_frequency(float(v)) for v in voltages]
+        np.testing.assert_array_equal(
+            _bits(scalar), _bits(model.max_frequency(voltages))
+        )
+
+    def test_clip_edges(self, model):
+        """Voltages whose EKV argument lands on or next to the +-60
+        clip take the same branch in both paths."""
+        scale = model._ekv_scale_v
+        voltages = []
+        for bound in (-60.0, 60.0):
+            v = model.threshold_v + bound * scale
+            voltages += [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+        voltages = np.array([v for v in voltages if v >= model.min_voltage_v])
+        assert voltages.size >= 3
+        scalar = [model.max_frequency(float(v)) for v in voltages]
+        np.testing.assert_array_equal(
+            _bits(scalar), _bits(model.max_frequency(voltages))
+        )
+
+    def test_frequency_model_raises_where_array_raises(self, model):
+        low = model.min_voltage_v
+        for v in (np.nextafter(low, -np.inf), 0.0, -1.0, -np.inf):
+            with pytest.raises(OperatingRangeError):
+                model.max_frequency(float(v))
+            with pytest.raises(OperatingRangeError):
+                model.max_frequency(np.array([v]))
+        # The edge itself and +inf are accepted by both.
+        for v in (low, np.inf):
+            assert _bits([model.max_frequency(float(v))]) == _bits(
+                model.max_frequency(np.array([v]))
+            )
+
+    def test_processor_raises_where_array_raises(self):
+        processor = paper_processor()
+        low, high = processor.min_operating_v, processor.max_operating_v
+        outside = (
+            np.nextafter(low, -np.inf), np.nextafter(high, np.inf),
+            0.0, 2.0, -np.inf, np.inf,
+        )
+        for v in outside:
+            with pytest.raises(OperatingRangeError):
+                processor.max_frequency(float(v))
+            with pytest.raises(OperatingRangeError):
+                processor.max_frequency(np.array([v]))
+        for v in (low, high):
+            processor.max_frequency(float(v))
+            processor.max_frequency(np.array([v]))
+
+    def test_nan_passes_through(self, model):
+        processor = paper_processor()
+        for max_frequency in (model.max_frequency, processor.max_frequency):
+            assert np.isnan(max_frequency(float("nan")))
+            assert np.isnan(max_frequency(np.array([np.nan]))[0])
+
+    def test_float_never_reaches_the_array_path(self, model, monkeypatch):
+        processor = paper_processor()
+
+        def array_machinery(*args, **kwargs):
+            raise AssertionError("array path taken for a float")
+
+        for name in ("atleast_1d", "asarray", "any", "clip"):
+            monkeypatch.setattr(np, name, array_machinery)
+        assert model.max_frequency(0.5) > 0.0
+        assert processor.max_frequency(0.5) == model.max_frequency(0.5)
+
+    def test_int_and_numpy_float_take_the_scalar_path(self, model):
+        assert model.max_frequency(1) == model.max_frequency(1.0)
+        assert model.max_frequency(np.float64(0.6)) == model.max_frequency(0.6)
+        assert type(model.max_frequency(np.float64(0.6))) is float
+        # 0-d arrays and other numpy scalars still return a float.
+        assert type(model.max_frequency(np.array(0.6))) is float
+        assert model.max_frequency(np.float32(0.5)) == float(
+            model.max_frequency(np.array([np.float32(0.5)]))[0]
+        )
