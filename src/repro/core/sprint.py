@@ -461,6 +461,21 @@ class SprintController(DvfsController):
         self._bypassed = False
         self._phase: "str | None" = None
         self._miss_counted = False
+        # The four actuations the plan can command, built once.
+        self._halt = ControlDecision(mode="halt", frequency_hz=0.0)
+        self._bypass = ControlDecision(
+            mode="bypass", frequency_hz=plan.fast_frequency_hz
+        )
+        self._sprint = ControlDecision(
+            mode="regulated",
+            frequency_hz=plan.fast_frequency_hz,
+            output_voltage_v=plan.output_voltage_v,
+        )
+        self._slow = ControlDecision(
+            mode="regulated",
+            frequency_hz=plan.slow_frequency_hz,
+            output_voltage_v=plan.output_voltage_v,
+        )
 
     def reset(self) -> None:
         self._bypassed = False
@@ -504,25 +519,15 @@ class SprintController(DvfsController):
         self._check_deadline(view)
         if view.cycles_done >= plan.cycles:
             self._enter_phase("done", view)
-            return ControlDecision(mode="halt", frequency_hz=0.0)
+            return self._halt
         if self.allow_bypass and (
             self._bypassed or view.node_voltage_v <= plan.bypass_below_v
         ):
             self._bypassed = True
             self._enter_phase("bypass", view)
-            return ControlDecision(
-                mode="bypass", frequency_hz=plan.fast_frequency_hz
-            )
+            return self._bypass
         if view.node_voltage_v <= plan.accelerate_below_v:
             self._enter_phase("sprint", view)
-            return ControlDecision(
-                mode="regulated",
-                frequency_hz=plan.fast_frequency_hz,
-                output_voltage_v=plan.output_voltage_v,
-            )
+            return self._sprint
         self._enter_phase("slow", view)
-        return ControlDecision(
-            mode="regulated",
-            frequency_hz=plan.slow_frequency_hz,
-            output_voltage_v=plan.output_voltage_v,
-        )
+        return self._slow

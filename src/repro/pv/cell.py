@@ -23,6 +23,7 @@ double for the same point, so scalar and array callers never disagree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -152,9 +153,13 @@ class SingleDiodeCell:
 
     # -- derived scales ----------------------------------------------------
 
-    @property
+    @cached_property
     def diode_scale_v(self) -> float:
-        """The exponential slope ``n * Ns * Vt`` of the diode knee [V]."""
+        """The exponential slope ``n * Ns * Vt`` of the diode knee [V].
+
+        Computed once per cell: :meth:`current_scalar` reads it at
+        every call.
+        """
         return (
             self.ideality_factor
             * self.series_cells

@@ -45,9 +45,30 @@ class ControllerView:
     recovering: bool = False
     brownout_count: int = 0
 
-    def __post_init__(self) -> None:
-        if self.time_s < 0.0:
-            raise ModelParameterError(f"time must be >= 0, got {self.time_s}")
+    # The engine builds one view per step.  Writing the instance dict
+    # directly skips the ``object.__setattr__`` per field that a
+    # generated frozen ``__init__`` pays; the frozen ``__setattr__``,
+    # ``__eq__``, ``__hash__`` and ``__repr__`` are still generated.
+    def __init__(
+        self,
+        time_s: float,
+        node_voltage_v: float,
+        processor_voltage_v: float,
+        cycles_done: float,
+        comparator_events: tuple,
+        recovering: bool = False,
+        brownout_count: int = 0,
+    ) -> None:
+        if time_s < 0.0:
+            raise ModelParameterError(f"time must be >= 0, got {time_s}")
+        state = self.__dict__
+        state["time_s"] = time_s
+        state["node_voltage_v"] = node_voltage_v
+        state["processor_voltage_v"] = processor_voltage_v
+        state["cycles_done"] = cycles_done
+        state["comparator_events"] = comparator_events
+        state["recovering"] = recovering
+        state["brownout_count"] = brownout_count
 
 
 @dataclass(frozen=True)
@@ -70,21 +91,32 @@ class ControlDecision:
 
     VALID_MODES = ("regulated", "bypass", "halt")
 
-    def __post_init__(self) -> None:
-        if self.mode not in self.VALID_MODES:
+    # Direct instance-dict writes, as in ControllerView; controllers
+    # with a fixed set of actuations build each decision once.
+    def __init__(
+        self,
+        mode: str,
+        frequency_hz: float,
+        output_voltage_v: "float | None" = None,
+    ) -> None:
+        if mode not in self.VALID_MODES:
             raise ModelParameterError(
-                f"mode must be one of {self.VALID_MODES}, got {self.mode!r}"
+                f"mode must be one of {self.VALID_MODES}, got {mode!r}"
             )
-        if self.frequency_hz < 0.0:
+        if frequency_hz < 0.0:
             raise ModelParameterError(
-                f"frequency must be >= 0, got {self.frequency_hz}"
+                f"frequency must be >= 0, got {frequency_hz}"
             )
-        if self.mode == "regulated" and (
-            self.output_voltage_v is None or self.output_voltage_v <= 0.0
+        if mode == "regulated" and (
+            output_voltage_v is None or output_voltage_v <= 0.0
         ):
             raise ModelParameterError(
                 "regulated mode needs a positive output voltage setpoint"
             )
+        state = self.__dict__
+        state["mode"] = mode
+        state["frequency_hz"] = frequency_hz
+        state["output_voltage_v"] = output_voltage_v
 
 
 class DvfsController(abc.ABC):
@@ -116,13 +148,14 @@ class FixedOperatingPointController(DvfsController):
             )
         self.output_voltage_v = output_voltage_v
         self.frequency_hz = frequency_hz
+        self._decision = ControlDecision(
+            mode="regulated",
+            frequency_hz=frequency_hz,
+            output_voltage_v=output_voltage_v,
+        )
 
     def decide(self, view: ControllerView) -> ControlDecision:
-        return ControlDecision(
-            mode="regulated",
-            frequency_hz=self.frequency_hz,
-            output_voltage_v=self.output_voltage_v,
-        )
+        return self._decision
 
 
 class ConstantSpeedController(DvfsController):
@@ -151,19 +184,19 @@ class ConstantSpeedController(DvfsController):
         self.output_voltage_v = output_voltage_v
         self.frequency_hz = frequency_hz
         self.total_cycles = total_cycles
+        self._running = ControlDecision(
+            mode="regulated",
+            frequency_hz=frequency_hz,
+            output_voltage_v=output_voltage_v,
+        )
+        self._done = ControlDecision(
+            mode="regulated", frequency_hz=0.0, output_voltage_v=output_voltage_v
+        )
 
     def decide(self, view: ControllerView) -> ControlDecision:
         if view.cycles_done >= self.total_cycles:
-            return ControlDecision(
-                mode="regulated",
-                frequency_hz=0.0,
-                output_voltage_v=self.output_voltage_v,
-            )
-        return ControlDecision(
-            mode="regulated",
-            frequency_hz=self.frequency_hz,
-            output_voltage_v=self.output_voltage_v,
-        )
+            return self._done
+        return self._running
 
 
 class BypassController(DvfsController):

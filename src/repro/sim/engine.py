@@ -18,6 +18,7 @@ management scheme (the contribution).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
@@ -555,7 +556,7 @@ class TransientSimulator:
                     events.append(("node_collapse", t))
                     tel.event("node.collapse", t, track="engine")
             node_capacitor.apply_current(i_pv - i_draw, dt)
-            if not np.isfinite(node_capacitor.voltage_v):
+            if not math.isfinite(node_capacitor.voltage_v):
                 raise SimulationError(f"node voltage became non-finite at t={t}")
 
             # Comparator observation feeds the next step's view.

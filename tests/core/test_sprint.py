@@ -13,9 +13,12 @@ from repro.errors import (
     InfeasibleOperatingPointError,
     ModelParameterError,
 )
+from repro.experiments.fig9_sprint import fig9b_sprint_gains
 from repro.processor.frequency import FrequencyModel
 from repro.processor.workloads import image_frame_workload
-from repro.sim.dvfs import ControllerView
+from repro.pv.traces import step_trace
+from repro.sim.dvfs import ControlDecision, ControllerView
+from repro.sim.engine import SimulationConfig, TransientSimulator
 
 
 @pytest.fixture(scope="module")
@@ -269,3 +272,85 @@ class TestSprintController:
         ctrl.reset()
         decision = ctrl.decide(view(node_v=1.2))
         assert decision.mode == "regulated"
+
+
+class TestScalarEngineWork:
+    """Deterministic work counts of the sprint transients: how many
+    decisions a run builds and which ``max_frequency`` path it takes."""
+
+    def _run(self, system, controller, time_step_s):
+        workload = image_frame_workload(10e-3)
+        v_start = system.mpp(1.0).voltage_v
+        simulator = TransientSimulator(
+            cell=system.cell,
+            node_capacitor=system.new_node_capacitor(v_start),
+            processor=system.processor,
+            regulator=system.regulator("buck"),
+            controller=controller,
+            workload=workload,
+            config=SimulationConfig(
+                time_step_s=time_step_s, stop_on_brownout=False
+            ),
+        )
+        return simulator.run(step_trace(1.0, 0.35, 1e-3, 20e-3))
+
+    @pytest.mark.parametrize("time_step_s", [8e-6, 4e-6])
+    def test_sprint_run_builds_at_most_four_decisions(
+        self, system, scheduler, monkeypatch, time_step_s
+    ):
+        plan = scheduler.plan(
+            image_frame_workload(10e-3), system.mpp(1.0).voltage_v
+        )
+        built = []
+        init = ControlDecision.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append((args, kwargs))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(ControlDecision, "__init__", counting)
+        result = self._run(system, SprintController(plan), time_step_s)
+        # Every phase ran: slow and sprint (regulated), bypass, done.
+        assert result.completed
+        codes = result.MODE_CODES
+        assert {codes["regulated"], codes["bypass"], codes["halt"]} <= set(
+            result.mode.tolist()
+        )
+        assert len(result.time_s) >= 2_500
+        assert len(built) <= 4
+
+    def test_fig9b_transients_make_no_array_max_frequency_calls(
+        self, monkeypatch
+    ):
+        """Every per-step ``max_frequency`` in fig9b's three transients
+        takes the scalar path, so none pays for the array path: the
+        array-path count is all calls minus scalar-path calls."""
+        calls = {"all": 0, "scalar": 0}
+        runs = []
+
+        def counted(name, key):
+            original = getattr(FrequencyModel, name)
+
+            def wrapper(model, voltage_v):
+                if runs and runs[-1] == "running":
+                    calls[key] += 1
+                return original(model, voltage_v)
+
+            monkeypatch.setattr(FrequencyModel, name, wrapper)
+
+        counted("max_frequency", "all")
+        counted("_max_frequency_scalar", "scalar")
+        run = TransientSimulator.run
+
+        def tracking_run(simulator, *args, **kwargs):
+            runs.append("running")
+            try:
+                return run(simulator, *args, **kwargs)
+            finally:
+                runs[-1] = "done"
+
+        monkeypatch.setattr(TransientSimulator, "run", tracking_run)
+        fig9b_sprint_gains(paper_system())
+        assert runs == ["done"] * 3
+        assert calls["scalar"] > 1_000
+        assert calls["all"] - calls["scalar"] == 0
