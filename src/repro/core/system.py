@@ -11,14 +11,14 @@ the bypass switch, the 65 nm image processor, and board comparators.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ModelParameterError
 from repro.monitor.comparator import ComparatorBank
 from repro.monitor.lut import MppLookupTable, build_mpp_lut
 from repro.processor.energy import ProcessorModel, paper_processor
 from repro.pv.cell import SingleDiodeCell, kxob22_cell
-from repro.pv.mpp import MaximumPowerPoint, find_mpp
+from repro.pv.mpp import MaximumPowerPoint, find_mpps
 from repro.regulators.base import Regulator
 from repro.regulators.buck import paper_buck
 from repro.regulators.bypass import BypassPath
@@ -113,8 +113,21 @@ class EnergyHarvestingSoC:
         MPP, whatever was queried first.
         """
         if irradiance not in self._mpp_cache:
-            self._mpp_cache[irradiance] = find_mpp(self.cell, irradiance)
+            self.mpps([irradiance])
         return self._mpp_cache[irradiance]
+
+    def mpps(self, irradiances: "Sequence[float]") -> "list[MaximumPowerPoint]":
+        """The cell's MPPs at several irradiances, in order.
+
+        Repeated irradiances are solved once, and only those missing
+        from the :meth:`mpp` cache are characterized, in one
+        :func:`~repro.pv.mpp.find_mpps` call.
+        """
+        cache = self._mpp_cache
+        misses = list(dict.fromkeys(g for g in irradiances if g not in cache))
+        if misses:
+            cache.update(zip(misses, find_mpps(self.cell, misses)))
+        return [cache[g] for g in irradiances]
 
     def build_mpp_lut(self, points: int = 24) -> MppLookupTable:
         """Pre-characterise the power-to-MPP LUT for this cell."""

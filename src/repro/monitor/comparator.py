@@ -16,6 +16,9 @@ import numpy as np
 
 from repro.errors import ModelParameterError
 
+#: Noise draws taken from a comparator's generator at a time.
+NOISE_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class CrossingEvent:
@@ -97,6 +100,8 @@ class ThresholdComparator:
         self.noise_sigma_v = noise_sigma_v
         self.seed = seed
         self._rng = np.random.default_rng(seed) if seed is not None else None
+        self._noise: "list[float]" = []
+        self._noise_index = 0
         self._state: "bool | None" = None  # True = input above threshold
 
     def reset(self) -> None:
@@ -104,6 +109,8 @@ class ThresholdComparator:
         self._state = None
         if self.seed is not None:
             self._rng = np.random.default_rng(self.seed)
+            self._noise = []
+            self._noise_index = 0
 
     @property
     def input_state(self) -> "bool | None":
@@ -120,9 +127,26 @@ class ThresholdComparator:
     def _trip_voltage(self) -> float:
         """The threshold the comparator actually trips at this sample."""
         trip = self.threshold_v + self.offset_v
-        if self.noise_sigma_v > 0.0 and self._rng is not None:
-            trip += self.noise_sigma_v * float(self._rng.standard_normal())
+        rng = self._rng
+        if self.noise_sigma_v > 0.0 and rng is not None:
+            trip += self.noise_sigma_v * self._next_noise(rng)
         return trip
+
+    def _next_noise(self, rng: np.random.Generator) -> float:
+        """The next standard-normal draw of the noise stream.
+
+        Draws come in blocks of :data:`NOISE_BLOCK` and are used in
+        order: a block of ``standard_normal(k)`` is the same stream as
+        ``k`` scalar draws, one numpy call instead of ``k``.  The block
+        and its cursor are plain attributes, so a pickled or copied
+        comparator continues the same stream.
+        """
+        if self._noise_index == len(self._noise):
+            self._noise = rng.standard_normal(NOISE_BLOCK).tolist()
+            self._noise_index = 0
+        draw = self._noise[self._noise_index]
+        self._noise_index += 1
+        return draw
 
     def observe(self, time_s: float, voltage_v: float) -> "CrossingEvent | None":
         """Feed one sample; report a crossing if one occurred.

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.errors import ModelParameterError
 from repro.pv.cell import SingleDiodeCell
-from repro.pv.mpp import find_mpp
+from repro.pv.mpp import find_mpps
 
 
 @dataclass(frozen=True)
@@ -110,14 +110,14 @@ def build_mpp_lut(
         raise ModelParameterError(
             f"invalid irradiance range [{min_irradiance}, {max_irradiance}]"
         )
-    entries = []
-    for irradiance in np.geomspace(min_irradiance, max_irradiance, points):
-        mpp = find_mpp(cell, float(irradiance))
-        entries.append(
+    irradiances = np.geomspace(min_irradiance, max_irradiance, points).tolist()
+    return MppLookupTable(
+        [
             MppEntry(
                 input_power_w=mpp.power_w,
                 mpp_voltage_v=mpp.voltage_v,
-                irradiance=float(irradiance),
+                irradiance=irradiance,
             )
-        )
-    return MppLookupTable(entries)
+            for irradiance, mpp in zip(irradiances, find_mpps(cell, irradiances))
+        ]
+    )

@@ -99,7 +99,9 @@ def bin_trace(
     ideal tracker would collect, which is what the paper's
     discharge-time MPP tracking approximates.  The last slot may cover
     a shorter window when ``duration_s`` is not a slot multiple; its
-    income is scaled by the actual window width.
+    income is scaled by the actual window width.  The lit slots' MPPs
+    are characterized together, in one :meth:`EnergyHarvestingSoC.mpps`
+    call.
     """
     if slot_s <= 0.0:
         raise ModelParameterError(
@@ -111,21 +113,21 @@ def bin_trace(
             f"forecast horizon must be positive, got {horizon}"
         )
     slots = max(1, int(np.ceil(horizon / slot_s - 1e-12)))
-    irradiance = np.empty(slots)
-    income = np.empty(slots)
+    means = []
+    widths = []
     for i in range(slots):
         t0 = start_s + i * slot_s
         t1 = min(start_s + (i + 1) * slot_s, start_s + horizon)
-        g = float(trace.mean(t0, t1))
-        irradiance[i] = g
-        if g <= _DARK_IRRADIANCE:
-            income[i] = 0.0
-        else:
-            income[i] = system.mpp(g).power_w * (t1 - t0)
+        means.append(float(trace.mean(t0, t1)))
+        widths.append(t1 - t0)
+    lit = [i for i, g in enumerate(means) if not g <= _DARK_IRRADIANCE]
+    income = np.zeros(slots)
+    for i, mpp in zip(lit, system.mpps([means[i] for i in lit])):
+        income[i] = mpp.power_w * widths[i]
     return EnergyForecast(
         slot_s=slot_s,
         start_s=start_s,
-        irradiance=irradiance,
+        irradiance=np.array(means),
         income_j=income,
     )
 

@@ -93,6 +93,29 @@ class TestAccessors:
             assert system.mpp(irradiance).irradiance == irradiance
             assert system.mpp(irradiance) == find_mpp(system.cell, irradiance)
 
+    def test_mpps_solve_each_distinct_miss_once(self, monkeypatch):
+        import repro.core.system as system_module
+
+        batches = []
+        search = system_module.find_mpps
+
+        def counting(cell, irradiances):
+            batches.append(list(irradiances))
+            return search(cell, irradiances)
+
+        monkeypatch.setattr(system_module, "find_mpps", counting)
+        system = paper_system()
+        first = system.mpp(0.5)
+        mpps = system.mpps([0.3, 0.5, 0.3, 0.0, 0.7, 0.3])
+        assert batches == [[0.5], [0.3, 0.0, 0.7]]
+        assert mpps[1] is first
+        assert mpps[0] is mpps[2] is mpps[5] is system.mpp(0.3)
+        assert [m.irradiance for m in mpps] == [0.3, 0.5, 0.3, 0.0, 0.7, 0.3]
+        for mpp in mpps:
+            assert mpp == find_mpp(system.cell, mpp.irradiance)
+        assert system.mpps([0.7, 0.5]) == [mpps[4], first]
+        assert len(batches) == 2
+
     def test_build_mpp_lut_spans_conditions(self):
         system = paper_system()
         lut = system.build_mpp_lut(points=8)

@@ -1,13 +1,19 @@
 """Tests for threshold comparators."""
 
+import copy
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.errors import ModelParameterError
 from repro.monitor.comparator import (
+    NOISE_BLOCK,
     ComparatorBank,
     CrossingEvent,
     ThresholdComparator,
 )
+from repro.units import milli_volts
 
 
 class TestThresholdComparator:
@@ -110,3 +116,81 @@ class TestComparatorBank:
         assert bank.history
         bank.reset()
         assert not bank.history
+
+
+class ScalarDrawComparator(ThresholdComparator):
+    """The noise stream drawn one scalar at a time (the reference)."""
+
+    def _next_noise(self, rng):
+        return float(rng.standard_normal())
+
+
+def noisy_pair(seed=5):
+    kwargs = dict(
+        hysteresis_v=milli_volts(2.0),
+        offset_v=milli_volts(1.0),
+        noise_sigma_v=milli_volts(4.0),
+        seed=seed,
+    )
+    return ThresholdComparator(1.0, **kwargs), ScalarDrawComparator(1.0, **kwargs)
+
+
+def wobble(count, phase=0.0):
+    """Samples swinging around the 1 V threshold so events keep firing."""
+    t = np.arange(count) * 1e-3 + phase
+    return list(zip(t.tolist(), (1.0 + 8e-3 * np.sin(40.0 * t)).tolist()))
+
+
+class TestNoiseBlocks:
+    """Noise comes in blocks of NOISE_BLOCK draws, used in order: the
+    same stream as one scalar draw per sample."""
+
+    @pytest.mark.parametrize("seed", [9])
+    def test_trip_points_equal_scalar_draws_across_blocks(self, seed):
+        offset, sigma = milli_volts(1.0), milli_volts(4.0)
+        comparator = ThresholdComparator(
+            1.0, offset_v=offset, noise_sigma_v=sigma, seed=seed
+        )
+        rng = np.random.default_rng(seed)
+        for _ in range(3 * NOISE_BLOCK + 7):
+            expected = 1.0 + offset + sigma * float(rng.standard_normal())
+            assert comparator._trip_voltage() == expected
+
+    def test_events_equal_the_scalar_reference(self):
+        blocked, scalar = noisy_pair()
+        samples = wobble(5 * NOISE_BLOCK // 2)
+        events = [blocked.observe(t, v) for t, v in samples]
+        assert events == [scalar.observe(t, v) for t, v in samples]
+        assert sum(e is not None for e in events) > 10
+
+    def test_reset_mid_block_restarts_the_stream(self):
+        blocked, scalar = noisy_pair()
+        samples = wobble(NOISE_BLOCK + 40)
+        for t, v in samples[: NOISE_BLOCK // 3]:
+            blocked.observe(t, v)
+        blocked.reset()
+        assert [blocked.observe(t, v) for t, v in samples] == [
+            scalar.observe(t, v) for t, v in samples
+        ]
+
+    @pytest.mark.parametrize("clone", ["pickle", "deepcopy"])
+    def test_copy_mid_block_continues_the_stream(self, clone):
+        blocked, scalar = noisy_pair()
+        head = wobble(NOISE_BLOCK + 44)
+        for t, v in head:
+            blocked.observe(t, v)
+            scalar.observe(t, v)
+        if clone == "pickle":
+            copied = pickle.loads(pickle.dumps(blocked))
+        else:
+            copied = copy.deepcopy(blocked)
+        tail = wobble(2 * NOISE_BLOCK, phase=1.0)
+        expected = [scalar.observe(t, v) for t, v in tail]
+        assert [copied.observe(t, v) for t, v in tail] == expected
+        assert [blocked.observe(t, v) for t, v in tail] == expected
+
+    def test_noiseless_comparator_draws_nothing(self):
+        comparator = ThresholdComparator(1.0, seed=3)
+        for t, v in wobble(10):
+            comparator.observe(t, v)
+        assert comparator._noise == []
