@@ -56,7 +56,15 @@ class DynamicPowerModel:
     def energy_per_cycle(
         self, voltage_v: "float | np.ndarray"
     ) -> "float | np.ndarray":
-        """Dynamic energy per clock cycle [J]: ``a * Ceff * V^2``."""
+        """Dynamic energy per clock cycle [J]: ``a * Ceff * V^2``.
+
+        A float (or int) takes plain float arithmetic, which gives its
+        array element's exact bits; so do :meth:`power` and
+        :class:`LeakageModel`'s ``current`` and ``power``.
+        """
+        if isinstance(voltage_v, (float, int)):
+            v = float(voltage_v)
+            return self.activity * self.effective_capacitance_f * v * v
         v = np.asarray(voltage_v, dtype=float)
         return self.activity * self.effective_capacitance_f * v * v
 
@@ -64,6 +72,10 @@ class DynamicPowerModel:
         self, voltage_v: "float | np.ndarray", frequency_hz: "float | np.ndarray"
     ) -> "float | np.ndarray":
         """Dynamic power [W] at the given supply and clock."""
+        if isinstance(voltage_v, (float, int)) and isinstance(
+            frequency_hz, (float, int)
+        ):
+            return self.energy_per_cycle(voltage_v) * float(frequency_hz)
         return self.energy_per_cycle(voltage_v) * np.asarray(
             frequency_hz, dtype=float
         )
@@ -100,12 +112,22 @@ class LeakageModel:
             )
 
     def current(self, voltage_v: "float | np.ndarray") -> "float | np.ndarray":
-        """Leakage current at the given supply [A]."""
+        """Leakage current at the given supply [A].
+
+        The scalar ``np.exp`` of a float returns its array element's
+        exact bits (``math.exp`` does not always).
+        """
+        if isinstance(voltage_v, (float, int)):
+            return self.reference_current_a * float(
+                np.exp(float(voltage_v) / self.dibl_voltage_v)
+            )
         v = np.asarray(voltage_v, dtype=float)
         return self.reference_current_a * np.exp(v / self.dibl_voltage_v)
 
     def power(self, voltage_v: "float | np.ndarray") -> "float | np.ndarray":
         """Leakage power ``V * Ileak(V)`` [W]."""
+        if isinstance(voltage_v, (float, int)):
+            return float(voltage_v) * self.current(voltage_v)
         v = np.asarray(voltage_v, dtype=float)
         return v * self.current(v)
 
