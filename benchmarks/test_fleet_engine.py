@@ -6,9 +6,12 @@ measurements in ``docs/performance.md`` carry the fleet's speed):
 * **lane bit-identity**: the Fig. 8 MPPT closed loop (a 1.0 -> 0.3 sun
   step, one shared memoizing ``DischargeTimeMppTracker``, the SC
   regulator and a noiseless comparator bank) run through
-  :class:`~repro.fleet.engine.FleetSimulator` at batch 1 and at batch
-  16 equals N independent scalar runs exactly.  The batch-16 case
-  keeps the noiseless ``ComparatorLens`` path covered at N > 1;
+  :class:`~repro.fleet.engine.FleetSimulator` at batch 1, 16 and one
+  lane above :data:`~repro.fleet.pv.PER_LANE_MAX_LANES` equals N
+  independent scalar runs exactly.  The first two solve the PV cell
+  lane by lane, the last as one array Newton, so both PV paths are
+  covered; the wider batches keep the noiseless ``ComparatorLens``
+  path covered at N > 1;
 * **campaign engine transparency**: ``run_transient_campaign`` produces
   identical records through the scalar and fleet engines (the summaries
   come from the campaign cache shared with the parallel bench).
@@ -20,6 +23,7 @@ from dataclasses import asdict
 from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
 from repro.faults import CampaignConfig, FaultSpec
 from repro.fleet import FleetNode, FleetSimulator
+from repro.fleet.pv import PER_LANE_MAX_LANES
 from repro.parallel.cache import characterized_system
 from repro.pv.traces import step_trace
 from repro.sim.engine import SimulationConfig, TransientSimulator
@@ -31,8 +35,9 @@ DURATION_S = milli_seconds(10)
 DIM_TIME_S = DURATION_S / 3
 
 #: Batch 1 is the scalar-equivalence probe; batch 16 exercises the
-#: shared noiseless ``ComparatorLens`` across several lanes.
-BATCHES = (1, 16)
+#: shared noiseless ``ComparatorLens`` across several lanes; the last
+#: batch is wide enough for the array PV solve.
+BATCHES = (1, 16, PER_LANE_MAX_LANES + 1)
 
 
 def test_fleet_engine_bench_and_bit_identity():

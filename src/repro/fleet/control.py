@@ -24,14 +24,15 @@ mirroring exactly the state that determines when the next real
   calls each lane's decision is constant, so its
   ``resolve_decision`` outcome collapses into a small per-lane record
   -- constant halt, a regulated setpoint whose only per-step work is
-  the switched-capacitor ratio scan, or a bypass point evaluated
-  through the (elementwise, hence batchable) processor models.  The
-  ratio scan itself is hoisted into one :class:`ScBandTable` per
+  the switched-capacitor ratio scan, or a bypass point resolved per
+  lane through the scalar engine's ``clamped_frequency_and_power``.
+  The ratio scan itself is hoisted into one :class:`ScBandTable` per
   batch, a row of regulator columns per lane, and runs once per step
-  over every regulated lane as array ops in the exact expression
-  order of ``SwitchedCapacitorRegulator._best_band``, so every float
-  it produces is bit-identical to the scalar loop by construction
-  (asserted by the differential harness in ``tests/fleet``).
+  over every regulated lane and band as one array pass in the exact
+  expression order of ``SwitchedCapacitorRegulator._best_band``, so
+  every float it produces is bit-identical to the scalar loop by
+  construction (asserted by the differential harness in
+  ``tests/fleet``).
 
 Bit-exactness ground rules observed throughout (empirically verified
 in the differential tests):
@@ -82,7 +83,7 @@ def _share_key(obj: Any) -> Any:
     """Grouping key for value-identical model objects.
 
     Prefers the content fingerprint (so distinct-but-equal models share
-    caches and bypass groups); falls back to object identity, which is
+    decision memos); falls back to object identity, which is
     always safe, when the object is not fingerprintable.
     """
     try:
@@ -128,9 +129,12 @@ def classify_controller(
       inherently per-lane sequential);
     * the regulator is exactly :class:`SwitchedCapacitorRegulator`
       (the only regulator whose band scan is hoisted into a table);
-    * the frequency model is defined down to ``min_operating_v``, so
-      bypass group evaluation can pad inactive lanes with an in-range
-      voltage.
+    * the frequency model is defined down to ``min_operating_v``.  A
+      bypass lane evaluates ``max_frequency`` at whatever node voltage
+      it sees from ``min_operating_v`` up, so a model with a higher
+      floor could raise mid-run; such a lane stays on the scalar
+      engine, where the error surfaces from the one copy of the step
+      semantics instead of from the middle of a shared batch.
     """
     return (
         type(controller).decide is MppTrackingController.decide
@@ -144,12 +148,13 @@ class ScBandTable:
     """Switched-capacitor band scan over the lanes of one batch.
 
     One row per lane, read from that lane's regulator, and
-    ``_best_band`` replayed as masked array operations in the *exact*
-    scalar expression order, so the winning band's input power (and
-    hence every downstream float) is bit-identical by construction.
-    ``ratios`` keeps each bank's ascending scan order, so walking the
-    columns in index order reproduces the scalar first-feasible
-    tie-break; shorter banks are padded with NaN, which fails both
+    ``_best_band`` replayed as one two-dimensional (lane x band) array
+    pass in the *exact* scalar expression order, so the winning band's
+    input power (and hence every downstream float) is bit-identical by
+    construction.  The scalar loop keeps the first band whose power is
+    strictly below the best so far, so its result is the minimum over
+    the usable bands, whatever their order; tied bands have the same
+    power.  Shorter banks are padded with NaN, which fails both
     feasibility tests, so a padded band is never picked.
     ``efficiency_derating`` is read at construction; campaigns set it
     before the run, never during one.
@@ -200,15 +205,27 @@ class ScBandTable:
         ratio_q = v_in / self.fixed_reference_v[rows]
         fixed_w = self.fixed_loss_w[rows] * ratio_q * ratio_q
         rout = self.output_impedance_ohm[rows]
-        best = np.full(v_in.shape, np.inf)
-        for ratio_f in self.ratios[rows].T:
-            v_no_load = ratio_f * v_in
-            headroom = v_no_load - v_out
-            current_limit = np.where(headroom > 0.0, headroom / rout, 0.0)
-            usable = (current_limit >= i_threshold) & (v_no_load > v_out)
-            p_in = v_no_load * i_out + switching_w + fixed_w
-            take = usable & (p_in < best)
-            best = np.where(take, p_in, best)
+        # Every lane against every band in one pass: row ``r`` of each
+        # term holds exactly the floats the scalar loop computes for
+        # lane ``rows[r]``, band by band.
+        v_no_load = self.ratios[rows] * v_in[:, None]
+        v_out_col = v_out[:, None]
+        headroom = v_no_load - v_out_col
+        current_limit = np.where(
+            headroom > 0.0, headroom / rout[:, None], 0.0
+        )
+        usable = (current_limit >= i_threshold[:, None]) & (
+            v_no_load > v_out_col
+        )
+        p_in = (
+            v_no_load * i_out[:, None]
+            + switching_w[:, None]
+            + fixed_w[:, None]
+        )
+        # The scalar loop keeps the first strictly smaller power, which
+        # is the minimum; NaN pads fail ``v_no_load > v_out`` and are
+        # never usable.
+        best = np.where(usable, p_in, np.inf).min(axis=1)
         feasible = (best < np.inf) & (v_in > 0.0)
         p_draw = np.where(feasible, best / self.efficiency_derating[rows], 0.0)
         return feasible, p_draw
@@ -259,18 +276,6 @@ class ControlPlane:
 
         # -- static resolution groups ---------------------------------
         self._bands = ScBandTable(regulators)
-        # Bypass evaluation groups, shared across value-identical
-        # processor models.
-        byp_members: "dict[Any, list[int]]" = {}
-        byp_proc: "dict[Any, ProcessorModel]" = {}
-        for k, processor in enumerate(self._processors):
-            key = _share_key(processor)
-            byp_members.setdefault(key, []).append(k)
-            byp_proc.setdefault(key, processor)
-        self._byp_groups: "list[tuple[ProcessorModel, np.ndarray]]" = [
-            (byp_proc[key], np.array(members, dtype=np.intp))
-            for key, members in byp_members.items()
-        ]
 
     # -- skip predicate -----------------------------------------------
 
@@ -395,25 +400,25 @@ class ControlPlane:
             p_proc[sub] = np.where(feasible, self.rs_pproc[sub], 0.0)
             p_draw[sub] = draw
             mode[sub] = np.where(feasible, M_REG, M_HALT).astype(np.int8)
-        for processor, members in self._byp_groups:
-            sub = members[(kind[members] == K_BYP) & alive[members]]
-            if sub.size == 0:
-                continue
-            v_sub = v[sub]
-            min_op = processor.min_operating_v
-            running = v_sub >= min_op
-            v_eval = np.where(
-                running, np.minimum(v_sub, processor.max_operating_v), min_op
+        # Bypass lanes run the processor straight off the node, whose
+        # voltage almost never repeats: each resolves on its own through
+        # the scalar engine's function, bypassing the decision memo.
+        for k in np.flatnonzero((kind == K_BYP) & alive).tolist():
+            processor = self._processors[k]
+            v_k = float(v[k])
+            v_proc[k] = v_k
+            if v_k < processor.min_operating_v:
+                continue  # halt: zero frequency and power
+            f_k, p_k = clamped_frequency_and_power(
+                processor,
+                min(v_k, processor.max_operating_v),
+                float(self.byp_cmd[k]),
+                None,
             )
-            f_max = np.asarray(processor.max_frequency(v_eval))
-            f_sub = np.minimum(self.byp_cmd[sub], f_max)
-            p_sub = np.asarray(processor.power(v_eval, f_sub))
-            v_proc[sub] = v_sub
-            f[sub] = np.where(running, f_sub, 0.0)
-            p_run = np.where(running, p_sub, 0.0)
-            p_proc[sub] = p_run
-            p_draw[sub] = p_run
-            mode[sub] = np.where(running, M_BYP, M_HALT).astype(np.int8)
+            f[k] = f_k
+            p_proc[k] = p_k
+            p_draw[k] = p_k
+            mode[k] = M_BYP
         return (v_proc, f, p_proc, p_draw, mode)
 
 

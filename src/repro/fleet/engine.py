@@ -10,10 +10,11 @@ compute nodes.  Each run is split in three parts:
   (:func:`repro.fleet.control.classify_controller`) and its cycle
   target survives the float mirror;
 * the **vectorized core**, which marches the admitted lanes through
-  one shared time grid: the implicit single-diode PV solve and the
-  capacitor integration run as masked array updates, and the control
-  plane (:mod:`repro.fleet.control`) advances the decisions through
-  a batched skip predicate and masked array resolution (real
+  one shared time grid: the implicit single-diode PV solve (per lane
+  on small batches, one array Newton on wide ones) and the capacitor
+  integration run over the live lanes, and the control plane
+  (:mod:`repro.fleet.control`) advances the decisions through a
+  batched skip predicate and masked array resolution (real
   ``decide`` calls only when a tracker's own trigger conditions
   fire);
 * every other lane -- any other controller among them -- runs through
@@ -27,12 +28,13 @@ merged back in input lane order.
 **The equivalence guarantee.**  Lane ``i`` of a fleet run is
 bit-identical to a scalar :class:`~repro.sim.engine.TransientSimulator`
 run of the same node.  In the core every float operation happens in
-the same order on the same doubles (the batched Newton freezes each
-lane exactly where the scalar iteration would return -- see
-:mod:`repro.fleet.pv` -- the vectorised capacitor update preserves the
-scalar expression order, and the control plane's vector resolution
-replays :func:`repro.sim.engine.resolve_decision` expression by
-expression), and skipped controller calls are provably no-ops.
+the same order on the same doubles (the PV solve is the scalar solve
+itself or an array Newton that freezes each lane exactly where the
+scalar iteration would return -- see :mod:`repro.fleet.pv` -- the
+vectorised capacitor update preserves the scalar expression order,
+and the control plane's resolution replays
+:func:`repro.sim.engine.resolve_decision` expression by expression),
+and skipped controller calls are provably no-ops.
 ``tests/fleet/`` asserts this across the full scenario matrix; the
 differential harness is the contract.
 
@@ -327,7 +329,6 @@ class FleetSimulator:
             [node.capacitor.leakage_current_a for node in nodes]
         )
         alive = np.ones(n, dtype=bool)
-        alive_pos = np.arange(n)
         cycles = np.zeros(n)
         prev_vproc = np.zeros(n)
         tmode = np.full(n, NO_MODE, dtype=np.int8)
@@ -359,18 +360,20 @@ class FleetSimulator:
         end_step = [-1] * n
         end_time = [float("nan")] * n
 
+        # Step-major record buffers: one row per record column, so a
+        # recording step stores whole rows, dead lanes included.  A
+        # lane's entries past its own ``recorded[k]`` are never read.
         record_count = steps // cfg.record_every + 1
-        rec_t = np.empty((n, record_count))
-        rec_vnode = np.empty((n, record_count))
-        rec_vproc = np.empty((n, record_count))
-        rec_f = np.empty((n, record_count))
-        rec_ppv = np.empty((n, record_count))
-        rec_pproc = np.empty((n, record_count))
-        rec_pdraw = np.empty((n, record_count))
-        rec_irr = np.empty((n, record_count))
-        rec_mode = np.empty((n, record_count), dtype=np.int8)
+        rec_t = np.empty((record_count, n))
+        rec_vnode = np.empty((record_count, n))
+        rec_vproc = np.empty((record_count, n))
+        rec_f = np.empty((record_count, n))
+        rec_ppv = np.empty((record_count, n))
+        rec_pproc = np.empty((record_count, n))
+        rec_pdraw = np.empty((record_count, n))
+        rec_irr = np.empty((record_count, n))
+        rec_mode = np.empty((record_count, n), dtype=np.int8)
         recorded = [0] * n
-        mode_codes = SimulationResult.MODE_CODES
 
         # Comparator service split: noiseless banks go through the
         # skip-predicate lens; noisy banks must observe every step
@@ -512,20 +515,12 @@ class FleetSimulator:
                         "brownout", t, track="engine", node_v=float(v[k])
                     )
                     if cfg.stop_on_brownout:
-                        if step % cfg.record_every == 0:
-                            col = step // cfg.record_every
-                            rec_t[k, col] = t
-                            rec_vnode[k, col] = v[k]
-                            rec_vproc[k, col] = v_proc[k]
-                            rec_f[k, col] = 0.0
-                            rec_ppv[k, col] = p_pv[k]
-                            rec_pproc[k, col] = 0.0
-                            rec_pdraw[k, col] = 0.0
-                            rec_irr[k, col] = irr[k]
-                            rec_mode[k, col] = mode_codes["halt"]
-                            recorded[k] = col + 1
-                        else:
-                            recorded[k] = (step - 1) // cfg.record_every + 1
+                        # A stalled lane already resolved to halt with
+                        # zero f, p_proc and p_draw, so the row stored
+                        # below at a recording step is the scalar
+                        # engine's final record; either way the lane
+                        # keeps every record column up to this step.
+                        recorded[k] = step // cfg.record_every + 1
                         finish_lane(k, step, t, float(cycles[k]))
                         any_died = True
                     elif cfg.recover_from_brownout:
@@ -545,16 +540,15 @@ class FleetSimulator:
 
             if step % cfg.record_every == 0:
                 col = step // cfg.record_every
-                sel = np.nonzero(alive)[0] if any_died else alive_pos
-                rec_t[sel, col] = t
-                rec_vnode[sel, col] = v[sel]
-                rec_vproc[sel, col] = v_proc[sel]
-                rec_f[sel, col] = f[sel]
-                rec_ppv[sel, col] = p_pv[sel]
-                rec_pproc[sel, col] = p_proc[sel]
-                rec_pdraw[sel, col] = p_draw[sel]
-                rec_irr[sel, col] = irr[sel]
-                rec_mode[sel, col] = mode[sel]
+                rec_t[col] = t
+                rec_vnode[col] = v
+                rec_vproc[col] = v_proc
+                rec_f[col] = f
+                rec_ppv[col] = p_pv
+                rec_pproc[col] = p_proc
+                rec_pdraw[col] = p_draw
+                rec_irr[col] = irr
+                rec_mode[col] = mode
 
             if step < steps:
                 # Cycle bookkeeping and completion detection.
@@ -609,7 +603,6 @@ class FleetSimulator:
             if step == steps:
                 break
             if any_died:
-                alive_pos = np.nonzero(alive)[0]
                 all_alive = False
                 if not alive.any():
                     break
@@ -673,15 +666,15 @@ class FleetSimulator:
             node.capacitor.charge(float(v[k]))
             m = recorded[k]
             result = SimulationResult(
-                time_s=rec_t[k, :m].copy(),
-                node_voltage_v=rec_vnode[k, :m].copy(),
-                processor_voltage_v=rec_vproc[k, :m].copy(),
-                frequency_hz=rec_f[k, :m].copy(),
-                harvest_power_w=rec_ppv[k, :m].copy(),
-                processor_power_w=rec_pproc[k, :m].copy(),
-                draw_power_w=rec_pdraw[k, :m].copy(),
-                irradiance=rec_irr[k, :m].copy(),
-                mode=rec_mode[k, :m].copy(),
+                time_s=rec_t[:m, k].copy(),
+                node_voltage_v=rec_vnode[:m, k].copy(),
+                processor_voltage_v=rec_vproc[:m, k].copy(),
+                frequency_hz=rec_f[:m, k].copy(),
+                harvest_power_w=rec_ppv[:m, k].copy(),
+                processor_power_w=rec_pproc[:m, k].copy(),
+                draw_power_w=rec_pdraw[:m, k].copy(),
+                irradiance=rec_irr[:m, k].copy(),
+                mode=rec_mode[:m, k].copy(),
                 completed=bool(completed[k]),
                 completion_time_s=completion_time[k],
                 browned_out=brownout_time[k] is not None,

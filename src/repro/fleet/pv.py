@@ -5,21 +5,31 @@ the array form of :meth:`~repro.pv.cell.SingleDiodeCell.current_scalar`
 shared with :meth:`~repro.pv.cell.SingleDiodeCell.current`.  This module
 holds only what is fleet-specific: per-lane parameters packed as
 structure-of-arrays (:class:`CellParams`) and :func:`batched_current`,
-which gathers the active lanes, checks their irradiance and scatters the
-solved currents back.  ``tests/fleet/test_pv.py`` asserts lane-for-lane
-bit-identity with the scalar solve over dense voltage/irradiance grids
-and hypothesis-driven parameter draws.
+which solves the active lanes one by one through ``current_scalar`` up
+to :data:`PER_LANE_MAX_LANES` of them and as one array Newton above.
+``tests/fleet/test_pv.py`` asserts lane-for-lane bit-identity with the
+scalar solve on both sides of that crossover, over dense
+voltage/irradiance grids and hypothesis-driven parameter draws.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import ModelParameterError
 from repro.pv.cell import SingleDiodeCell, newton_current
+
+#: Largest live-lane count :func:`batched_current` solves lane by lane.
+#: numpy's fixed cost per call (a dozen calls per Newton iteration)
+#: makes the array solve cost a flat ~100-140 us per step whatever the
+#: batch, while a per-lane solve costs ~4.5 us.  Swept on (voltage,
+#: irradiance) points of a holistic campaign (``docs/performance.md``,
+#: "Fleet per-step cost at campaign batch sizes"), the two meet between
+#: 28 and 32 lanes.
+PER_LANE_MAX_LANES = 28
 
 
 @dataclass(frozen=True)
@@ -28,7 +38,8 @@ class CellParams:
 
     One entry per lane; heterogeneous cells (different fault draws,
     temperatures, calibrations) batch together because every parameter
-    is a lane-indexed array.
+    is a lane-indexed array.  ``cells`` keeps the models themselves for
+    the per-lane solves of small batches.
     """
 
     photo_current_full_sun_a: np.ndarray
@@ -36,6 +47,7 @@ class CellParams:
     diode_scale_v: np.ndarray
     series_resistance_ohm: np.ndarray
     shunt_resistance_ohm: np.ndarray
+    cells: Tuple[SingleDiodeCell, ...]
 
     @property
     def lanes(self) -> int:
@@ -71,6 +83,7 @@ class CellParams:
             shunt_resistance_ohm=np.array(
                 [cell.shunt_resistance_ohm for cell in cells]
             ),
+            cells=tuple(cells),
         )
 
 
@@ -85,15 +98,23 @@ def batched_current(
     ``voltage_v``/``irradiance`` are lane-indexed arrays; ``active`` is
     a boolean mask selecting the lanes to solve (dead lanes cost
     nothing and return 0.0 placeholders that the engine never reads).
-    The active lanes go through :func:`repro.pv.cell.newton_current`,
-    so lane ``i`` equals
+    Up to :data:`PER_LANE_MAX_LANES` active lanes each call their own
+    cell's ``current_scalar``; wider batches go through
+    :func:`repro.pv.cell.newton_current`.  Either way lane ``i`` equals
     ``cells[i].current_scalar(voltage_v[i], irradiance[i])`` bit for
-    bit.
+    bit, and a negative irradiance on an active lane raises
+    :class:`~repro.errors.ModelParameterError`.
     """
+    act_idx = np.flatnonzero(active)
+    if act_idx.size <= PER_LANE_MAX_LANES:
+        volts = voltage_v.tolist()
+        irrs = irradiance.tolist()
+        cells = params.cells
+        currents = [0.0] * len(volts)
+        for k in act_idx.tolist():
+            currents[k] = cells[k].current_scalar(volts[k], irrs[k])
+        return np.array(currents)
     out = np.zeros(voltage_v.shape[0])
-    act_idx = np.nonzero(active)[0]
-    if act_idx.size == 0:
-        return out
     irr = irradiance[act_idx]
     if np.any(irr < 0.0):
         bad = float(irr[irr < 0.0][0])

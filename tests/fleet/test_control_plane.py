@@ -18,7 +18,11 @@ subclass, a DVFS transition model or a trace without
 * lane order is physically meaningless (``FleetState.permuted``);
 * lanes whose switched-capacitor regulators differ -- ratio banks of
   different lengths, impedance, output range, losses, derating --
-  share one band table and each still matches its scalar run.
+  share one band table and each still matches its scalar run, and the
+  table's one-pass scan equals the regulator's own ``input_power`` on
+  a grid;
+* bypass lanes resolve per lane, above ``max_operating_v`` and below
+  ``min_operating_v``, without filling the shared decision memo.
 """
 
 from __future__ import annotations
@@ -27,24 +31,32 @@ import dataclasses
 from fractions import Fraction
 from typing import Any, Callable, Dict, List, Tuple
 
+import numpy as np
 import pytest
 
-from repro.core.mppt import MppTrackingController
+import repro.fleet.engine as fleet_engine
+from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
+from repro.core.operating_point import OperatingPoint
+from repro.errors import OperatingRangeError
 from repro.fleet import classify_controller
+from repro.fleet.control import ScBandTable, shared_decision_caches
+from repro.pv.traces import step_trace
 from repro.regulators.switched_capacitor import (
     FIG4_BENCH_INPUT_V,
     SwitchedCapacitorRegulator,
 )
 from repro.sim.dvfs import ControlDecision, ControllerView
 from repro.sim.engine import SimulationConfig
-from repro.sim.result import results_bit_identical
+from repro.sim.result import SimulationResult, results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
+from repro.storage.capacitor import Capacitor
 from repro.units import micro_seconds
 
 from tests.fleet.scenarios import (
     CONTROLLER_SCENARIOS,
     DEATH_TRACE,
     HETERO_SCENARIOS,
+    LUT,
     MATRIX_TRACE,
     RECOVERY_CONFIG,
     RECOVERY_TRACE,
@@ -376,3 +388,168 @@ class TestMixedRegulators:
         assert results[1].brownout_count == 3
         for lane, scenario in enumerate(scenarios):
             assert results_bit_identical(run_scalar(scenario), results[lane])
+
+
+class TestBandScan:
+    """The table's one-pass (lane x band) scan against the regulator."""
+
+    @staticmethod
+    def _grid(regulators):
+        """Every lane against every (v_in, v_out, p_out) of the grid.
+
+        ``v_in`` covers a dead and a negative node; ``p_out`` covers
+        zero load (every usable band ties at the same power), a
+        subnormal load (bands tie after rounding) and loads no band can
+        carry.  Output voltages outside a lane's range never reach the
+        scan (the control plane halts them first), so they are dropped.
+        """
+        rows, v_in, v_out, p_out = [], [], [], []
+        for row, regulator in enumerate(regulators):
+            for vi in (-0.2, 0.0, 0.3, 0.6, 0.9, 1.2, 1.5):
+                for vo in np.linspace(0.15, 1.0, 11).tolist():
+                    lo, hi = regulator.min_output_v, regulator.max_output_v
+                    if not lo <= vo <= hi:
+                        continue
+                    for po in (0.0, 5e-324, 1e-4, 2e-3, 1e-2, 0.2):
+                        rows.append(row)
+                        v_in.append(vi)
+                        v_out.append(vo)
+                        p_out.append(po)
+        return (
+            np.array(rows, dtype=np.intp),
+            np.array(v_in),
+            np.array(v_out),
+            np.array(p_out),
+        )
+
+    def test_scan_equals_input_power_on_a_grid(self) -> None:
+        regulators = [make() for _, make in MIXED_REGULATORS]
+        table = ScBandTable(regulators)
+        rows, v_in, v_out, p_out = self._grid(regulators)
+        # The per-lane constants, exactly as ControlPlane derives them
+        # from a regulated decision.
+        i_out = p_out / v_out
+        feasible, p_draw = table.scan(
+            rows,
+            v_in,
+            v_out,
+            i_out,
+            table.switching_drop_v[rows] * i_out,
+            i_out - (1e-9 + 1e-9 * i_out),
+        )
+        outcomes = {"feasible": 0, "infeasible": 0}
+        for k, row in enumerate(rows.tolist()):
+            regulator = regulators[row]
+            try:
+                expected = regulator.input_power(
+                    float(v_out[k]), float(p_out[k]), v_in=float(v_in[k])
+                )
+            except OperatingRangeError:
+                assert not feasible[k] and p_draw[k] == 0.0, k
+                outcomes["infeasible"] += 1
+                continue
+            assert feasible[k], k
+            assert p_draw[k] == expected, k  # bit for bit
+            outcomes["feasible"] += 1
+        assert min(outcomes.values()) > 50
+
+    def test_ties_and_ragged_pads(self) -> None:
+        """Zero load ties every usable band; the NaN pads of the short
+        bank never win, nor do they turn its scan infeasible."""
+        regulators = [_sc(), _sc(ratios=(Fraction(1, 2),))]
+        table = ScBandTable(regulators)
+        assert np.isnan(table.ratios[1, 1:]).all()
+        rows = np.array([0, 1], dtype=np.intp)
+        zeros = np.zeros(2)
+        feasible, p_draw = table.scan(
+            rows,
+            np.full(2, 1.2),
+            np.full(2, 0.5),
+            zeros,
+            zeros,
+            zeros - 1e-9,
+        )
+        assert feasible.tolist() == [True, True]
+        for k, regulator in enumerate(regulators):
+            band = regulator._best_band(0.5, 0.0, 1.2)
+            assert band is not None
+            assert p_draw[k] == band[1] == regulator.input_power(
+                0.5, 0.0, v_in=1.2
+            )
+
+
+class _PinnedBypassTracker(DischargeTimeMppTracker):
+    """Every estimate maps to the bright-light bypass point, so a dark
+    node keeps running the processor off the node until it drops
+    below ``min_operating_v``."""
+
+    def operating_point_for(self, irradiance: float) -> OperatingPoint:
+        return self.optimizer.unregulated_point(1.0)
+
+
+_BYPASS_TRACKER = _PinnedBypassTracker(SYSTEM, "sc", lut=LUT)
+
+
+def _bypass_mppt_parts(telemetry: Any) -> Dict[str, Any]:
+    """A small node precharged above ``max_operating_v`` that the light
+    leaves: bypass clamped at the ceiling, then a halt below the
+    floor."""
+    parts = _fig8_mppt_parts(telemetry)
+    parts["controller"] = MppTrackingController(
+        _BYPASS_TRACKER, initial_irradiance=1.0, telemetry=telemetry
+    )
+    parts["capacitor"] = Capacitor(15e-6, initial_voltage_v=1.3)
+    return parts
+
+
+_BYPASS_CONFIG = SimulationConfig(
+    time_step_s=micro_seconds(10), record_every=1, stop_on_brownout=False
+)
+
+_BYPASS_SCENARIOS = tuple(
+    Scenario(
+        f"bypass_{k}",
+        _BYPASS_CONFIG,
+        step_trace(1.0, 0.0, 2e-3, 8e-3),
+        _bypass_mppt_parts,
+    )
+    for k in range(3)
+)
+
+
+class TestBypassLanes:
+    def test_bypass_lanes_match_scalar_across_the_operating_range(
+        self, monkeypatch: pytest.MonkeyPatch
+    ) -> None:
+        caches: "List[dict]" = []
+
+        def spy(processors):
+            made = shared_decision_caches(processors)
+            caches.extend(made)
+            return made
+
+        monkeypatch.setattr(fleet_engine, "shared_decision_caches", spy)
+        scenarios = _BYPASS_SCENARIOS
+        simulator, results, _ = run_batch(scenarios)
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == len(scenarios)
+        processor = SYSTEM.processor
+        bypass = SimulationResult.MODE_CODES["bypass"]
+        halt = SimulationResult.MODE_CODES["halt"]
+        for scenario, result in zip(scenarios, results):
+            assert results_bit_identical(run_scalar(scenario), result)
+            v = result.node_voltage_v
+            mode = result.mode
+            # Clamped above the ceiling, halted below the floor, with
+            # the processor rail on the node either way.
+            above = (v > processor.max_operating_v) & (mode == bypass)
+            assert above.sum() > 10
+            below = v < processor.min_operating_v
+            assert below.sum() > 100
+            assert (mode[below] == halt).all()
+            assert (result.processor_voltage_v[below] == v[below]).all()
+            assert (result.frequency_hz[below] == 0.0).all()
+            assert (mode == bypass).sum() > 300
+            assert result.brownout_count == 1
+        # Every decision was bypass or halt: the shared memo stays empty.
+        assert caches and all(len(cache) == 0 for cache in caches)
