@@ -63,11 +63,7 @@ from repro.faults import (
     run_intermittent_campaign,
     run_transient_campaign,
 )
-from repro.fleet import (
-    FleetNode,
-    FleetSimulator,
-    FleetState,
-)
+from repro.fleet import FleetNode, FleetSimulator
 from repro.planner import (
     EnergyForecast,
     ForecastErrorModel,
@@ -218,7 +214,6 @@ __all__ = [
     # batched fleet simulation
     "FleetNode",
     "FleetSimulator",
-    "FleetState",
     # parallel execution
     "run_sharded",
     "ProgressReporter",

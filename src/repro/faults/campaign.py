@@ -357,7 +357,6 @@ def _lane(
         comparators=faulted_comparator_bank(system, draw),
         workload=workload,
         telemetry=telemetry,
-        seed=draw.seed,
     )
 
 

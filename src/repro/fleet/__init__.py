@@ -3,7 +3,9 @@
 :class:`FleetSimulator` advances many independent harvest-store-compute
 nodes per step with masked array updates, bit-identical lane-for-lane
 to the scalar :class:`~repro.sim.engine.TransientSimulator` (the
-differential harness in ``tests/fleet/`` is the contract).  Lanes
+differential harness in ``tests/fleet/`` is the contract).  A run
+returns one result per lane and leaves each lane's capacitor at its
+final voltage; nothing else outlasts it.  Lanes
 whose controller is a plain
 :class:`~repro.core.mppt.MppTrackingController` run in the vectorized
 core; every other lane runs through the scalar engine inside the
@@ -13,20 +15,19 @@ the scalar one; see ``docs/fleet.md``.
 """
 
 from repro.fleet.control import (
+    NO_MODE,
     ControlPlane,
     classify_controller,
     shared_decision_caches,
 )
 from repro.fleet.engine import FleetNode, FleetSimulator
 from repro.fleet.pv import CellParams, batched_current
-from repro.fleet.state import NO_MODE, FleetState
 
 __all__ = [
     "CellParams",
     "ControlPlane",
     "FleetNode",
     "FleetSimulator",
-    "FleetState",
     "NO_MODE",
     "batched_current",
     "classify_controller",

@@ -71,6 +71,9 @@ MODE_NAMES: Dict[int, str] = {
     code: name for name, code in SimulationResult.MODE_CODES.items()
 }
 
+#: Code for "no mode yet" in the core's per-lane mode arrays.
+NO_MODE = -1
+
 # Per-lane resolution classes (what resolve_decision collapses to
 # between real decide calls).
 K_HALT0 = 0  # halt decision: (0, 0, 0, 0, halt)

@@ -22,8 +22,9 @@ compute nodes.  Each run is split in three parts:
   the scalar engine holds the only per-lane copy of the step
   semantics.
 
-Per-lane results and :class:`~repro.fleet.state.FleetState` rows are
-merged back in input lane order.
+Per-lane results are merged back in input lane order, and each lane's
+capacitor is left at its final voltage; together they are the whole
+output of a run.
 
 **The equivalence guarantee.**  Lane ``i`` of a fleet run is
 bit-identical to a scalar :class:`~repro.sim.engine.TransientSimulator`
@@ -56,13 +57,13 @@ from repro.core.mppt import MppTrackingController
 from repro.fleet.control import (
     M_HALT,
     MODE_NAMES,
+    NO_MODE,
     ComparatorLens,
     ControlPlane,
     classify_controller,
     shared_decision_caches,
 )
 from repro.fleet.pv import CellParams, batched_current
-from repro.fleet.state import NO_MODE, FleetState
 from repro.monitor.comparator import ComparatorBank
 from repro.processor.energy import ProcessorModel
 from repro.processor.workloads import Workload
@@ -73,7 +74,6 @@ from repro.regulators.switched_capacitor import SwitchedCapacitorRegulator
 from repro.sim.dvfs import ControllerView, DvfsController
 from repro.sim.engine import (
     _IRR_PRECOMPUTE_MAX_SAMPLES,
-    EndState,
     SimulationConfig,
     TransientSimulator,
 )
@@ -83,18 +83,13 @@ from repro.storage.capacitor import Capacitor
 from repro.telemetry.profiling import Stopwatch
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
-#: One lane's outcome: its result plus the loop state it ended in.
-LaneOutcome = Tuple[SimulationResult, EndState]
-
 
 @dataclass
 class FleetNode:
     """One lane of a fleet: the same substrates a scalar run takes.
 
     ``telemetry`` is per-lane so each node's metric registry matches
-    the scalar engine's per-run session exactly; ``seed`` is optional
-    provenance (the campaign fault-draw seed) carried into
-    :class:`~repro.fleet.state.FleetState`.
+    the scalar engine's per-run session exactly.
     """
 
     cell: SingleDiodeCell
@@ -106,7 +101,6 @@ class FleetNode:
     workload: "Workload | None" = None
     transitions: "DvfsTransitionModel | None" = None
     telemetry: "Telemetry | None" = None
-    seed: "int | None" = None
 
     def simulator(self, config: SimulationConfig) -> TransientSimulator:
         """This lane as a scalar :class:`TransientSimulator` run."""
@@ -188,8 +182,6 @@ class FleetSimulator:
         self.nodes = list(nodes)
         self.config = config or SimulationConfig()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Populated by :meth:`run`; the end-of-run SoA snapshot.
-        self.state: "FleetState | None" = None
         #: Populated by :meth:`run`; lane classification counts
         #: (``{"lanes", "vectorized", "fallback"}``).
         self.control_summary: "Dict[str, object] | None" = None
@@ -249,25 +241,18 @@ class FleetSimulator:
         fleet_tel.count("fleet.lanes.vectorized", float(len(fast)))
         fleet_tel.count("fleet.lanes.fallback", float(lanes - len(fast)))
 
-        outcomes: "Dict[int, LaneOutcome]" = {}
+        results: "Dict[int, SimulationResult]" = {}
         if fast:
             core = self._run_vectorized(
                 [nodes[i] for i in fast],
                 [traces[i] for i in fast],
                 steps,
             )
-            outcomes.update(zip(fast, core))
+            results.update(zip(fast, core))
         for i, node in enumerate(nodes):
-            if vectorized[i]:
-                continue
-            simulator = node.simulator(cfg)
-            result = simulator.run(traces[i], duration_s)
-            assert simulator.end_state is not None
-            outcomes[i] = (result, simulator.end_state)
-
-        ordered = [outcomes[i] for i in range(lanes)]
-        self.state = _fleet_state(nodes, vectorized, ordered)
-        return [result for result, _ in ordered]
+            if not vectorized[i]:
+                results[i] = node.simulator(cfg).run(traces[i], duration_s)
+        return [results[i] for i in range(lanes)]
 
     # -- the vectorized core -------------------------------------------------
 
@@ -276,7 +261,7 @@ class FleetSimulator:
         nodes: Sequence[FleetNode],
         traces: Sequence[IrradianceTrace],
         steps: int,
-    ) -> List[LaneOutcome]:
+    ) -> List[SimulationResult]:
         """March classified lanes through one shared time grid."""
         cfg = self.config
         dt = cfg.time_step_s
@@ -357,8 +342,6 @@ class FleetSimulator:
         brownout_time: "List[float | None]" = [None] * n
         outage_started_s: "List[float | None]" = [None] * n
         events: "List[list]" = [[] for _ in range(n)]
-        end_step = [-1] * n
-        end_time = [float("nan")] * n
 
         # Step-major record buffers: one row per record column, so a
         # recording step stores whole rows, dead lanes included.  A
@@ -415,8 +398,6 @@ class FleetSimulator:
             tel.gauge("engine.final_cycles", final_cycles)
             tel.profile("engine.run_wall_s", watch.elapsed_s())
             alive[k] = False
-            end_step[k] = lane_step
-            end_time[k] = lane_t
 
         all_alive = True
         t = 0.0
@@ -659,7 +640,7 @@ class FleetSimulator:
                 recorded[k] = step // cfg.record_every + 1
                 finish_lane(k, step, t, float(cycles[k]))
 
-        outcomes: List[LaneOutcome] = []
+        results: List[SimulationResult] = []
         for k, node in enumerate(nodes):
             # The scalar engine mutates its capacitor in place
             # throughout; the core writes the final voltage back.
@@ -685,103 +666,5 @@ class FleetSimulator:
                 events=events[k],
                 metrics=tels[k].result_metrics(),
             )
-            tmode_code = int(tmode[k])
-            # Core lanes have no DVFS transition model (the classifier
-            # guarantees it), so the transition bookkeeping keeps the
-            # scalar engine's initial values.
-            end = EndState(
-                step=end_step[k],
-                time_s=end_time[k],
-                processor_voltage_v=float(prev_vproc[k]),
-                prev_setpoint_v=0.0,
-                lockout_until_s=-1.0,
-                prev_mode=None,
-                telemetry_mode=(
-                    None if tmode_code == NO_MODE else MODE_NAMES[tmode_code]
-                ),
-                outage_started_s=outage_started_s[k],
-                recovering=bool(recovering[k]),
-                in_brownout=bool(in_bo[k]),
-                node_collapsed=bool(collapsed[k]),
-                transition_count=0,
-            )
-            outcomes.append((result, end))
-        return outcomes
-
-
-def _fleet_state(
-    nodes: Sequence[FleetNode],
-    vectorized: Sequence[bool],
-    outcomes: Sequence[LaneOutcome],
-) -> FleetState:
-    """Merge per-lane results and end states into the SoA snapshot.
-
-    The shared ``time_s``/``step`` are the latest lane end; every lane
-    has finished, so the live mask is all ``False``.
-    """
-    results = [result for result, _ in outcomes]
-    ends = [end for _, end in outcomes]
-    mode_codes = SimulationResult.MODE_CODES
-
-    def floats(values: Sequence["float | None"]) -> np.ndarray:
-        return np.array(
-            [float("nan") if value is None else value for value in values]
-        )
-
-    def modes(names: Sequence["str | None"]) -> np.ndarray:
-        return np.array(
-            [NO_MODE if name is None else mode_codes[name] for name in names],
-            dtype=np.int8,
-        )
-
-    capacitors = [node.capacitor for node in nodes]
-    return FleetState(
-        time_s=max(end.time_s for end in ends),
-        step=max(end.step for end in ends),
-        node_voltage_v=np.array([cap.voltage_v for cap in capacitors]),
-        processor_voltage_v=np.array(
-            [end.processor_voltage_v for end in ends]
-        ),
-        cycles_done=np.array([result.final_cycles for result in results]),
-        prev_setpoint_v=np.array([end.prev_setpoint_v for end in ends]),
-        lockout_until_s=np.array([end.lockout_until_s for end in ends]),
-        downtime_s=np.array([result.downtime_s for result in results]),
-        completion_time_s=floats(
-            [result.completion_time_s for result in results]
-        ),
-        brownout_time_s=floats([result.brownout_time_s for result in results]),
-        outage_started_s=floats([end.outage_started_s for end in ends]),
-        end_time_s=np.array([end.time_s for end in ends]),
-        prev_mode=modes([end.prev_mode for end in ends]),
-        telemetry_mode=modes([end.telemetry_mode for end in ends]),
-        transition_count=np.array(
-            [end.transition_count for end in ends], dtype=np.int64
-        ),
-        brownout_count=np.array(
-            [result.brownout_count for result in results], dtype=np.int64
-        ),
-        end_step=np.array([end.step for end in ends], dtype=np.int64),
-        completed=np.array(
-            [result.completed for result in results], dtype=bool
-        ),
-        browned_out=np.array(
-            [result.browned_out for result in results], dtype=bool
-        ),
-        recovering=np.array([end.recovering for end in ends], dtype=bool),
-        in_brownout=np.array([end.in_brownout for end in ends], dtype=bool),
-        node_collapsed=np.array(
-            [end.node_collapsed for end in ends], dtype=bool
-        ),
-        live=np.zeros(len(nodes), dtype=bool),
-        vectorized=np.array(vectorized, dtype=bool),
-        capacitance_f=np.array([cap.capacitance_f for cap in capacitors]),
-        esr_ohm=np.array([cap.esr_ohm for cap in capacitors]),
-        max_voltage_v=np.array([cap.max_voltage_v for cap in capacitors]),
-        leakage_current_a=np.array(
-            [cap.leakage_current_a for cap in capacitors]
-        ),
-        seeds=np.array(
-            [-1 if node.seed is None else node.seed for node in nodes],
-            dtype=np.int64,
-        ),
-    )
+            results.append(result)
+        return results

@@ -179,32 +179,6 @@ class SimulationConfig:
             )
 
 
-@dataclass(frozen=True)
-class EndState:
-    """The loop state a finished run leaves behind.
-
-    Everything the batched fleet engine keeps per lane in
-    :class:`~repro.fleet.state.FleetState` that the
-    :class:`~repro.sim.result.SimulationResult` does not carry: where
-    the run ended, the actuation memory (last processor voltage, DVFS
-    transition bookkeeping) and the brownout/telemetry flags.  Recorded
-    once after the step loop, so it costs nothing per step.
-    """
-
-    step: int
-    time_s: float
-    processor_voltage_v: float
-    prev_setpoint_v: float
-    lockout_until_s: float
-    prev_mode: "str | None"
-    telemetry_mode: "str | None"
-    outage_started_s: "float | None"
-    recovering: bool
-    in_brownout: bool
-    node_collapsed: bool
-    transition_count: int
-
-
 class TransientSimulator:
     """Simulate the battery-less SoC on an irradiance trace.
 
@@ -256,8 +230,6 @@ class TransientSimulator:
         self.config = config or SimulationConfig()
         self.transitions = transitions
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: Populated by :meth:`run`: the loop's final state.
-        self.end_state: "EndState | None" = None
 
     # -- the run -------------------------------------------------------------------
 
@@ -579,20 +551,6 @@ class TransientSimulator:
         tel.gauge("brownout.downtime_s", downtime_s)
         tel.gauge("engine.final_cycles", float(cycles))
         tel.profile("engine.run_wall_s", time.perf_counter() - wall_started)
-        self.end_state = EndState(
-            step=step,
-            time_s=t,
-            processor_voltage_v=prev_v_proc,
-            prev_setpoint_v=prev_setpoint_v,
-            lockout_until_s=lockout_until,
-            prev_mode=prev_mode,
-            telemetry_mode=telemetry_mode,
-            outage_started_s=outage_started_s,
-            recovering=recovering,
-            in_brownout=in_brownout,
-            node_collapsed=node_collapsed,
-            transition_count=transition_count,
-        )
 
         result = SimulationResult(
             time_s=rec_t[:recorded].copy(),

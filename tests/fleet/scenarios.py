@@ -34,9 +34,7 @@ from repro.faults.models import (
     faulted_system,
     faulted_trace,
 )
-from repro.fleet.control import MODE_NAMES
-from repro.fleet.engine import FleetNode, FleetSimulator
-from repro.fleet.state import NO_MODE, FleetState
+from repro.fleet.engine import FleetNode, FleetSimulator, vectorizable
 from repro.parallel.cache import characterized_system
 from repro.planner.adapter import PlanController, RecedingHorizonController
 from repro.planner.dp import PlannerSpec, build_actions, solve_plan
@@ -49,9 +47,10 @@ from repro.sim.dvfs import (
     ConstantSpeedController,
     FixedOperatingPointController,
 )
-from repro.sim.engine import EndState, SimulationConfig, TransientSimulator
+from repro.sim.engine import SimulationConfig, TransientSimulator
 from repro.sim.result import SimulationResult, results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
+from repro.storage.capacitor import Capacitor
 from repro.telemetry.session import Telemetry, TelemetrySession
 from repro.units import micro_seconds, milli_seconds
 
@@ -80,19 +79,22 @@ class Scenario:
 
 def run_scalar_lane(
     scenario: Scenario, telemetry: "Optional[Telemetry]" = None
-) -> "Tuple[SimulationResult, EndState]":
+) -> "Tuple[SimulationResult, Capacitor]":
     """Run one scenario through the scalar reference engine.
 
-    Returns the result and the engine's end-of-loop state record.
+    Returns the result and the node capacitor the run left charged to
+    its final voltage.
     """
     parts = dict(scenario.parts(telemetry))
-    parts["node_capacitor"] = parts.pop("capacitor")
+    capacitor = parts.pop("capacitor")
     simulator = TransientSimulator(
-        config=scenario.config, telemetry=telemetry, **parts
+        config=scenario.config,
+        telemetry=telemetry,
+        node_capacitor=capacitor,
+        **parts,
     )
     result = simulator.run(scenario.trace, duration_s=scenario.duration_s)
-    assert simulator.end_state is not None
-    return result, simulator.end_state
+    return result, capacitor
 
 
 def run_scalar(
@@ -128,6 +130,15 @@ def run_batch(
         duration_s=next(iter(durations)),
     )
     return simulator, results, sessions
+
+
+def lane_vectorizes(scenario: Scenario) -> bool:
+    """Whether ``scenario``'s lane runs in the fleet's vectorized core."""
+    duration_s = scenario.duration_s or scenario.trace.duration_s
+    steps = int(math.ceil(duration_s / scenario.config.time_step_s))
+    return vectorizable(
+        FleetNode(**scenario.parts(None)), scenario.trace, steps
+    )
 
 
 # -- equality helpers ---------------------------------------------------------
@@ -175,47 +186,20 @@ def assert_results_identical(
     assert_summaries_identical(a, b)
 
 
-def assert_state_row_matches(
-    state: FleetState, lane: int, result: SimulationResult, end: EndState
+def assert_capacitor_written_back(
+    simulator: FleetSimulator, lane: int, capacitor: Capacitor
 ) -> None:
-    """Lane ``lane`` of ``state`` equals a scalar run, field by field.
+    """Lane ``lane``'s capacitor ends where the scalar run left its own.
 
-    ``result``/``end`` are the scalar engine's result and end-of-loop
-    record for the same node; NaN and ``NO_MODE`` sentinels are read
-    back as the scalar engine's ``None``.
+    The capacitor's final voltage is the one piece of node state a run
+    leaves behind; ``capacitor`` is the scalar run's (see
+    :func:`run_scalar_lane`).  Compared bit for bit.
     """
-
-    def optional(value: float) -> "Optional[float]":
-        return None if math.isnan(value) else value
-
-    def mode(code: int) -> "Optional[str]":
-        return None if code == NO_MODE else MODE_NAMES[code]
-
-    row = EndState(
-        step=int(state.end_step[lane]),
-        time_s=float(state.end_time_s[lane]),
-        processor_voltage_v=float(state.processor_voltage_v[lane]),
-        prev_setpoint_v=float(state.prev_setpoint_v[lane]),
-        lockout_until_s=float(state.lockout_until_s[lane]),
-        prev_mode=mode(int(state.prev_mode[lane])),
-        telemetry_mode=mode(int(state.telemetry_mode[lane])),
-        outage_started_s=optional(float(state.outage_started_s[lane])),
-        recovering=bool(state.recovering[lane]),
-        in_brownout=bool(state.in_brownout[lane]),
-        node_collapsed=bool(state.node_collapsed[lane]),
-        transition_count=int(state.transition_count[lane]),
-    )
-    assert asdict(row) == asdict(end)
-    assert float(state.cycles_done[lane]) == result.final_cycles
-    assert float(state.downtime_s[lane]) == result.downtime_s
-    assert int(state.brownout_count[lane]) == result.brownout_count
-    assert bool(state.completed[lane]) == result.completed
-    assert bool(state.browned_out[lane]) == result.browned_out
-    assert optional(float(state.completion_time_s[lane])) == (
-        result.completion_time_s
-    )
-    assert optional(float(state.brownout_time_s[lane])) == (
-        result.brownout_time_s
+    fleet_v = simulator.nodes[lane].capacitor.voltage_v
+    assert float(fleet_v).hex() == float(capacitor.voltage_v).hex(), (
+        lane,
+        fleet_v,
+        capacitor.voltage_v,
     )
 
 

@@ -7,15 +7,17 @@ sprint controller, and MPPT lanes kept out of the core by a cell
 subclass, a DVFS transition model or a trace without
 ``step_samples``.  The contract under test:
 
-* classification is per lane and observable (``control_summary`` and
-  ``FleetState.vectorized`` mark exactly the MPPT lane), and
+* classification is per lane and observable (:func:`vectorizable`
+  and ``control_summary`` mark exactly the MPPT lane), and
   :func:`classify_controller` rejects each unproven assumption;
 * batch-N is bit-identical to N batches of one, and to the scalar
-  reference engine, lane by lane -- results and ``FleetState`` rows;
+  reference engine, lane by lane -- results and each lane's
+  capacitor, written back to its final voltage;
 * core lanes stay independent through death (``stop_on_brownout``),
-  brownout recovery and early completion, and the state's shared
-  time is the latest lane end;
-* lane order is physically meaningless (``FleetState.permuted``);
+  brownout recovery and early completion, and a fallback lane outlasts
+  core lanes that complete early;
+* lane order is physically meaningless (results, capacitors and the
+  classification counts all travel with their lanes);
 * lanes whose switched-capacitor regulators differ -- ratio banks of
   different lengths, impedance, output range, losses, derating --
   share one band table and each still matches its scalar run, and the
@@ -50,6 +52,7 @@ from repro.sim.engine import SimulationConfig
 from repro.sim.result import SimulationResult, results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
 from repro.storage.capacitor import Capacitor
+from repro.telemetry.session import TelemetrySession
 from repro.units import micro_seconds
 
 from tests.fleet.scenarios import (
@@ -68,8 +71,9 @@ from tests.fleet.scenarios import (
     _fig6_fixed_parts,
     _fig8_mppt_parts,
     _transitions_parts,
+    assert_capacitor_written_back,
     assert_results_identical,
-    assert_state_row_matches,
+    lane_vectorizes,
     run_batch,
     run_scalar,
     run_scalar_lane,
@@ -94,7 +98,8 @@ class TestClassification:
 
     The test names predate the MPPT-only core, when each lane carried
     an int8 controller-family code; the contract they guard is the
-    same one, now expressed by the bool column ``FleetState.vectorized``.
+    same one, now expressed by :func:`vectorizable` per lane and by
+    the batch's ``control_summary`` counts.
     """
 
     def test_control_summary_counts_every_family(self, hetero) -> None:
@@ -107,25 +112,25 @@ class TestClassification:
 
     def test_state_records_per_lane_family_codes(self, hetero) -> None:
         simulator, _ = hetero
-        state = simulator.state
-        assert state is not None
-        assert len(state.vectorized) == len(HETERO_SCENARIOS)
+        flags = [lane_vectorizes(scenario) for scenario in HETERO_SCENARIOS]
         for lane, name in enumerate(HETERO_NAMES):
-            assert bool(state.vectorized[lane]) is (
-                EXPECTED_VECTORIZED[lane]
-            ), name
+            assert flags[lane] is EXPECTED_VECTORIZED[lane], name
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == sum(flags)
 
     def test_family_codes_are_distinct_int8(self, hetero) -> None:
         simulator, _ = hetero
-        state = simulator.state
-        assert state is not None
-        assert state.vectorized.dtype == bool
-        assert state.vectorized.itemsize == 1
-        core = state.vectorized[EXPECTED_VECTORIZED]
-        fallback = state.vectorized[[not v for v in EXPECTED_VECTORIZED]]
-        assert core.size >= 1 and fallback.size >= 1
-        assert set(core.tolist()) == {True}
-        assert set(fallback.tolist()) == {False}
+        flags = [lane_vectorizes(scenario) for scenario in HETERO_SCENARIOS]
+        assert all(type(flag) is bool for flag in flags)
+        core = {name for name, flag in zip(HETERO_NAMES, flags) if flag}
+        fallback = set(HETERO_NAMES) - core
+        assert core == VECTORIZED_LANES
+        assert fallback
+        assert simulator.control_summary == {
+            "lanes": len(HETERO_SCENARIOS),
+            "vectorized": len(core),
+            "fallback": len(fallback),
+        }
 
 
 class _CustomDecide(MppTrackingController):
@@ -188,9 +193,9 @@ class TestHeterogeneousBitIdentity:
     @pytest.mark.parametrize("lane", range(len(HETERO_SCENARIOS)), ids=HETERO_NAMES)
     def test_lane_matches_scalar_reference(self, hetero, lane: int) -> None:
         simulator, results = hetero
-        scalar, end = run_scalar_lane(HETERO_SCENARIOS[lane])
+        scalar, capacitor = run_scalar_lane(HETERO_SCENARIOS[lane])
         assert_results_identical(scalar, results[lane])
-        assert_state_row_matches(simulator.state, lane, scalar, end)
+        assert_capacitor_written_back(simulator, lane, capacitor)
 
     @pytest.mark.parametrize("lane", range(len(HETERO_SCENARIOS)), ids=HETERO_NAMES)
     def test_batch_n_equals_n_batches_of_one(self, hetero, lane: int) -> None:
@@ -226,24 +231,24 @@ class TestLaneIndependence:
         )
         scenarios = _mixed_batch(config, DEATH_TRACE)
         simulator, results, _ = run_batch(scenarios)
-        state = simulator.state
-        assert state is not None
-        assert state.vectorized.tolist() == [True, True, False]
+        assert [lane_vectorizes(s) for s in scenarios] == [True, True, False]
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == 2
         # The blind lane really dies mid-run; its neighbour does not.
         assert results[0].brownout_count == 1
         assert results[1].brownout_count == 0
-        assert state.end_step[0] < state.end_step[1]
+        assert results[0].time_s[-1] < results[1].time_s[-1]
         for lane, scenario in enumerate(scenarios):
-            scalar, end = run_scalar_lane(scenario)
+            scalar, capacitor = run_scalar_lane(scenario)
             assert_results_identical(scalar, results[lane])
-            assert_state_row_matches(state, lane, scalar, end)
+            assert_capacitor_written_back(simulator, lane, capacitor)
 
     def test_recovery_leaves_other_lanes_untouched(self) -> None:
         scenarios = _mixed_batch(RECOVERY_CONFIG, RECOVERY_TRACE)
         simulator, results, _ = run_batch(scenarios)
-        state = simulator.state
-        assert state is not None
-        assert state.vectorized.tolist() == [True, True, False]
+        assert [lane_vectorizes(s) for s in scenarios] == [True, True, False]
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == 2
         # The passing cloud drives the blind lane through a full
         # brownout-and-recover span; its neighbour rides it out.
         assert [name for name, _ in results[0].events] == [
@@ -252,13 +257,14 @@ class TestLaneIndependence:
         ]
         assert results[1].events == []
         for lane, scenario in enumerate(scenarios):
-            scalar, end = run_scalar_lane(scenario)
+            scalar, capacitor = run_scalar_lane(scenario)
             assert_results_identical(scalar, results[lane])
-            assert_state_row_matches(state, lane, scalar, end)
+            assert_capacitor_written_back(simulator, lane, capacitor)
 
     def test_state_time_is_latest_lane_end(self) -> None:
         """Core lanes that complete early leave the fallback lane as the
-        last one running; the state's shared time is its end."""
+        last one running: its ``engine.steps`` count is the batch's
+        largest."""
         config = SimulationConfig(
             time_step_s=micro_seconds(10),
             record_every=4,
@@ -280,43 +286,40 @@ class TestLaneIndependence:
             ),
             Scenario("transitions", config, MATRIX_TRACE, _transitions_parts),
         )
-        simulator, results, _ = run_batch(scenarios)
-        state = simulator.state
-        assert state is not None
+        simulator, results, _ = run_batch(scenarios, with_metrics=True)
         assert simulator.control_summary is not None
         assert simulator.control_summary["vectorized"] == 2
         assert simulator.control_summary["fallback"] == 1
-        ends = []
         for lane, scenario in enumerate(scenarios):
-            scalar, end = run_scalar_lane(scenario)
+            scalar, capacitor = run_scalar_lane(
+                scenario, telemetry=TelemetrySession()
+            )
             assert_results_identical(scalar, results[lane])
-            assert_state_row_matches(state, lane, scalar, end)
-            ends.append(end)
+            assert_capacitor_written_back(simulator, lane, capacitor)
         assert results[0].completed and results[1].completed
         assert not results[2].completed
-        assert ends[1].step < ends[0].step < ends[2].step
-        assert state.step == ends[2].step
-        assert state.time_s == ends[2].time_s
+        steps = []
+        for result in results:
+            assert result.metrics is not None
+            steps.append(result.metrics["engine.steps"])
+        # The fallback lane's count is the largest.
+        assert steps[1] < steps[0] < steps[2]
 
 
 class TestPermutationInvariance:
     def test_reversed_lane_order_is_equivalent(self, hetero) -> None:
         simulator, results = hetero
-        base_state = simulator.state
-        assert base_state is not None
         order: List[int] = list(reversed(range(len(HETERO_SCENARIOS))))
         perm_sim, perm_results, _ = run_batch(
             tuple(HETERO_SCENARIOS[lane] for lane in order)
         )
-        perm_state = perm_sim.state
-        assert perm_state is not None
         for position, lane in enumerate(order):
             assert_results_identical(results[lane], perm_results[position])
-        assert base_state.permuted(order).equals(perm_state)
+            assert_capacitor_written_back(
+                perm_sim, position, simulator.nodes[lane].capacitor
+            )
         # Classification travels with its lanes.
-        assert perm_state.vectorized.tolist() == [
-            bool(base_state.vectorized[lane]) for lane in order
-        ]
+        assert perm_sim.control_summary == simulator.control_summary
 
 
 def _sc(**changes: Any) -> SwitchedCapacitorRegulator:
@@ -380,9 +383,8 @@ class TestMixedRegulators:
             for name, make in MIXED_REGULATORS
         )
         simulator, results, _ = run_batch(scenarios)
-        state = simulator.state
-        assert state is not None
-        assert state.vectorized.tolist() == [True] * len(scenarios)
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == len(scenarios)
         # The 2:1-only bank cannot hold the tracker's setpoints: it
         # browns out, halts and recovers three times.
         assert results[1].brownout_count == 3

@@ -1,10 +1,15 @@
 """Hypothesis property tests for the fleet engine's masked updates.
 
-Randomised counterparts of the fixed differential matrix: arbitrary
-fixed operating points and dim levels generate arbitrary
-brownout/recovery schedules per lane, and the fleet engine must stay
-bit-identical to the scalar reference through all of them; lane order
-must never matter; :class:`FleetState` must survive pickling.
+Randomised counterparts of the fixed differential matrix.  Every
+example runs MPP-tracking lanes in the vectorized core, with and
+without comparators, from a drawn initial charge under a drawn passing
+cloud: from about 1.24 V up, a cloud down to half light or less browns
+the comparator-less tracker out and lets it recover, so the core's
+masked halt and release paths run on drawn schedules.  Fixed operating
+point lanes ride along on the scalar engine.  Each lane must stay
+bit-identical to the scalar reference and leave its capacitor where
+the scalar run leaves it; lane order must never matter; a lane's
+result must survive pickling bit for bit.
 """
 
 from __future__ import annotations
@@ -12,18 +17,27 @@ from __future__ import annotations
 import pickle
 from typing import Any, Dict, List, Optional
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.fleet.engine import FleetNode, FleetSimulator
-from repro.fleet.state import FleetState
-from repro.pv.traces import step_trace
+from repro.pv.traces import IrradianceTrace, cloud_trace, step_trace
 from repro.sim.dvfs import FixedOperatingPointController
-from repro.sim.engine import SimulationConfig, TransientSimulator
+from repro.sim.engine import SimulationConfig
+from repro.sim.result import results_bit_identical
 from repro.telemetry.session import Telemetry
+from repro.units import micro_seconds
 
-from tests.fleet.scenarios import SYSTEM, assert_results_identical
+from tests.fleet.scenarios import (
+    SYSTEM,
+    PartsBuilder,
+    Scenario,
+    _blind_mppt_parts,
+    _fig8_mppt_parts,
+    assert_capacitor_written_back,
+    assert_results_identical,
+    run_batch,
+    run_scalar_lane,
+)
 
 #: Shared config of the randomized runs: brownout recovery on, so a
 #: lane that dies can come back and the masked halt/release path runs.
@@ -38,55 +52,86 @@ CONFIG = SimulationConfig(
 DURATION_S = 8e-3
 
 
-def _fixed_parts(
+def _mppt(blind: bool, initial_v: float) -> PartsBuilder:
+    """An MPPT lane (comparator-less when ``blind``) charged to ``initial_v``."""
+
+    def parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
+        builder = _blind_mppt_parts if blind else _fig8_mppt_parts
+        lane_parts = builder(telemetry)
+        lane_parts["capacitor"] = SYSTEM.new_node_capacitor(initial_v)
+        return lane_parts
+
+    return parts
+
+
+def _fixed(
     setpoint_v: float, frequency_hz: float, initial_v: float
-) -> Dict[str, Any]:
-    return {
-        "cell": SYSTEM.cell,
-        "capacitor": SYSTEM.new_node_capacitor(initial_v),
-        "processor": SYSTEM.processor,
-        "regulator": SYSTEM.regulator("sc"),
-        "controller": FixedOperatingPointController(
-            setpoint_v, frequency_hz
-        ),
-        "comparators": SYSTEM.new_comparator_bank(),
-    }
+) -> PartsBuilder:
+    def parts(telemetry: "Optional[Telemetry]") -> Dict[str, Any]:
+        return {
+            "cell": SYSTEM.cell,
+            "capacitor": SYSTEM.new_node_capacitor(initial_v),
+            "processor": SYSTEM.processor,
+            "regulator": SYSTEM.regulator("sc"),
+            "controller": FixedOperatingPointController(
+                setpoint_v, frequency_hz
+            ),
+            "comparators": SYSTEM.new_comparator_bank(),
+        }
+
+    return parts
 
 
-def _trace(dim_to: float):
-    return step_trace(1.0, dim_to, 2e-3, DURATION_S)
+def _trace(dim_to: float) -> IrradianceTrace:
+    """A 4 ms cloud down to ``dim_to``, with bright light either side."""
+    return cloud_trace(
+        1.0, dim_to, 1e-3, 4e-3, DURATION_S, edge_s=micro_seconds(100)
+    )
 
 
 @given(
     setpoint_v=st.floats(min_value=0.5, max_value=0.62),
     freq_mhz=st.floats(min_value=20.0, max_value=60.0),
     initial_v=st.floats(min_value=0.8, max_value=1.3),
-    dim_to=st.floats(min_value=0.02, max_value=1.0),
+    mppt_v=st.floats(min_value=1.1, max_value=1.3),
+    dim_to=st.floats(min_value=0.01, max_value=1.0),
 )
 @settings(max_examples=20, deadline=None)
 def test_random_brownout_recovery_matches_scalar(
-    setpoint_v: float, freq_mhz: float, initial_v: float, dim_to: float
+    setpoint_v: float,
+    freq_mhz: float,
+    initial_v: float,
+    mppt_v: float,
+    dim_to: float,
 ) -> None:
-    """Whatever brownout/recovery schedule the draw induces, the fleet
-    batch-of-1 is bit-identical to the scalar engine."""
+    """Whatever brownout/recovery schedule the draw induces, a batch of
+    two core MPPT lanes and a fallback fixed-point lane is
+    bit-identical to the scalar engine, lane by lane."""
     trace = _trace(dim_to)
-    parts = _fixed_parts(setpoint_v, freq_mhz * 1e6, initial_v)
-    scalar_parts = dict(parts)
-    scalar_parts["node_capacitor"] = scalar_parts.pop("capacitor")
-    scalar = TransientSimulator(config=CONFIG, **scalar_parts).run(trace)
-    node = FleetNode(**_fixed_parts(setpoint_v, freq_mhz * 1e6, initial_v))
-    fleet = FleetSimulator([node], config=CONFIG).run([trace])[0]
-    assert_results_identical(scalar, fleet)
-
-
-def _lane_parts(index: int, initial_v: float) -> Dict[str, Any]:
-    # Heterogeneous fixed points: each lane gets its own setpoint,
-    # frequency and starting charge, so lanes are distinguishable.
-    setpoints = (0.52, 0.55, 0.58, 0.61)
-    freqs = (25e6, 35e6, 45e6, 55e6)
-    return _fixed_parts(
-        setpoints[index % 4], freqs[index % 4], initial_v
+    scenarios = (
+        Scenario("mppt_blind", CONFIG, trace, _mppt(True, mppt_v)),
+        Scenario("mppt", CONFIG, trace, _mppt(False, mppt_v)),
+        Scenario(
+            "fixed", CONFIG, trace, _fixed(setpoint_v, freq_mhz * 1e6, initial_v)
+        ),
     )
+    simulator, results, _ = run_batch(scenarios)
+    assert simulator.control_summary is not None
+    assert simulator.control_summary["vectorized"] == 2
+    for lane, scenario in enumerate(scenarios):
+        scalar, capacitor = run_scalar_lane(scenario)
+        assert_results_identical(scalar, results[lane])
+        assert_capacitor_written_back(simulator, lane, capacitor)
+
+
+def _lane_parts(index: int, initial_v: float) -> PartsBuilder:
+    # Distinguishable lanes: a comparator-less and a comparator MPPT
+    # lane in the core, then two fixed points on the scalar engine.
+    if index < 2:
+        return _mppt(index == 0, initial_v)
+    setpoints = (0.52, 0.58)
+    freqs = (25e6, 45e6)
+    return _fixed(setpoints[index - 2], freqs[index - 2], initial_v)
 
 
 @given(
@@ -94,65 +139,85 @@ def _lane_parts(index: int, initial_v: float) -> Dict[str, Any]:
     initial_vs=st.lists(
         st.floats(min_value=0.8, max_value=1.3), min_size=4, max_size=4
     ),
-    dim_to=st.floats(min_value=0.02, max_value=1.0),
+    dim_to=st.floats(min_value=0.01, max_value=1.0),
 )
 @settings(max_examples=15, deadline=None)
 def test_lane_permutation_is_invariant(
     order: List[int], initial_vs: List[float], dim_to: float
 ) -> None:
-    """Permuting the lanes permutes the results and the state, exactly."""
+    """Permuting the lanes permutes the results and capacitors, exactly."""
     trace = _trace(dim_to)
 
     def run(lane_order: List[int]):
-        nodes = [
-            FleetNode(seed=i, **_lane_parts(i, initial_vs[i]))
-            for i in lane_order
-        ]
-        simulator = FleetSimulator(nodes, config=CONFIG)
-        results = simulator.run([trace] * 4)
-        assert simulator.state is not None
-        return results, simulator.state
+        simulator, results, _ = run_batch(
+            tuple(
+                Scenario(
+                    f"lane{i}", CONFIG, trace, _lane_parts(i, initial_vs[i])
+                )
+                for i in lane_order
+            )
+        )
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == 2
+        return simulator, results
 
-    base_results, base_state = run(list(range(4)))
-    perm_results, perm_state = run(order)
+    base_sim, base_results = run(list(range(4)))
+    perm_sim, perm_results = run(order)
     for position, lane in enumerate(order):
         assert_results_identical(base_results[lane], perm_results[position])
-    assert base_state.permuted(order).equals(perm_state)
-    assert not base_state.equals(perm_state) or order == list(range(4))
+        assert_capacitor_written_back(
+            perm_sim, position, base_sim.nodes[lane].capacitor
+        )
+    assert order == list(range(4)) or any(
+        not results_bit_identical(base, perm)
+        for base, perm in zip(base_results, perm_results)
+    )
 
 
 @given(initial_v=st.floats(min_value=0.8, max_value=1.3))
 @settings(max_examples=10, deadline=None)
 def test_fleet_state_round_trips_through_pickle(initial_v: float) -> None:
-    node = FleetNode(**_lane_parts(0, initial_v))
-    simulator = FleetSimulator([node], config=CONFIG)
-    simulator.run([_trace(0.3)])
-    state = simulator.state
-    assert state is not None
-    clone = pickle.loads(pickle.dumps(state))
-    assert isinstance(clone, FleetState)
-    assert clone is not state
-    assert state.equals(clone)
-    assert clone.equals(state)
+    """A core lane's result survives pickling bit for bit."""
+    scenario = Scenario("mppt", CONFIG, _trace(0.3), _mppt(True, initial_v))
+    simulator, (result,), _ = run_batch((scenario,))
+    assert simulator.control_summary is not None
+    assert simulator.control_summary["vectorized"] == 1
+    clone = pickle.loads(pickle.dumps(result))
+    assert clone is not result
+    assert_results_identical(result, clone)
+    assert_results_identical(clone, result)
     # a bit-level perturbation must break equality
     clone.node_voltage_v[0] = clone.node_voltage_v[0] + 1e-9
-    assert not state.equals(clone)
+    assert not results_bit_identical(result, clone)
 
 
 def test_dead_lane_mask_freezes_voltage() -> None:
-    """A lane killed by stop_on_brownout keeps its final voltage while
-    the surviving lane keeps integrating."""
+    """A core lane killed by stop_on_brownout keeps its final voltage
+    while the surviving core lane keeps integrating."""
     config = SimulationConfig(
         time_step_s=20e-6, record_every=2, stop_on_brownout=True
     )
-    trace = _trace(0.05)
-    dying = FleetNode(**_fixed_parts(0.61, 55e6, 0.85))
-    surviving = FleetNode(**_fixed_parts(0.52, 25e6, 1.3))
-    simulator = FleetSimulator([dying, surviving], config=config)
-    results = simulator.run([trace, trace])
-    state = simulator.state
-    assert state is not None
-    if results[0].brownout_count >= 1:
-        dead_final = results[0].node_voltage_v[-1]
-        assert state.node_voltage_v[0] == dead_final
-        assert not np.isnan(state.node_voltage_v[1])
+    trace = step_trace(1.0, 0.05, 2e-3, DURATION_S)
+    scenarios = (
+        Scenario("dying", config, trace, _mppt(True, 1.05)),
+        Scenario("surviving", config, trace, _mppt(False, 1.3)),
+    )
+    simulator, results, _ = run_batch(scenarios)
+    assert simulator.control_summary == {
+        "lanes": 2,
+        "vectorized": 2,
+        "fallback": 0,
+    }
+    # The blind lane dies mid-run; the other lane runs to the end.
+    assert results[0].brownout_count == 1
+    assert results[1].brownout_count == 0
+    assert results[0].time_s[-1] < results[1].time_s[-1]
+    # Death falls between recording steps here, so the capacitor ends
+    # below the last record; the scalar run is the reference.
+    assert (
+        simulator.nodes[0].capacitor.voltage_v < results[0].node_voltage_v[-1]
+    )
+    for lane, scenario in enumerate(scenarios):
+        scalar, capacitor = run_scalar_lane(scenario)
+        assert_results_identical(scalar, results[lane])
+        assert_capacitor_written_back(simulator, lane, capacitor)

@@ -351,7 +351,6 @@ def fleet_16node_payload() -> "dict[str, object]":
                 comparators=faulted_comparator_bank(system, draw),
                 workload=Workload(name="golden_fleet", cycles=200_000),
                 telemetry=session,
-                seed=seed,
             )
         )
         traces.append(faulted_trace(config.base_trace(), draw))
