@@ -23,121 +23,126 @@ See ``examples/`` for complete scenarios and ``benchmarks/`` for the
 per-figure reproductions.
 """
 
-from repro.core import (
-    DischargeTimeMppTracker,
-    EnergyHarvestingSoC,
-    HolisticEnergyManager,
-    HolisticMepOptimizer,
-    MepComparison,
-    MppTrackingController,
-    OperatingPlan,
-    OperatingPoint,
-    OperatingPointOptimizer,
-    Policy,
-    SprintController,
-    SprintPlan,
-    SprintScheduler,
-    paper_system,
-)
-from repro.errors import (
-    BrownoutError,
-    ConvergenceError,
-    InfeasibleOperatingPointError,
-    JournalError,
-    ModelParameterError,
-    OperatingRangeError,
-    QuarantineError,
-    ReproError,
-    ResilienceError,
-    SimulationError,
-    TelemetryError,
-)
-from repro.faults import (
-    CampaignConfig,
-    CampaignSummary,
-    FaultDraw,
-    FaultSpec,
-    IntermittentCampaignConfig,
-    IntermittentCampaignSummary,
-    draw_faults,
-    run_intermittent_campaign,
-    run_transient_campaign,
-)
-from repro.fleet import FleetNode, FleetSimulator
-from repro.planner import (
-    EnergyForecast,
-    ForecastErrorModel,
-    Plan,
-    PlanController,
-    PlannerAction,
-    PlannerSpec,
-    RecedingHorizonController,
-    bin_trace,
-    build_actions,
-    execute_receding_horizon,
-    greedy_plan,
-    make_planner_controller,
-    solve_plan,
-)
-from repro.parallel import (
-    ProgressReporter,
-    campaign_run_id,
-    run_sharded,
-    stable_fingerprint,
-)
-from repro.resilience import (
-    CampaignJournal,
-    ChaosSpec,
-    ResilienceConfig,
-    RetryPolicy,
-    RunFailure,
-    SupervisedOutcome,
-    run_supervised,
-)
-from repro.processor import (
-    ProcessorModel,
-    Workload,
-    image_frame_workload,
-    paper_processor,
-)
-from repro.pv import (
-    FULL_SUN,
-    HALF_SUN,
-    INDOOR,
-    QUARTER_SUN,
-    IrradianceTrace,
-    LightCondition,
-    SingleDiodeCell,
-    constant_trace,
-    find_mpp,
-    kxob22_cell,
-    step_trace,
-)
-from repro.regulators import (
-    BuckRegulator,
-    BypassPath,
-    LinearRegulator,
-    Regulator,
-    SwitchedCapacitorRegulator,
-    paper_buck,
-    paper_ldo,
-    paper_switched_capacitor,
-)
-from repro.sim import (
-    SimulationConfig,
-    SimulationResult,
-    TransientSimulator,
-)
-from repro.storage import Capacitor
-from repro.telemetry import (
-    MetricsRegistry,
-    NullTelemetry,
-    Telemetry,
-    TelemetrySession,
-    Tracer,
-    write_chrome_trace,
-    write_jsonl,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core import (
+        DischargeTimeMppTracker,
+        EnergyHarvestingSoC,
+        HolisticEnergyManager,
+        HolisticMepOptimizer,
+        MepComparison,
+        MppTrackingController,
+        OperatingPlan,
+        OperatingPoint,
+        OperatingPointOptimizer,
+        Policy,
+        SprintController,
+        SprintPlan,
+        SprintScheduler,
+        paper_system,
+    )
+    from repro.errors import (
+        BrownoutError,
+        ConvergenceError,
+        InfeasibleOperatingPointError,
+        JournalError,
+        ModelParameterError,
+        OperatingRangeError,
+        QuarantineError,
+        ReproError,
+        ResilienceError,
+        SimulationError,
+        TelemetryError,
+    )
+    from repro.faults import (
+        CampaignConfig,
+        CampaignSummary,
+        FaultDraw,
+        FaultSpec,
+        IntermittentCampaignConfig,
+        IntermittentCampaignSummary,
+        draw_faults,
+        run_intermittent_campaign,
+        run_transient_campaign,
+    )
+    from repro.fleet import FleetNode, FleetSimulator
+    from repro.planner import (
+        EnergyForecast,
+        ForecastErrorModel,
+        Plan,
+        PlanController,
+        PlannerAction,
+        PlannerSpec,
+        RecedingHorizonController,
+        bin_trace,
+        build_actions,
+        execute_receding_horizon,
+        greedy_plan,
+        make_planner_controller,
+        solve_plan,
+    )
+    from repro.parallel import (
+        ProgressReporter,
+        campaign_run_id,
+        run_sharded,
+        stable_fingerprint,
+    )
+    from repro.resilience import (
+        CampaignJournal,
+        ChaosSpec,
+        ResilienceConfig,
+        RetryPolicy,
+        RunFailure,
+        SupervisedOutcome,
+        run_supervised,
+    )
+    from repro.processor import (
+        ProcessorModel,
+        Workload,
+        image_frame_workload,
+        paper_processor,
+    )
+    from repro.pv import (
+        FULL_SUN,
+        HALF_SUN,
+        INDOOR,
+        QUARTER_SUN,
+        IrradianceTrace,
+        LightCondition,
+        SingleDiodeCell,
+        constant_trace,
+        find_mpp,
+        kxob22_cell,
+        step_trace,
+    )
+    from repro.regulators import (
+        BuckRegulator,
+        BypassPath,
+        LinearRegulator,
+        Regulator,
+        SwitchedCapacitorRegulator,
+        paper_buck,
+        paper_ldo,
+        paper_switched_capacitor,
+    )
+    from repro.sim import (
+        SimulationConfig,
+        SimulationResult,
+        TransientSimulator,
+    )
+    from repro.storage import Capacitor
+    from repro.telemetry import (
+        MetricsRegistry,
+        NullTelemetry,
+        Telemetry,
+        TelemetrySession,
+        Tracer,
+        write_chrome_trace,
+        write_jsonl,
+    )
 
 __version__ = "1.0.0"
 
@@ -248,3 +253,67 @@ __all__ = [
     "QuarantineError",
     "TelemetryError",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.core": (
+            "DischargeTimeMppTracker", "EnergyHarvestingSoC",
+            "HolisticEnergyManager", "HolisticMepOptimizer", "MepComparison",
+            "MppTrackingController", "OperatingPlan", "OperatingPoint",
+            "OperatingPointOptimizer", "Policy", "SprintController",
+            "SprintPlan", "SprintScheduler", "paper_system",
+        ),
+        "repro.errors": (
+            "BrownoutError", "ConvergenceError",
+            "InfeasibleOperatingPointError", "JournalError",
+            "ModelParameterError", "OperatingRangeError", "QuarantineError",
+            "ReproError", "ResilienceError", "SimulationError",
+            "TelemetryError",
+        ),
+        "repro.faults": (
+            "CampaignConfig", "CampaignSummary", "FaultDraw", "FaultSpec",
+            "IntermittentCampaignConfig", "IntermittentCampaignSummary",
+            "draw_faults", "run_intermittent_campaign",
+            "run_transient_campaign",
+        ),
+        "repro.fleet": ("FleetNode", "FleetSimulator"),
+        "repro.planner": (
+            "EnergyForecast", "ForecastErrorModel", "Plan", "PlanController",
+            "PlannerAction", "PlannerSpec", "RecedingHorizonController",
+            "bin_trace", "build_actions", "execute_receding_horizon",
+            "greedy_plan", "make_planner_controller", "solve_plan",
+        ),
+        "repro.parallel": (
+            "ProgressReporter", "campaign_run_id", "run_sharded",
+            "stable_fingerprint",
+        ),
+        "repro.resilience": (
+            "CampaignJournal", "ChaosSpec", "ResilienceConfig", "RetryPolicy",
+            "RunFailure", "SupervisedOutcome", "run_supervised",
+        ),
+        "repro.processor": (
+            "ProcessorModel", "Workload", "image_frame_workload",
+            "paper_processor",
+        ),
+        "repro.pv": (
+            "FULL_SUN", "HALF_SUN", "INDOOR", "QUARTER_SUN",
+            "IrradianceTrace", "LightCondition", "SingleDiodeCell",
+            "constant_trace", "find_mpp", "kxob22_cell", "step_trace",
+        ),
+        "repro.regulators": (
+            "BuckRegulator", "BypassPath", "LinearRegulator", "Regulator",
+            "SwitchedCapacitorRegulator", "paper_buck", "paper_ldo",
+            "paper_switched_capacitor",
+        ),
+        "repro.sim": (
+            "SimulationConfig", "SimulationResult", "TransientSimulator",
+        ),
+        "repro.storage": ("Capacitor",),
+        "repro.telemetry": (
+            "MetricsRegistry", "NullTelemetry", "Telemetry",
+            "TelemetrySession", "Tracer", "write_chrome_trace", "write_jsonl",
+        ),
+    },
+)

@@ -14,10 +14,15 @@ schemes are measured against:
   execution without sprinting or bypass (Fig. 9(b)/11(b) baseline).
 """
 
-from repro.baselines.conventional_mep import ConventionalMepBaseline
-from repro.baselines.fixed_speed import FixedSpeedBaseline
-from repro.baselines.mppt_only import MpptOnlyBaseline
-from repro.baselines.raw_solar import RawSolarBaseline
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.baselines.conventional_mep import ConventionalMepBaseline
+    from repro.baselines.fixed_speed import FixedSpeedBaseline
+    from repro.baselines.mppt_only import MpptOnlyBaseline
+    from repro.baselines.raw_solar import RawSolarBaseline
 
 __all__ = [
     "RawSolarBaseline",
@@ -25,3 +30,14 @@ __all__ = [
     "ConventionalMepBaseline",
     "FixedSpeedBaseline",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.baselines.conventional_mep": ("ConventionalMepBaseline",),
+        "repro.baselines.fixed_speed": ("FixedSpeedBaseline",),
+        "repro.baselines.mppt_only": ("MpptOnlyBaseline",),
+        "repro.baselines.raw_solar": ("RawSolarBaseline",),
+    },
+)

@@ -23,16 +23,13 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.mep import HolisticMepOptimizer
-from repro.core.policies import Policy
-from repro.core.scheduler import HolisticEnergyManager
-from repro.core.system import paper_system
 from repro.errors import ReproError
-from repro.experiments.report import format_table
-from repro.processor.workloads import image_frame_workload
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
+    from repro.core.system import paper_system
+    from repro.experiments.report import format_table
+
     system = paper_system()
     mpp = system.mpp(args.irradiance)
     voc = system.cell.open_circuit_voltage(args.irradiance)
@@ -63,6 +60,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
+    from repro.core.policies import Policy
+    from repro.core.scheduler import HolisticEnergyManager
+    from repro.core.system import paper_system
+    from repro.experiments.report import format_table
+    from repro.processor.workloads import image_frame_workload
+
     system = paper_system()
     manager = HolisticEnergyManager(system, regulator_name=args.regulator)
     policies = (
@@ -104,6 +107,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
 
 
 def _cmd_mep(args: argparse.Namespace) -> int:
+    from repro.core.mep import HolisticMepOptimizer
+    from repro.core.system import paper_system
+    from repro.experiments.report import format_table
+
     system = paper_system()
     optimizer = HolisticMepOptimizer(system)
     comparison = optimizer.compare(args.regulator)
@@ -130,6 +137,7 @@ def _cmd_mep(args: argparse.Namespace) -> int:
 
 
 def _cmd_throughput(args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
     from repro.experiments.sweep import throughput_sweep
 
     points = throughput_sweep(
@@ -159,6 +167,7 @@ def _cmd_throughput(args: argparse.Namespace) -> int:
 
 def _cmd_track(args: argparse.Namespace) -> int:
     from repro.experiments.fig8_mppt import fig8_mppt_tracking
+    from repro.experiments.report import format_table
 
     result = fig8_mppt_tracking(before=args.from_irr, after=args.dim_to)
     rows = [
@@ -178,6 +187,7 @@ def _cmd_track(args: argparse.Namespace) -> int:
 
 def _cmd_sprint(args: argparse.Namespace) -> int:
     from repro.experiments.fig11_demo import fig11b_sprint_waveform
+    from repro.experiments.report import format_table
 
     demo = fig11b_sprint_waveform(
         deadline_s=args.deadline_ms * 1e-3, dim_to=args.dim_to
@@ -205,6 +215,9 @@ def _cmd_sprint(args: argparse.Namespace) -> int:
 
 def _cmd_admit(args: argparse.Namespace) -> int:
     from repro.core.admission import AdmissionController, PeriodicTask
+    from repro.core.system import paper_system
+    from repro.experiments.report import format_table
+    from repro.processor.workloads import image_frame_workload
 
     system = paper_system()
     controller = AdmissionController(system, args.regulator, margin=args.margin)
@@ -237,6 +250,7 @@ def _cmd_admit(args: argparse.Namespace) -> int:
 def _cmd_faults(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
+    from repro.experiments.report import format_table
     from repro.faults import (
         CampaignConfig,
         FaultSpec,
@@ -244,7 +258,6 @@ def _cmd_faults(args: argparse.Namespace) -> int:
         run_intermittent_campaign,
         run_transient_campaign,
     )
-
     from repro.parallel.progress import ProgressReporter
 
     spec = FaultSpec(
@@ -393,6 +406,7 @@ def _write_campaign_telemetry(
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
     from repro.telemetry import TelemetrySession
     from repro.telemetry.export import write_chrome_trace, write_jsonl
 
@@ -438,6 +452,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench_planner(args: argparse.Namespace) -> int:
+    from repro.experiments.report import format_table
     from repro.planner.bench import run_planner_benchmark, write_report
 
     report = run_planner_benchmark()
@@ -480,6 +495,7 @@ def _cmd_bench_planner(args: argparse.Namespace) -> int:
 
 def _cmd_planner(args: argparse.Namespace) -> int:
     from repro.core.system import paper_system
+    from repro.experiments.report import format_table
     from repro.planner import PlannerSpec, bin_trace, build_actions, solve_plan
     from repro.pv.traces import step_trace
 
@@ -555,6 +571,8 @@ def _cmd_figures(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.core.policies import Policy
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(

@@ -16,26 +16,31 @@ deployed node would run, and :mod:`repro.core.system` bundles the
 hardware substrates into the test system of Section VII.
 """
 
-from repro.core.admission import (
-    AdmissionController,
-    AdmissionReport,
-    PeriodicTask,
-)
-from repro.core.system import EnergyHarvestingSoC, paper_system
-from repro.core.operating_point import (
-    OperatingPoint,
-    OperatingPointOptimizer,
-)
-from repro.core.mep import HolisticMepOptimizer, MepComparison
-from repro.core.duty_cycle import (
-    DutyCycleController,
-    DutyCycleScheduler,
-    SustainableRate,
-)
-from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
-from repro.core.sprint import SprintScheduler, SprintPlan, SprintController
-from repro.core.scheduler import HolisticEnergyManager, OperatingPlan
-from repro.core.policies import Policy
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.core.admission import (
+        AdmissionController,
+        AdmissionReport,
+        PeriodicTask,
+    )
+    from repro.core.system import EnergyHarvestingSoC, paper_system
+    from repro.core.operating_point import (
+        OperatingPoint,
+        OperatingPointOptimizer,
+    )
+    from repro.core.mep import HolisticMepOptimizer, MepComparison
+    from repro.core.duty_cycle import (
+        DutyCycleController,
+        DutyCycleScheduler,
+        SustainableRate,
+    )
+    from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
+    from repro.core.sprint import SprintScheduler, SprintPlan, SprintController
+    from repro.core.scheduler import HolisticEnergyManager, OperatingPlan
+    from repro.core.policies import Policy
 
 __all__ = [
     "AdmissionController",
@@ -59,3 +64,29 @@ __all__ = [
     "OperatingPlan",
     "Policy",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.core.admission": (
+            "AdmissionController", "AdmissionReport", "PeriodicTask",
+        ),
+        "repro.core.system": ("EnergyHarvestingSoC", "paper_system"),
+        "repro.core.operating_point": (
+            "OperatingPoint", "OperatingPointOptimizer",
+        ),
+        "repro.core.mep": ("HolisticMepOptimizer", "MepComparison"),
+        "repro.core.duty_cycle": (
+            "DutyCycleController", "DutyCycleScheduler", "SustainableRate",
+        ),
+        "repro.core.mppt": (
+            "DischargeTimeMppTracker", "MppTrackingController",
+        ),
+        "repro.core.sprint": (
+            "SprintScheduler", "SprintPlan", "SprintController",
+        ),
+        "repro.core.scheduler": ("HolisticEnergyManager", "OperatingPlan"),
+        "repro.core.policies": ("Policy",),
+    },
+)

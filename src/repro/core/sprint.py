@@ -367,15 +367,19 @@ class SprintScheduler:
                     v, float(processor.power(v, frequency_hz))
                 )
             v, p = supply[frequency_hz]
-            try:
-                return self.regulator.input_power(v, p, v_in=v_in)
-            except OperatingRangeError:
-                # Below regulated range: fall back to bypass draw.
-                v_eval = min(max(v_in, processor.min_operating_v),
-                             processor.max_operating_v)
-                return clamped_frequency_and_power(
-                    processor, v_eval, frequency_hz, cache=None
-                )[1]
+            if self.regulator.supports_output_voltage(v, v_in):
+                try:
+                    return self.regulator.input_power(v, p, v_in=v_in)
+                except OperatingRangeError:
+                    # Only a load-dependent band limit (the switched-
+                    # capacitor bank) raises past the voltage check.
+                    pass
+            # Below regulated range: fall back to bypass draw.
+            v_eval = min(max(v_in, processor.min_operating_v),
+                         processor.max_operating_v)
+            return clamped_frequency_and_power(
+                processor, v_eval, frequency_hz, cache=None
+            )[1]
 
         def integrate(schedule: "Callable[[float], float]") -> float:
             capacitance = self.system.node_capacitance_f
@@ -384,7 +388,7 @@ class SprintScheduler:
             solar = 0.0
             for i in range(steps):
                 t = (i + 0.5) * dt
-                p_pv = float(cell.power(v_node, irradiance))
+                p_pv = v_node * float(cell.current(v_node, irradiance))
                 p_draw = draw_power(schedule(t), v_node)
                 solar += p_pv * dt
                 dv = (p_pv - p_draw) / (capacitance * max(v_node, 1e-3)) * dt

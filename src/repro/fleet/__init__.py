@@ -14,14 +14,19 @@ batch.  Transient campaigns run each seed batch through
 the scalar one; see ``docs/fleet.md``.
 """
 
-from repro.fleet.control import (
-    NO_MODE,
-    ControlPlane,
-    classify_controller,
-    shared_decision_caches,
-)
-from repro.fleet.engine import FleetNode, FleetSimulator
-from repro.fleet.pv import CellParams, batched_current
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.fleet.control import (
+        NO_MODE,
+        ControlPlane,
+        classify_controller,
+        shared_decision_caches,
+    )
+    from repro.fleet.engine import FleetNode, FleetSimulator
+    from repro.fleet.pv import CellParams, batched_current
 
 __all__ = [
     "CellParams",
@@ -33,3 +38,16 @@ __all__ = [
     "classify_controller",
     "shared_decision_caches",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.fleet.control": (
+            "NO_MODE", "ControlPlane", "classify_controller",
+            "shared_decision_caches",
+        ),
+        "repro.fleet.engine": ("FleetNode", "FleetSimulator"),
+        "repro.fleet.pv": ("CellParams", "batched_current"),
+    },
+)

@@ -15,10 +15,26 @@ tracking, sprinting) runs unchanged on body heat or machine waste heat
 instead of light.
 """
 
-from repro.harvesters.base import Harvester
-from repro.harvesters.thermoelectric import (
-    ThermoelectricGenerator,
-    wearable_teg,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.harvesters.base import Harvester
+    from repro.harvesters.thermoelectric import (
+        ThermoelectricGenerator,
+        wearable_teg,
+    )
 
 __all__ = ["Harvester", "ThermoelectricGenerator", "wearable_teg"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.harvesters.base": ("Harvester",),
+        "repro.harvesters.thermoelectric": (
+            "ThermoelectricGenerator", "wearable_teg",
+        ),
+    },
+)

@@ -18,9 +18,14 @@ nodes that *do* brown out:
   each brownout and resuming from the last committed task.
 """
 
-from repro.intermittent.checkpoint import Checkpoint, CheckpointStore
-from repro.intermittent.runtime import IntermittentReport, IntermittentRuntime
-from repro.intermittent.tasks import Task, TaskChain
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.intermittent.checkpoint import Checkpoint, CheckpointStore
+    from repro.intermittent.runtime import IntermittentReport, IntermittentRuntime
+    from repro.intermittent.tasks import Task, TaskChain
 
 __all__ = [
     "Task",
@@ -30,3 +35,15 @@ __all__ = [
     "IntermittentRuntime",
     "IntermittentReport",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.intermittent.checkpoint": ("Checkpoint", "CheckpointStore"),
+        "repro.intermittent.runtime": (
+            "IntermittentReport", "IntermittentRuntime",
+        ),
+        "repro.intermittent.tasks": ("Task", "TaskChain"),
+    },
+)

@@ -34,19 +34,24 @@ whole-tree runs near-instant.  See ``docs/linting.md`` for the full
 catalogue and rationale.
 """
 
-from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
-from repro.lint.cache import lint_paths_cached
-from repro.lint.core import (
-    Diagnostic,
-    ModuleInfo,
-    Project,
-    Rule,
-    build_project,
-    lint_paths,
-    run_rules,
-)
-from repro.lint.rules import ALL_RULES, RULES_BY_ID
-from repro.lint.sarif import render_sarif
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.lint.baseline import apply_baseline, load_baseline, write_baseline
+    from repro.lint.cache import lint_paths_cached
+    from repro.lint.core import (
+        Diagnostic,
+        ModuleInfo,
+        Project,
+        Rule,
+        build_project,
+        lint_paths,
+        run_rules,
+    )
+    from repro.lint.rules import ALL_RULES, RULES_BY_ID
+    from repro.lint.sarif import render_sarif
 
 __all__ = [
     "ALL_RULES",
@@ -64,3 +69,20 @@ __all__ = [
     "run_rules",
     "write_baseline",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.lint.baseline": (
+            "apply_baseline", "load_baseline", "write_baseline",
+        ),
+        "repro.lint.cache": ("lint_paths_cached",),
+        "repro.lint.core": (
+            "Diagnostic", "ModuleInfo", "Project", "Rule", "build_project",
+            "lint_paths", "run_rules",
+        ),
+        "repro.lint.rules": ("ALL_RULES", "RULES_BY_ID"),
+        "repro.lint.sarif": ("render_sarif",),
+    },
+)

@@ -9,10 +9,15 @@ pre-characterised lookup table maps to the new MPP voltage and DVFS
 setting.
 """
 
-from repro.monitor.comparator import ThresholdComparator, ComparatorBank, CrossingEvent
-from repro.monitor.current_sense import CurrentSenseEstimator
-from repro.monitor.estimator import DischargeTimePowerEstimator, PowerEstimate
-from repro.monitor.lut import MppLookupTable, MppEntry, build_mpp_lut
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.monitor.comparator import ThresholdComparator, ComparatorBank, CrossingEvent
+    from repro.monitor.current_sense import CurrentSenseEstimator
+    from repro.monitor.estimator import DischargeTimePowerEstimator, PowerEstimate
+    from repro.monitor.lut import MppLookupTable, MppEntry, build_mpp_lut
 
 __all__ = [
     "ThresholdComparator",
@@ -25,3 +30,18 @@ __all__ = [
     "MppEntry",
     "build_mpp_lut",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.monitor.comparator": (
+            "ThresholdComparator", "ComparatorBank", "CrossingEvent",
+        ),
+        "repro.monitor.current_sense": ("CurrentSenseEstimator",),
+        "repro.monitor.estimator": (
+            "DischargeTimePowerEstimator", "PowerEstimate",
+        ),
+        "repro.monitor.lut": ("MppLookupTable", "MppEntry", "build_mpp_lut"),
+    },
+)

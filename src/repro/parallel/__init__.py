@@ -24,15 +24,20 @@ to the serial path:
 serial path stays the reference implementation.
 """
 
-from repro.parallel.cache import (
-    characterized_system,
-    clear_worker_cache,
-    memoize,
-    worker_cache,
-)
-from repro.parallel.executor import run_sharded, shard
-from repro.parallel.ids import campaign_run_id, stable_fingerprint
-from repro.parallel.progress import NullProgress, ProgressReporter
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.parallel.cache import (
+        characterized_system,
+        clear_worker_cache,
+        memoize,
+        worker_cache,
+    )
+    from repro.parallel.executor import run_sharded, shard
+    from repro.parallel.ids import campaign_run_id, stable_fingerprint
+    from repro.parallel.progress import NullProgress, ProgressReporter
 
 __all__ = [
     "NullProgress",
@@ -46,3 +51,17 @@ __all__ = [
     "stable_fingerprint",
     "worker_cache",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.parallel.cache": (
+            "characterized_system", "clear_worker_cache", "memoize",
+            "worker_cache",
+        ),
+        "repro.parallel.executor": ("run_sharded", "shard"),
+        "repro.parallel.ids": ("campaign_run_id", "stable_fingerprint"),
+        "repro.parallel.progress": ("NullProgress", "ProgressReporter"),
+    },
+)

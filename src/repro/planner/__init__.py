@@ -21,34 +21,39 @@ current capacitor state only.  This package solves the schedule
 ``python -m repro bench --planner`` writes ``BENCH_planner.json``.
 """
 
-from repro.planner.adapter import (
-    PLANNER_MODES,
-    PlanController,
-    RecedingHorizonController,
-    make_planner_controller,
-)
-from repro.planner.dp import (
-    CHARGE_ACTION,
-    EnergyGrid,
-    Plan,
-    PlanStep,
-    PlannerAction,
-    PlannerSpec,
-    build_actions,
-    greedy_plan,
-    realized_cycles,
-    solve_plan,
-)
-from repro.planner.forecast import (
-    PERFECT_FORECAST,
-    EnergyForecast,
-    ForecastErrorModel,
-    bin_trace,
-)
-from repro.planner.horizon import (
-    HorizonOutcome,
-    execute_receding_horizon,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.planner.adapter import (
+        PLANNER_MODES,
+        PlanController,
+        RecedingHorizonController,
+        make_planner_controller,
+    )
+    from repro.planner.dp import (
+        CHARGE_ACTION,
+        EnergyGrid,
+        Plan,
+        PlanStep,
+        PlannerAction,
+        PlannerSpec,
+        build_actions,
+        greedy_plan,
+        realized_cycles,
+        solve_plan,
+    )
+    from repro.planner.forecast import (
+        PERFECT_FORECAST,
+        EnergyForecast,
+        ForecastErrorModel,
+        bin_trace,
+    )
+    from repro.planner.horizon import (
+        HorizonOutcome,
+        execute_receding_horizon,
+    )
 
 __all__ = [
     "EnergyForecast",
@@ -72,3 +77,26 @@ __all__ = [
     "make_planner_controller",
     "PLANNER_MODES",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.planner.adapter": (
+            "PLANNER_MODES", "PlanController", "RecedingHorizonController",
+            "make_planner_controller",
+        ),
+        "repro.planner.dp": (
+            "CHARGE_ACTION", "EnergyGrid", "Plan", "PlanStep",
+            "PlannerAction", "PlannerSpec", "build_actions", "greedy_plan",
+            "realized_cycles", "solve_plan",
+        ),
+        "repro.planner.forecast": (
+            "PERFECT_FORECAST", "EnergyForecast", "ForecastErrorModel",
+            "bin_trace",
+        ),
+        "repro.planner.horizon": (
+            "HorizonOutcome", "execute_receding_horizon",
+        ),
+    },
+)

@@ -20,14 +20,19 @@ Fig. 11(a):
 workload cycle counts come from real computation rather than constants.
 """
 
-from repro.processor.frequency import FrequencyModel
-from repro.processor.power import DynamicPowerModel, LeakageModel
-from repro.processor.energy import ProcessorModel, paper_processor
-from repro.processor.workloads import (
-    Workload,
-    image_frame_workload,
-    standard_workloads,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.processor.frequency import FrequencyModel
+    from repro.processor.power import DynamicPowerModel, LeakageModel
+    from repro.processor.energy import ProcessorModel, paper_processor
+    from repro.processor.workloads import (
+        Workload,
+        image_frame_workload,
+        standard_workloads,
+    )
 
 __all__ = [
     "FrequencyModel",
@@ -39,3 +44,16 @@ __all__ = [
     "image_frame_workload",
     "standard_workloads",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.processor.frequency": ("FrequencyModel",),
+        "repro.processor.power": ("DynamicPowerModel", "LeakageModel"),
+        "repro.processor.energy": ("ProcessorModel", "paper_processor"),
+        "repro.processor.workloads": (
+            "Workload", "image_frame_workload", "standard_workloads",
+        ),
+    },
+)

@@ -13,11 +13,16 @@ energy experiments run on cycle counts produced by real computation and
 the examples have an actual application to show.
 """
 
-from repro.processor.image.frames import FrameGenerator, synthetic_frame
-from repro.processor.image.features import GradientField, sobel_gradients
-from repro.processor.image.vectors import window_feature_vectors
-from repro.processor.image.classifier import NearestCentroidClassifier
-from repro.processor.image.pipeline import ImageProcessor, RecognitionResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.processor.image.frames import FrameGenerator, synthetic_frame
+    from repro.processor.image.features import GradientField, sobel_gradients
+    from repro.processor.image.vectors import window_feature_vectors
+    from repro.processor.image.classifier import NearestCentroidClassifier
+    from repro.processor.image.pipeline import ImageProcessor, RecognitionResult
 
 __all__ = [
     "FrameGenerator",
@@ -29,3 +34,17 @@ __all__ = [
     "ImageProcessor",
     "RecognitionResult",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.processor.image.frames": ("FrameGenerator", "synthetic_frame"),
+        "repro.processor.image.features": ("GradientField", "sobel_gradients"),
+        "repro.processor.image.vectors": ("window_feature_vectors",),
+        "repro.processor.image.classifier": ("NearestCentroidClassifier",),
+        "repro.processor.image.pipeline": (
+            "ImageProcessor", "RecognitionResult",
+        ),
+    },
+)

@@ -18,14 +18,19 @@ which is what the holistic optimisation exploits -- emerges from first
 principles rather than a lookup of the paper's curves.
 """
 
-from repro.regulators.base import Regulator, RegulatorOperatingPoint
-from repro.regulators.bypass import BypassPath
-from repro.regulators.buck import BuckRegulator, paper_buck
-from repro.regulators.ldo import LinearRegulator, paper_ldo
-from repro.regulators.switched_capacitor import (
-    SwitchedCapacitorRegulator,
-    paper_switched_capacitor,
-)
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.regulators.base import Regulator, RegulatorOperatingPoint
+    from repro.regulators.bypass import BypassPath
+    from repro.regulators.buck import BuckRegulator, paper_buck
+    from repro.regulators.ldo import LinearRegulator, paper_ldo
+    from repro.regulators.switched_capacitor import (
+        SwitchedCapacitorRegulator,
+        paper_switched_capacitor,
+    )
 
 __all__ = [
     "Regulator",
@@ -38,3 +43,17 @@ __all__ = [
     "paper_switched_capacitor",
     "paper_buck",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.regulators.base": ("Regulator", "RegulatorOperatingPoint"),
+        "repro.regulators.bypass": ("BypassPath",),
+        "repro.regulators.buck": ("BuckRegulator", "paper_buck"),
+        "repro.regulators.ldo": ("LinearRegulator", "paper_ldo"),
+        "repro.regulators.switched_capacitor": (
+            "SwitchedCapacitorRegulator", "paper_switched_capacitor",
+        ),
+    },
+)

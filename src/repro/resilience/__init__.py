@@ -7,23 +7,28 @@ bit-identity contract.  See ``docs/resilience.md`` for the failure
 model and :func:`run_supervised` for the entry point.
 """
 
-from repro.resilience.chaos import (
-    ChaosInjectedError,
-    ChaosSpec,
-    chaos_decision,
-    corrupt_payload,
-    execute_pre_injection,
-    injected_task_error,
-)
-from repro.resilience.journal import CampaignJournal, JournalState
-from repro.resilience.records import (
-    FAILURE_KINDS,
-    RetryPolicy,
-    RunFailure,
-    SupervisedOutcome,
-    SupervisorStats,
-)
-from repro.resilience.supervisor import ResilienceConfig, run_supervised
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.resilience.chaos import (
+        ChaosInjectedError,
+        ChaosSpec,
+        chaos_decision,
+        corrupt_payload,
+        execute_pre_injection,
+        injected_task_error,
+    )
+    from repro.resilience.journal import CampaignJournal, JournalState
+    from repro.resilience.records import (
+        FAILURE_KINDS,
+        RetryPolicy,
+        RunFailure,
+        SupervisedOutcome,
+        SupervisorStats,
+    )
+    from repro.resilience.supervisor import ResilienceConfig, run_supervised
 
 __all__ = [
     "CampaignJournal",
@@ -42,3 +47,20 @@ __all__ = [
     "injected_task_error",
     "run_supervised",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.resilience.chaos": (
+            "ChaosInjectedError", "ChaosSpec", "chaos_decision",
+            "corrupt_payload", "execute_pre_injection", "injected_task_error",
+        ),
+        "repro.resilience.journal": ("CampaignJournal", "JournalState"),
+        "repro.resilience.records": (
+            "FAILURE_KINDS", "RetryPolicy", "RunFailure", "SupervisedOutcome",
+            "SupervisorStats",
+        ),
+        "repro.resilience.supervisor": ("ResilienceConfig", "run_supervised"),
+    },
+)

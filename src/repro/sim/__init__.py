@@ -13,15 +13,20 @@ comparator bank, lets the controller react, and records full waveform
 traces for the figure reproductions.
 """
 
-from repro.sim.dvfs import (
-    ControlDecision,
-    DvfsController,
-    FixedOperatingPointController,
-    ConstantSpeedController,
-)
-from repro.sim.engine import TransientSimulator, SimulationConfig
-from repro.sim.events import LightStepEvent, detect_light_steps
-from repro.sim.result import SimulationResult
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.sim.dvfs import (
+        ControlDecision,
+        DvfsController,
+        FixedOperatingPointController,
+        ConstantSpeedController,
+    )
+    from repro.sim.engine import TransientSimulator, SimulationConfig
+    from repro.sim.events import LightStepEvent, detect_light_steps
+    from repro.sim.result import SimulationResult
 
 __all__ = [
     "ControlDecision",
@@ -34,3 +39,17 @@ __all__ = [
     "LightStepEvent",
     "detect_light_steps",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.sim.dvfs": (
+            "ControlDecision", "DvfsController",
+            "FixedOperatingPointController", "ConstantSpeedController",
+        ),
+        "repro.sim.engine": ("TransientSimulator", "SimulationConfig"),
+        "repro.sim.events": ("LightStepEvent", "detect_light_steps"),
+        "repro.sim.result": ("SimulationResult",),
+    },
+)

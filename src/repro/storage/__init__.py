@@ -6,6 +6,19 @@ models it: charge/energy bookkeeping, the quadratic voltage-energy
 relation the paper's eq. (6) and eq. (11) integrate over, and ESR.
 """
 
-from repro.storage.capacitor import Capacitor
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.storage.capacitor import Capacitor
 
 __all__ = ["Capacitor"]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.storage.capacitor": ("Capacitor",),
+    },
+)

@@ -31,35 +31,40 @@ Quickstart::
                        session.metrics.as_dict())
 """
 
-from repro.telemetry.aggregate import (
-    MetricTuple,
-    aggregate_run_metrics,
-    metrics_tuple_as_dict,
-    run_metric_tuple,
-)
-from repro.telemetry.export import (
-    to_chrome_trace,
-    to_jsonl,
-    write_chrome_trace,
-    write_jsonl,
-)
-from repro.telemetry.metrics import (
-    DEFAULT_EDGES,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    MetricsSnapshot,
-    merge_snapshots,
-)
-from repro.telemetry.profiling import Stopwatch
-from repro.telemetry.session import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    TelemetrySession,
-)
-from repro.telemetry.tracing import Event, Span, Tracer
+from typing import TYPE_CHECKING
+
+from repro._lazy import lazy_exports
+
+if TYPE_CHECKING:
+    from repro.telemetry.aggregate import (
+        MetricTuple,
+        aggregate_run_metrics,
+        metrics_tuple_as_dict,
+        run_metric_tuple,
+    )
+    from repro.telemetry.export import (
+        to_chrome_trace,
+        to_jsonl,
+        write_chrome_trace,
+        write_jsonl,
+    )
+    from repro.telemetry.metrics import (
+        DEFAULT_EDGES,
+        Counter,
+        Gauge,
+        Histogram,
+        MetricsRegistry,
+        MetricsSnapshot,
+        merge_snapshots,
+    )
+    from repro.telemetry.profiling import Stopwatch
+    from repro.telemetry.session import (
+        NULL_TELEMETRY,
+        NullTelemetry,
+        Telemetry,
+        TelemetrySession,
+    )
+    from repro.telemetry.tracing import Event, Span, Tracer
 
 __all__ = [
     "DEFAULT_EDGES",
@@ -86,3 +91,28 @@ __all__ = [
     "write_chrome_trace",
     "write_jsonl",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    globals(),
+    {
+        "repro.telemetry.aggregate": (
+            "MetricTuple", "aggregate_run_metrics", "metrics_tuple_as_dict",
+            "run_metric_tuple",
+        ),
+        "repro.telemetry.export": (
+            "to_chrome_trace", "to_jsonl", "write_chrome_trace",
+            "write_jsonl",
+        ),
+        "repro.telemetry.metrics": (
+            "DEFAULT_EDGES", "Counter", "Gauge", "Histogram",
+            "MetricsRegistry", "MetricsSnapshot", "merge_snapshots",
+        ),
+        "repro.telemetry.profiling": ("Stopwatch",),
+        "repro.telemetry.session": (
+            "NULL_TELEMETRY", "NullTelemetry", "Telemetry",
+            "TelemetrySession",
+        ),
+        "repro.telemetry.tracing": ("Event", "Span", "Tracer"),
+    },
+)

@@ -12,8 +12,12 @@ from repro.core.system import paper_system
 from repro.errors import (
     InfeasibleOperatingPointError,
     ModelParameterError,
+    OperatingRangeError,
 )
-from repro.experiments.fig9_sprint import fig9b_sprint_gains
+from repro.experiments.fig9_sprint import (
+    ANALYTIC_CAPACITANCE_F,
+    fig9b_sprint_gains,
+)
 from repro.processor.frequency import FrequencyModel
 from repro.processor.workloads import image_frame_workload
 from repro.pv.traces import step_trace
@@ -219,6 +223,44 @@ class TestAnalyticGains:
             image_frame_workload(10e-3), irradiance=0.35, v_start=1.2
         )
         assert len(calls) == inversions
+
+    def test_buck_draw_raises_nothing(self, monkeypatch):
+        """The buck's voltage check is exact, so the integration asks it
+        first and never lets ``input_power`` raise: the steps below the
+        regulated range take the bypass draw without an exception."""
+        from repro.regulators.buck import BuckRegulator
+
+        raised, refused = [], []
+        input_power = BuckRegulator.input_power
+        supports = BuckRegulator.supports_output_voltage
+
+        def counting_input_power(regulator, *args, **kwargs):
+            try:
+                return input_power(regulator, *args, **kwargs)
+            except OperatingRangeError:
+                raised.append(args)
+                raise
+
+        def counting_supports(regulator, *args, **kwargs):
+            ok = supports(regulator, *args, **kwargs)
+            if not ok:
+                refused.append(args)
+            return ok
+
+        monkeypatch.setattr(BuckRegulator, "input_power", counting_input_power)
+        monkeypatch.setattr(
+            BuckRegulator, "supports_output_voltage", counting_supports
+        )
+        scheduler = SprintScheduler(
+            paper_system(node_capacitance_f=ANALYTIC_CAPACITANCE_F),
+            "buck",
+            sprint_factor=0.2,
+        )
+        scheduler.analytic_extra_solar_energy(
+            image_frame_workload(10e-3), irradiance=0.35, v_start=1.2
+        )
+        assert refused, "no step fell below the buck's range"
+        assert raised == []
 
     def test_bypass_energy_extension(self, scheduler):
         """eq. (13): bypassing unlocks the capacitor energy stranded
