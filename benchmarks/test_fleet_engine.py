@@ -10,8 +10,8 @@ measurements in ``docs/performance.md`` carry the fleet's speed):
   lane above :data:`~repro.fleet.pv.PER_LANE_MAX_LANES` equals N
   independent scalar runs exactly.  The first two solve the PV cell
   lane by lane, the last as one array Newton, so both PV paths are
-  covered; the wider batches keep the noiseless ``ComparatorLens``
-  path covered at N > 1;
+  covered; the wider batches check that each lane's comparator bank
+  observes every step independently at N > 1;
 * **campaign engine transparency**: ``run_transient_campaign`` produces
   identical records through the scalar and fleet engines (the summaries
   come from the campaign cache shared with the parallel bench).
@@ -34,9 +34,9 @@ BEFORE_SUNS, AFTER_SUNS = 1.0, 0.3
 DURATION_S = milli_seconds(10)
 DIM_TIME_S = DURATION_S / 3
 
-#: Batch 1 is the scalar-equivalence probe; batch 16 exercises the
-#: shared noiseless ``ComparatorLens`` across several lanes; the last
-#: batch is wide enough for the array PV solve.
+#: Batch 1 is the scalar-equivalence probe; batch 16 runs one
+#: comparator bank per lane across several lanes; the last batch is
+#: wide enough for the array PV solve.
 BATCHES = (1, 16, PER_LANE_MAX_LANES + 1)
 
 

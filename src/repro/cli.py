@@ -21,9 +21,31 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.errors import ReproError
+
+
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand parser that can add its arguments on first parse.
+
+    ``repro lint`` takes its options from :mod:`repro.lint.cli`, which
+    imports the whole linter; deferring them to parse time keeps
+    ``repro --help`` and every other command from loading it.
+    """
+
+    deferred_arguments: "Callable[[argparse.ArgumentParser], None] | None" = None
+
+    def parse_known_args(  # type: ignore[override]
+        self,
+        args: "Sequence[str] | None" = None,
+        namespace: "argparse.Namespace | None" = None,
+    ) -> "tuple[argparse.Namespace, list[str]]":
+        add = self.deferred_arguments
+        if add is not None:
+            self.deferred_arguments = None
+            add(self)
+        return super().parse_known_args(args, namespace)
 
 
 def _cmd_info(args: argparse.Namespace) -> int:
@@ -546,6 +568,12 @@ def _cmd_planner(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_lint_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.lint.cli import add_lint_arguments
+
+    add_lint_arguments(parser)
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint.cli import lint_command
 
@@ -580,7 +608,9 @@ def build_parser() -> argparse.ArgumentParser:
             "energy-harvesting SoCs (SOCC 2018 reproduction)"
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command", required=True, parser_class=_SubcommandParser
+    )
 
     p_info = sub.add_parser("info", help="system summary at an irradiance")
     p_info.add_argument("--irradiance", type=float, default=1.0)
@@ -789,9 +819,7 @@ def build_parser() -> argparse.ArgumentParser:
         "lint",
         help="domain-aware static analysis (determinism, units, spawn-safety)",
     )
-    from repro.lint.cli import add_lint_arguments
-
-    add_lint_arguments(p_lint)
+    p_lint.deferred_arguments = _add_lint_arguments
     p_lint.set_defaults(func=_cmd_lint)
 
     p_figures = sub.add_parser(

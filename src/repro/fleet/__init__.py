@@ -23,7 +23,6 @@ if TYPE_CHECKING:
         NO_MODE,
         ControlPlane,
         classify_controller,
-        shared_decision_caches,
     )
     from repro.fleet.engine import FleetNode, FleetSimulator
     from repro.fleet.pv import CellParams, batched_current
@@ -36,7 +35,6 @@ __all__ = [
     "NO_MODE",
     "batched_current",
     "classify_controller",
-    "shared_decision_caches",
 ]
 
 __getattr__, __dir__ = lazy_exports(
@@ -45,7 +43,6 @@ __getattr__, __dir__ = lazy_exports(
     {
         "repro.fleet.control": (
             "NO_MODE", "ControlPlane", "classify_controller",
-            "shared_decision_caches",
         ),
         "repro.fleet.engine": ("FleetNode", "FleetSimulator"),
         "repro.fleet.pv": ("CellParams", "batched_current"),

@@ -46,14 +46,11 @@ in the differential tests):
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 
 from repro.core.mppt import MppTrackingController
-from repro.errors import ModelParameterError
-from repro.monitor.comparator import ComparatorBank
-from repro.parallel.ids import stable_fingerprint
 from repro.processor.energy import ProcessorModel
 from repro.regulators.base import Regulator
 from repro.regulators.switched_capacitor import SwitchedCapacitorRegulator
@@ -80,38 +77,6 @@ K_HALT0 = 0  # halt decision: (0, 0, 0, 0, halt)
 K_CONSTHALT = 1  # constant (v_out, 0, 0, 0, halt) every step
 K_REG = 2  # regulated: per-step switched-capacitor band scan
 K_BYP = 3  # bypass: per-step processor evaluation at the node voltage
-
-
-def _share_key(obj: Any) -> Any:
-    """Grouping key for value-identical model objects.
-
-    Prefers the content fingerprint (so distinct-but-equal models share
-    decision memos); falls back to object identity, which is
-    always safe, when the object is not fingerprintable.
-    """
-    try:
-        return stable_fingerprint(obj)
-    except (ModelParameterError, TypeError, ValueError):
-        return f"id:{id(obj)}"
-
-
-def shared_decision_caches(
-    processors: Sequence[ProcessorModel],
-) -> "list[dict[tuple[float, float], tuple[float, float]]]":
-    """One decision memo per *distinct* processor model.
-
-    The scalar engine keeps a per-run ``(v_eval, commanded_hz) ->
-    (f, p_proc)`` memo; the mapping is a pure function of the
-    processor model, so lanes whose processors share a
-    :func:`~repro.parallel.ids.stable_fingerprint` can share one memo.
-    Sharing only changes hit rates, never values, so it is
-    value-transparent to the bit-identity contract.
-    """
-    by_key: "dict[Any, dict[tuple[float, float], tuple[float, float]]]" = {}
-    out: "list[dict[tuple[float, float], tuple[float, float]]]" = []
-    for processor in processors:
-        out.append(by_key.setdefault(_share_key(processor), {}))
-    return out
 
 
 def classify_controller(
@@ -247,13 +212,11 @@ class ControlPlane:
         controllers: Sequence[MppTrackingController],
         processors: Sequence[ProcessorModel],
         regulators: Sequence[SwitchedCapacitorRegulator],
-        caches: Sequence["dict[tuple[float, float], tuple[float, float]]"],
     ) -> None:
         n = len(controllers)
         self.n = n
         self._controllers = list(controllers)
         self._processors = list(processors)
-        self._caches = list(caches)
 
         # -- decision state (what resolve_decision collapses to) ------
         self.res_kind = np.zeros(n, dtype=np.int8)
@@ -349,8 +312,9 @@ class ControlPlane:
         if v_out < processor.min_operating_v:
             self.res_kind[k] = K_CONSTHALT
             return
+        # Once per real decide call, so no memo: the function is pure.
         f, p_proc = clamped_frequency_and_power(
-            processor, v_out, decision.frequency_hz, self._caches[k]
+            processor, v_out, decision.frequency_hz, None
         )
         bands = self._bands
         if not bands.min_output_v[k] <= v_out <= bands.max_output_v[k]:
@@ -405,7 +369,7 @@ class ControlPlane:
             mode[sub] = np.where(feasible, M_REG, M_HALT).astype(np.int8)
         # Bypass lanes run the processor straight off the node, whose
         # voltage almost never repeats: each resolves on its own through
-        # the scalar engine's function, bypassing the decision memo.
+        # the scalar engine's function.
         for k in np.flatnonzero((kind == K_BYP) & alive).tolist():
             processor = self._processors[k]
             v_k = float(v[k])
@@ -423,54 +387,3 @@ class ControlPlane:
             p_draw[k] = p_k
             mode[k] = M_BYP
         return (v_proc, f, p_proc, p_draw, mode)
-
-
-class ComparatorLens:
-    """Skip-predicate mirror for noiseless comparator banks.
-
-    A noiseless comparator's next state transition is a pure function
-    of its mirrored state and the trip thresholds, so the per-step
-    ``bank.observe`` call can be skipped whenever no comparator in the
-    bank could trip -- a no-op observe has no side effects.  Noisy
-    banks are *not* served (their noise stream must advance every
-    sample); the engine keeps per-step observes for those.
-    """
-
-    def __init__(
-        self, positions: Sequence[int], banks: Sequence[ComparatorBank]
-    ) -> None:
-        count = len(positions)
-        width = max((len(b.comparators) for b in banks), default=0)
-        self.positions = np.array(positions, dtype=np.intp)
-        self.banks = list(banks)
-        # Padding cells keep state 0 with +/-inf thresholds: never trip.
-        self.state = np.zeros((count, width), dtype=np.int8)
-        self.fall = np.full((count, width), -np.inf)
-        self.rise = np.full((count, width), np.inf)
-        for row, bank in enumerate(self.banks):
-            for col, comp in enumerate(bank.comparators):
-                trip = comp.threshold_v + comp.offset_v
-                self.state[row, col] = -1  # None: first sample latches
-                self.fall[row, col] = trip - 0.5 * comp.hysteresis_v
-                self.rise[row, col] = trip + 0.5 * comp.hysteresis_v
-
-    def rows_to_observe(
-        self, v: np.ndarray, alive: np.ndarray
-    ) -> np.ndarray:
-        """Rows whose bank must really observe this step's sample."""
-        v_col = v[self.positions][:, None]
-        could_trip = (
-            (self.state == -1)
-            | ((self.state == 1) & (v_col < self.fall))
-            | ((self.state == 0) & (v_col > self.rise))
-        )
-        flagged = could_trip.any(axis=1) & alive[self.positions]
-        return np.nonzero(flagged)[0]
-
-    def refresh(self, row: int) -> None:
-        """Re-mirror one bank's comparator states after an observe."""
-        for col, comp in enumerate(self.banks[row].comparators):
-            latched = comp.input_state
-            self.state[row, col] = (
-                -1 if latched is None else (1 if latched else 0)
-            )

@@ -48,7 +48,7 @@ death never perturbs a neighbour (also a tested property).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, cast
+from typing import Dict, List, Sequence, cast
 
 import numpy as np
 
@@ -58,10 +58,8 @@ from repro.fleet.control import (
     M_HALT,
     MODE_NAMES,
     NO_MODE,
-    ComparatorLens,
     ControlPlane,
     classify_controller,
-    shared_decision_caches,
 )
 from repro.fleet.pv import CellParams, batched_current
 from repro.monitor.comparator import ComparatorBank
@@ -164,24 +162,17 @@ class FleetSimulator:
     config:
         Shared :class:`~repro.sim.engine.SimulationConfig` -- the fleet
         batches *homogeneous-config* shards.
-    telemetry:
-        Optional *fleet-level* session for control-plane counters
-        (``fleet.lanes``, ``fleet.lanes.vectorized``, ``fleet.lanes.
-        fallback``).  Per-lane sessions stay on the nodes so lane
-        metrics remain bit-identical to scalar runs.
     """
 
     def __init__(
         self,
         nodes: Sequence[FleetNode],
         config: "SimulationConfig | None" = None,
-        telemetry: "Telemetry | None" = None,
     ) -> None:
         if not nodes:
             raise ModelParameterError("a fleet needs at least one node")
         self.nodes = list(nodes)
         self.config = config or SimulationConfig()
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Populated by :meth:`run`; lane classification counts
         #: (``{"lanes", "vectorized", "fallback"}``).
         self.control_summary: "Dict[str, object] | None" = None
@@ -236,10 +227,6 @@ class FleetSimulator:
             "vectorized": len(fast),
             "fallback": lanes - len(fast),
         }
-        fleet_tel = self.telemetry
-        fleet_tel.count("fleet.lanes", float(lanes))
-        fleet_tel.count("fleet.lanes.vectorized", float(len(fast)))
-        fleet_tel.count("fleet.lanes.fallback", float(lanes - len(fast)))
 
         results: "Dict[int, SimulationResult]" = {}
         if fast:
@@ -293,9 +280,6 @@ class FleetSimulator:
         irr_steps = np.ascontiguousarray(
             np.stack([trace.step_samples(dt, steps) for trace in traces]).T
         )
-        # Fleet-level decision memo: lanes with fingerprint-identical
-        # processors share one (v_eval, commanded_hz) cache (value-
-        # transparent -- sharing changes hit rates, never values).
         plane = ControlPlane(
             controllers,
             processors,
@@ -303,7 +287,6 @@ class FleetSimulator:
                 cast(SwitchedCapacitorRegulator, node.regulator)
                 for node in nodes
             ],
-            shared_decision_caches(processors),
         )
 
         # -- SoA electrical and loop state ----------------------------
@@ -358,23 +341,10 @@ class FleetSimulator:
         rec_mode = np.empty((record_count, n), dtype=np.int8)
         recorded = [0] * n
 
-        # Comparator service split: noiseless banks go through the
-        # skip-predicate lens; noisy banks must observe every step
-        # (their noise stream advances per sample).
-        lens: "ComparatorLens | None" = None
-        noisy_banks: "List[Tuple[int, ComparatorBank]]" = []
-        served_pos: "List[int]" = []
-        served_banks: "List[ComparatorBank]" = []
-        for k, bank in enumerate(comparators):
-            if bank is None:
-                continue
-            if bank.noiseless:
-                served_pos.append(k)
-                served_banks.append(bank)
-            else:
-                noisy_banks.append((k, bank))
-        if served_pos:
-            lens = ComparatorLens(served_pos, served_banks)
+        # Every bank observes every step, as in the scalar engine.
+        banks = [
+            (k, bank) for k, bank in enumerate(comparators) if bank is not None
+        ]
 
         watch = Stopwatch()
         for tel in tels:
@@ -611,19 +581,7 @@ class FleetSimulator:
                     pending_events[k] = ()
                 pend[pend_rows] = False
                 pend_rows = []
-            if lens is not None:
-                for row in lens.rows_to_observe(v, alive):
-                    rr = int(row)
-                    k = int(lens.positions[rr])
-                    bank = comparators[k]
-                    assert bank is not None
-                    new_events = bank.observe(t + dt, float(v[k]))
-                    lens.refresh(rr)
-                    if new_events:
-                        pending_events[k] = tuple(new_events)
-                        pend[k] = True
-                        pend_rows.append(k)
-            for k, bank in noisy_banks:
+            for k, bank in banks:
                 if alive[k]:
                     new_events = bank.observe(t + dt, float(v[k]))
                     if new_events:

@@ -112,18 +112,6 @@ class ThresholdComparator:
             self._noise = []
             self._noise_index = 0
 
-    @property
-    def input_state(self) -> "bool | None":
-        """Whether the last sample sat above the trip point.
-
-        ``None`` until the first sample.  Exposed for the fleet
-        engine's comparator lens, which mirrors this state to predict
-        -- exactly -- which :meth:`observe` calls would change state or
-        emit an event, and skips the rest (a no-op observe of a
-        noiseless comparator has no side effects).
-        """
-        return self._state
-
     def _trip_voltage(self) -> float:
         """The threshold the comparator actually trips at this sample."""
         trip = self.threshold_v + self.offset_v
@@ -172,8 +160,9 @@ class ComparatorBank:
     """The PCB's set of comparators observed together.
 
     Observing the bank fans one sample out to every comparator and
-    collects all crossings, maintaining a bounded history for the
-    estimator to consume.
+    collects all crossings.  Every crossing is also appended to
+    :attr:`history` for the estimator to consume; the history is not
+    bounded and grows for the whole run (until :meth:`reset`).
     """
 
     def __init__(
@@ -224,18 +213,6 @@ class ComparatorBank:
     def total_power_w(self) -> float:
         """Aggregate comparator draw for system accounting."""
         return sum(c.power_w for c in self.comparators)
-
-    @property
-    def noiseless(self) -> bool:
-        """True when every comparator trips deterministically.
-
-        A noiseless comparator's trip point is ``threshold + offset``
-        for every sample, so its next transition is predictable from
-        its mirrored state -- the property the fleet comparator lens
-        needs.  Any noisy comparator makes the whole bank opaque (the
-        noise stream must advance on every sample).
-        """
-        return all(c.noise_sigma_v == 0.0 for c in self.comparators)
 
     def reset(self) -> None:
         """Clear input states and crossing history."""

@@ -107,26 +107,16 @@ class SwitchedCapacitorRegulator(Regulator):
             return 0.0
         return headroom / self.output_impedance_ohm
 
-    def _band_input_power(
-        self, ratio: Fraction, v_out: float, i_out: float, v_in: float
-    ) -> float:
-        """Input power of one ratio band at load current ``i_out``."""
-        vnl = float(ratio) * v_in
-        return (
-            vnl * i_out
-            + self.switching.power(i_out)
-            + self.fixed.power(v_in)
-        )
-
     def _best_band(
         self, v_out: float, i_out: float, v_in: float
     ) -> "Tuple[Fraction, float] | None":
         """Feasibility scan: the minimum-input-power band and its Pin.
 
-        One fused pass over the precomputed float ratios, evaluating
-        exactly the same expressions (in the same order) as the
-        per-ratio primitives above, so the selected band and its input
-        power are bit-identical to the unfused scan.
+        One fused pass over the precomputed float ratios.  Each band's
+        headroom and current limit follow :meth:`no_load_voltage` and
+        :meth:`current_limit` expression for expression, and its input
+        power is ``Vnl * i_out + switching + fixed`` with the two losses
+        evaluated once for the scan.
         """
         # Tolerance so a load sized exactly at a band's current limit
         # (as the inverse solver does) still selects that band.

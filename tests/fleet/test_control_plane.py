@@ -24,7 +24,10 @@ subclass, a DVFS transition model or a trace without
   table's one-pass scan equals the regulator's own ``input_power`` on
   a grid;
 * bypass lanes resolve per lane, above ``max_operating_v`` and below
-  ``min_operating_v``, without filling the shared decision memo.
+  ``min_operating_v``;
+* every comparator bank observes every step, so a batch mixing a
+  noisy faulted bank, a noiseless bank and a lane with no bank matches
+  the scalar runs lane for lane.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ from typing import Any, Callable, Dict, List, Tuple
 import numpy as np
 import pytest
 
-import repro.fleet.engine as fleet_engine
 from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
 from repro.core.operating_point import OperatingPoint
 from repro.errors import OperatingRangeError
 from repro.fleet import classify_controller
-from repro.fleet.control import ScBandTable, shared_decision_caches
+from repro.fleet.control import ScBandTable
 from repro.pv.traces import step_trace
 from repro.regulators.switched_capacitor import (
     FIG4_BENCH_INPUT_V,
@@ -56,6 +58,8 @@ from repro.telemetry.session import TelemetrySession
 from repro.units import micro_seconds
 
 from tests.fleet.scenarios import (
+    CAMPAIGN_CONFIG,
+    CAMPAIGN_SIM_CONFIG,
     CONTROLLER_SCENARIOS,
     DEATH_TRACE,
     HETERO_SCENARIOS,
@@ -73,6 +77,7 @@ from tests.fleet.scenarios import (
     _transitions_parts,
     assert_capacitor_written_back,
     assert_results_identical,
+    campaign_scenario,
     lane_vectorizes,
     run_batch,
     run_scalar,
@@ -521,16 +526,8 @@ _BYPASS_SCENARIOS = tuple(
 
 class TestBypassLanes:
     def test_bypass_lanes_match_scalar_across_the_operating_range(
-        self, monkeypatch: pytest.MonkeyPatch
+        self,
     ) -> None:
-        caches: "List[dict]" = []
-
-        def spy(processors):
-            made = shared_decision_caches(processors)
-            caches.extend(made)
-            return made
-
-        monkeypatch.setattr(fleet_engine, "shared_decision_caches", spy)
         scenarios = _BYPASS_SCENARIOS
         simulator, results, _ = run_batch(scenarios)
         assert simulator.control_summary is not None
@@ -553,5 +550,46 @@ class TestBypassLanes:
             assert (result.frequency_hz[below] == 0.0).all()
             assert (mode == bypass).sum() > 300
             assert result.brownout_count == 1
-        # Every decision was bypass or halt: the shared memo stays empty.
-        assert caches and all(len(cache) == 0 for cache in caches)
+
+
+class TestComparatorService:
+    def test_noisy_noiseless_and_bankless_lanes_match_scalar(self) -> None:
+        """One batch: a seeded campaign lane whose faulted bank draws
+        per-sample noise, an MPPT lane on the noiseless design bank and
+        an MPPT lane without comparators, all under the campaign's
+        faulted trace.  Every bank observes every step, as in the
+        scalar engine."""
+        noisy = campaign_scenario(2)
+        scenarios = (
+            noisy,
+            Scenario(
+                "noiseless_bank",
+                CAMPAIGN_SIM_CONFIG,
+                noisy.trace,
+                _fig8_mppt_parts,
+                duration_s=CAMPAIGN_CONFIG.duration_s,
+            ),
+            Scenario(
+                "no_bank",
+                CAMPAIGN_SIM_CONFIG,
+                noisy.trace,
+                _blind_mppt_parts,
+                duration_s=CAMPAIGN_CONFIG.duration_s,
+            ),
+        )
+        simulator, results, _ = run_batch(scenarios)
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == len(scenarios)
+        noisy_bank, quiet_bank, no_bank = (
+            node.comparators for node in simulator.nodes
+        )
+        assert noisy_bank is not None and quiet_bank is not None
+        assert all(c.noise_sigma_v > 0.0 for c in noisy_bank.comparators)
+        assert all(c.noise_sigma_v == 0.0 for c in quiet_bank.comparators)
+        assert no_bank is None
+        # Both banks saw crossings, so their observes fed the trackers.
+        assert noisy_bank.history and quiet_bank.history
+        for lane, scenario in enumerate(scenarios):
+            scalar, capacitor = run_scalar_lane(scenario)
+            assert results_bit_identical(scalar, results[lane])
+            assert_capacitor_written_back(simulator, lane, capacitor)

@@ -193,6 +193,22 @@ class TestImportHygiene:
         assert "numpy" not in loaded
         assert "repro.core.system" not in loaded
 
+    @pytest.mark.parametrize("argv", [["--help"], ["faults", "--help"]])
+    def test_cli_help_loads_no_linter(self, argv):
+        """The lint subcommand's options are added only when it runs, so
+        other commands' help never imports the linter."""
+        loaded = loaded_after(
+            "import runpy, sys\n"
+            f"sys.argv = ['repro'] + {argv!r}\n"
+            "try:\n"
+            "    runpy.run_module('repro', run_name='__main__')\n"
+            "except SystemExit:\n"
+            "    pass\n"
+        )
+        assert "repro.cli" in loaded
+        assert not [m for m in loaded
+                    if m == "repro.lint" or m.startswith("repro.lint.")]
+
 
 class TestLazyExports:
     @pytest.mark.parametrize(
