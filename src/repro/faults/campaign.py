@@ -80,13 +80,13 @@ PLANNER_SLOTS = 40
 ENGINES = ("auto", "scalar", "fleet")
 
 #: Crossover shard size below which ``engine="auto"`` routes to the
-#: scalar path.  Measured on real holistic campaigns ("Real campaigns"
-#: in ``docs/performance.md``, and the campaign measurements under
-#: ROADMAP's open items): the engines tie at 16 seeds, and the fleet
-#: is 1.5-2x faster at 50 and 2.3-2.6x at 256; schemes other than
-#: ``holistic`` run every lane as a fallback lane and tie.  ROADMAP
-#: item 4 decides the value.  A campaign under a resilience policy
-#: runs 1-seed shards, so ``auto`` picks scalar there.  Explicit
+#: scalar path.  Measured on real holistic campaigns (the "Fleet vs
+#: scalar" table under ROADMAP's open items): the engines about tie
+#: at 16 seeds (scalar/fleet time 0.94), and the fleet is 1.41x faster
+#: at 50 and 1.60x at 256; schemes other than ``holistic`` run every
+#: lane as a fallback lane and tie.  ROADMAP item 4 decides the value.
+#: A campaign under a resilience policy runs 1-seed shards, so
+#: ``auto`` picks scalar there.  Explicit
 #: ``engine="fleet"`` always batches regardless (the differential
 #: harness runs batch 1 on purpose); ``auto`` is a throughput policy.
 FLEET_AUTO_MIN_BATCH = 16

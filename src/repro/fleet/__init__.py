@@ -1,15 +1,15 @@
 """Batched structure-of-arrays simulation of node fleets.
 
 :class:`FleetSimulator` advances many independent harvest-store-compute
-nodes per step with masked array updates, bit-identical lane-for-lane
-to the scalar :class:`~repro.sim.engine.TransientSimulator` (the
-differential harness in ``tests/fleet/`` is the contract).  A run
-returns one result per lane and leaves each lane's capacitor at its
-final voltage; nothing else outlasts it.  Lanes
-whose controller is a plain
+nodes per step with array updates, bit-identical lane-for-lane to the
+scalar :class:`~repro.sim.engine.TransientSimulator` (the differential
+harness in ``tests/fleet/`` is the contract).  A run returns one result
+per lane and leaves each lane's capacitor at its final voltage; nothing
+else outlasts it.  Lanes whose controller is a plain
 :class:`~repro.core.mppt.MppTrackingController` run in the vectorized
-core; every other lane runs through the scalar engine inside the
-batch.  Transient campaigns run each seed batch through
+core when the batch's config runs every lane to the end of the grid;
+every other lane runs through the scalar engine inside the batch.
+Transient campaigns run each seed batch through
 :func:`repro.fleet.campaign.transient_batch_task`, on this engine or
 the scalar one; see ``docs/fleet.md``.
 """

@@ -15,7 +15,7 @@ mirroring exactly the state that determines when the next real
   tracker on a switched-capacitor regulator vectorizes.  Every other
   controller, an overridden ``decide`` or a DVFS transition model
   sends the lane to the scalar engine instead.
-* **skip predicate** (:meth:`ControlPlane.decision_flags`): a masked
+* **skip predicate** (:meth:`ControlPlane.decision_flags`): a
   numpy expression reproducing the tracker's own trigger conditions
   flags the lanes whose ``decide`` could mutate state or change its
   output this step.  Flagged lanes get a *real* ``decide`` call on a
@@ -262,8 +262,7 @@ class ControlPlane:
         :class:`~repro.core.mppt.MpptTriggerSnapshot`).  A flagged
         lane gets a real call; an unflagged lane's ``decide`` is
         provably a no-op returning the mirrored decision.  Every lane
-        is flagged at step 0.  The caller masks the result with lane
-        liveness.
+        is flagged at step 0.
         """
         if step == 0:
             return np.ones(self.n, dtype=bool)
@@ -333,14 +332,13 @@ class ControlPlane:
     # -- vector resolution --------------------------------------------
 
     def resolve(
-        self, v: np.ndarray, alive: np.ndarray
+        self, v: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
         """Batched ``resolve_decision`` over the lanes.
 
         Returns ``(v_proc, f, p_proc, p_draw, mode)``; the decided
         frequency and mode feeding the engine's stall detection are
-        :attr:`dec_f` and :attr:`dec_mode`.  Dead lanes produce
-        don't-care values.
+        :attr:`dec_f` and :attr:`dec_mode`.
         """
         n = self.n
         kind = self.res_kind
@@ -352,7 +350,7 @@ class ControlPlane:
         const_halt = kind == K_CONSTHALT
         if np.any(const_halt):
             v_proc[const_halt] = self.rs_vout[const_halt]
-        sub = np.nonzero((kind == K_REG) & alive)[0]
+        sub = np.flatnonzero(kind == K_REG)
         if sub.size:
             feasible, draw = self._bands.scan(
                 sub,
@@ -370,7 +368,7 @@ class ControlPlane:
         # Bypass lanes run the processor straight off the node, whose
         # voltage almost never repeats: each resolves on its own through
         # the scalar engine's function.
-        for k in np.flatnonzero((kind == K_BYP) & alive).tolist():
+        for k in np.flatnonzero(kind == K_BYP).tolist():
             processor = self._processors[k]
             v_k = float(v[k])
             v_proc[k] = v_k

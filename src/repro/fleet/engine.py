@@ -10,13 +10,12 @@ compute nodes.  Each run is split in three parts:
   (:func:`repro.fleet.control.classify_controller`) and its cycle
   target survives the float mirror;
 * the **vectorized core**, which marches the admitted lanes through
-  one shared time grid: the implicit single-diode PV solve (per lane
-  on small batches, one array Newton on wide ones) and the capacitor
-  integration run over the live lanes, and the control plane
+  one shared time grid to its end: the implicit single-diode PV solve
+  (per lane on small batches, one array Newton on wide ones) and the
+  capacitor integration run over every lane, and the control plane
   (:mod:`repro.fleet.control`) advances the decisions through a
-  batched skip predicate and masked array resolution (real
-  ``decide`` calls only when a tracker's own trigger conditions
-  fire);
+  batched skip predicate and array resolution (real ``decide`` calls
+  only when a tracker's own trigger conditions fire);
 * every other lane -- any other controller among them -- runs through
   the scalar :class:`~repro.sim.engine.TransientSimulator` itself, so
   the scalar engine holds the only per-lane copy of the step
@@ -39,10 +38,13 @@ and skipped controller calls are provably no-ops.
 ``tests/fleet/`` asserts this across the full scenario matrix; the
 differential harness is the contract.
 
-Masking semantics: a core lane dies (``stop_on_brownout`` break,
-``stop_on_completion`` break) by leaving the live mask -- its state
-freezes at its own end step while surviving lanes march on, so lane
-death never perturbs a neighbour (also a tested property).
+Lanes that may stop early: the core has no lane death.  A batch whose
+shared config sets ``stop_on_brownout`` (the
+:class:`~repro.sim.engine.SimulationConfig` default) or
+``stop_on_completion`` runs every lane on the scalar engine, which owns
+the early-exit semantics; campaigns use the halt-and-recharge config
+(``stop_on_brownout=False, recover_from_brownout=True``), whose lanes
+all run the whole grid.
 """
 
 from __future__ import annotations
@@ -153,7 +155,12 @@ class FleetSimulator:
     the vectorized core; every other lane runs through
     :class:`~repro.sim.engine.TransientSimulator` (see the module
     docstring).  Either way each lane is bit-identical to its scalar
-    run.
+    run.  The core runs every lane to the end of the grid, so a
+    ``config`` with ``stop_on_brownout`` or ``stop_on_completion`` --
+    the default ``SimulationConfig()`` among them -- vectorizes no
+    lane; pass the campaigns' halt-and-recharge config
+    (``stop_on_brownout=False, recover_from_brownout=True``) to use the
+    core.
 
     Parameters
     ----------
@@ -217,8 +224,12 @@ class FleetSimulator:
                 "raise time_step_s or max_steps"
             )
 
+        # The core runs every lane to the end of the grid, so a config
+        # that may stop a lane early sends the whole batch to the
+        # scalar engine.
+        runs_to_end = not (cfg.stop_on_brownout or cfg.stop_on_completion)
         vectorized = [
-            vectorizable(node, trace, steps)
+            runs_to_end and vectorizable(node, trace, steps)
             for node, trace in zip(nodes, traces)
         ]
         fast = [i for i, ok in enumerate(vectorized) if ok]
@@ -296,7 +307,6 @@ class FleetSimulator:
         cap_leak = np.array(
             [node.capacitor.leakage_current_a for node in nodes]
         )
-        alive = np.ones(n, dtype=bool)
         cycles = np.zeros(n)
         prev_vproc = np.zeros(n)
         tmode = np.full(n, NO_MODE, dtype=np.int8)
@@ -308,7 +318,6 @@ class FleetSimulator:
         bocount = np.zeros(n, dtype=np.int64)
         v_prev = v
         pend = np.zeros(n, dtype=bool)
-        i_net = np.zeros(n)
         target_arr = np.array(
             [np.nan if target is None else float(target) for target in targets]
         )
@@ -327,8 +336,7 @@ class FleetSimulator:
         events: "List[list]" = [[] for _ in range(n)]
 
         # Step-major record buffers: one row per record column, so a
-        # recording step stores whole rows, dead lanes included.  A
-        # lane's entries past its own ``recorded[k]`` are never read.
+        # recording step stores whole rows.
         record_count = steps // cfg.record_every + 1
         rec_t = np.empty((record_count, n))
         rec_vnode = np.empty((record_count, n))
@@ -339,7 +347,6 @@ class FleetSimulator:
         rec_pdraw = np.empty((record_count, n))
         rec_irr = np.empty((record_count, n))
         rec_mode = np.empty((record_count, n), dtype=np.int8)
-        recorded = [0] * n
 
         # Every bank observes every step, as in the scalar engine.
         banks = [
@@ -353,36 +360,16 @@ class FleetSimulator:
                 dt_s=dt, planned_steps=steps,
             )
 
-        def finish_lane(
-            k: int, lane_step: int, lane_t: float, final_cycles: float
-        ) -> None:
-            """The scalar engine's after-loop telemetry, at lane end."""
-            tel = tels[k]
-            outage_start = outage_started_s[k]
-            if outage_start is not None:
-                tel.end_span(lane_t)
-                tel.observe("brownout.outage_s", lane_t - outage_start)
-            tel.end_span(lane_t, steps=float(lane_step + 1))
-            tel.count("engine.steps", float(lane_step + 1))
-            tel.gauge("brownout.downtime_s", float(downtime[k]))
-            tel.gauge("engine.final_cycles", final_cycles)
-            tel.profile("engine.run_wall_s", watch.elapsed_s())
-            alive[k] = False
-
-        all_alive = True
         t = 0.0
-        step = 0
         for step in range(steps + 1):
-            # One batched PV solve across all live lanes.
+            # One batched PV solve across all lanes.
             irr = irr_steps[step]
-            i_pv = batched_current(params, v, irr, alive)
+            i_pv = batched_current(params, v, irr)
             p_pv = v * i_pv
-
-            any_died = False
 
             # Power-good release (see the scalar engine).
             if recovering.any():
-                release = alive & recovering & (v >= cfg.recovery_voltage_v)
+                release = recovering & (v >= cfg.recovery_voltage_v)
                 for k in np.nonzero(release)[0].tolist():
                     tel = tels[k]
                     recovering[k] = False
@@ -400,7 +387,6 @@ class FleetSimulator:
             need = plane.decision_flags(
                 step, t, v, v_prev, recovering, bocount, pend
             )
-            need &= alive
             if need.any():
                 for k in np.nonzero(need)[0].tolist():
                     controller = controllers[k]
@@ -417,18 +403,16 @@ class FleetSimulator:
                     )
                     plane.refresh(k, controller.decide(view))
 
-            v_proc, f, p_proc, p_draw, mode = plane.resolve(v, alive)
+            v_proc, f, p_proc, p_draw, mode = plane.resolve(v)
             if recovering.any():
-                gate = recovering & alive
-                v_proc = np.where(gate, 0.0, v_proc)
-                f = np.where(gate, 0.0, f)
-                p_proc = np.where(gate, 0.0, p_proc)
-                p_draw = np.where(gate, 0.0, p_draw)
-                mode = np.where(gate, M_HALT, mode).astype(np.int8)
-            prev_vproc = np.where(alive, v_proc, prev_vproc)
+                v_proc = np.where(recovering, 0.0, v_proc)
+                f = np.where(recovering, 0.0, f)
+                p_proc = np.where(recovering, 0.0, p_proc)
+                p_draw = np.where(recovering, 0.0, p_draw)
+                mode = np.where(recovering, M_HALT, mode).astype(np.int8)
 
             # Converter-path mode switch telemetry.
-            changed = alive & (mode != tmode)
+            changed = mode != tmode
             if changed.any():
                 for k in np.nonzero(changed)[0].tolist():
                     old_code = int(tmode[k])
@@ -450,7 +434,6 @@ class FleetSimulator:
                 & (plane.dec_mode != M_HALT)
                 & ~completed
                 & ~recovering
-                & alive
             )
             entering = stalled & ~in_bo
             if entering.any():
@@ -465,16 +448,7 @@ class FleetSimulator:
                     tel.event(
                         "brownout", t, track="engine", node_v=float(v[k])
                     )
-                    if cfg.stop_on_brownout:
-                        # A stalled lane already resolved to halt with
-                        # zero f, p_proc and p_draw, so the row stored
-                        # below at a recording step is the scalar
-                        # engine's final record; either way the lane
-                        # keeps every record column up to this step.
-                        recorded[k] = step // cfg.record_every + 1
-                        finish_lane(k, step, t, float(cycles[k]))
-                        any_died = True
-                    elif cfg.recover_from_brownout:
+                    if cfg.recover_from_brownout:
                         recovering[k] = True
                         if outage_started_s[k] is None:
                             tel.begin_span(
@@ -486,8 +460,8 @@ class FleetSimulator:
                         p_proc[k] = 0.0
                         p_draw[k] = 0.0
                         mode[k] = M_HALT
-                        prev_vproc[k] = 0.0
-            in_bo[(f > 0.0) & alive] = False
+            in_bo[f > 0.0] = False
+            prev_vproc = v_proc
 
             if step % cfg.record_every == 0:
                 col = step // cfg.record_every
@@ -501,79 +475,60 @@ class FleetSimulator:
                 rec_irr[col] = irr
                 rec_mode[col] = mode
 
-            if step < steps:
-                # Cycle bookkeeping and completion detection.
-                updatable = alive.copy()
-                new_cycles = cycles + f * dt
-                completing = (
-                    alive
-                    & has_target
-                    & ~completed
-                    & (new_cycles >= target_arr)
-                )
-                if completing.any():
-                    for k in np.nonzero(completing)[0].tolist():
-                        tel = tels[k]
-                        completed[k] = True
-                        target = cast(float, targets[k])
-                        f_k = float(f[k])
-                        if f_k > 0.0:
-                            crossed_t = t + (target - float(cycles[k])) / f_k
-                        else:
-                            crossed_t = t
-                        completion_time[k] = crossed_t
-                        events[k].append(("completed", crossed_t))
-                        tel.event(
-                            "workload.completed", crossed_t,
-                            track="engine", cycles=float(target),
-                        )
-                        if cfg.stop_on_completion:
-                            recorded[k] = step // cfg.record_every + 1
-                            finish_lane(k, step, t, float(new_cycles[k]))
-                            any_died = True
-                cycles = np.where(updatable, new_cycles, cycles)
-
-                idle = alive & (recovering | (in_bo & (f == 0.0)))
-                downtime = np.where(idle, downtime + dt, downtime)
-
-                # Node demand; the capacitor integration is batched.
-                demand = p_draw + comp_pow
-                ok_v = v > 1e-6
-                i_draw = np.where(ok_v, demand / np.where(ok_v, v, 1.0), 0.0)
-                collapsed = np.where(alive & ok_v, False, collapsed)
-                collapsing = alive & ~ok_v & (demand > 0.0) & ~collapsed
-                if collapsing.any():
-                    for k in np.nonzero(collapsing)[0].tolist():
-                        collapsed[k] = True
-                        events[k].append(("node_collapse", t))
-                        tels[k].event("node.collapse", t, track="engine")
-                # Dead lanes get don't-care values; the capacitor
-                # update never applies them (live mask).
-                i_net = i_pv - i_draw
-
             if step == steps:
                 break
-            if any_died:
-                all_alive = False
-                if not alive.any():
-                    break
 
-            # Masked capacitor update across all live lanes, preserving
-            # the scalar expression order (leak subtraction only when
-            # leaking and charged; left-associative V + (I*dt)/C; clamp
-            # to [0, rating]).
+            # Cycle bookkeeping and completion detection.
+            new_cycles = cycles + f * dt
+            completing = has_target & ~completed & (new_cycles >= target_arr)
+            if completing.any():
+                for k in np.nonzero(completing)[0].tolist():
+                    completed[k] = True
+                    target = cast(float, targets[k])
+                    f_k = float(f[k])
+                    if f_k > 0.0:
+                        crossed_t = t + (target - float(cycles[k])) / f_k
+                    else:
+                        crossed_t = t
+                    completion_time[k] = crossed_t
+                    events[k].append(("completed", crossed_t))
+                    tels[k].event(
+                        "workload.completed", crossed_t,
+                        track="engine", cycles=float(target),
+                    )
+            cycles = new_cycles
+
+            downtime[recovering | (in_bo & (f == 0.0))] += dt
+
+            # Node demand; the capacitor integration is batched.
+            demand = p_draw + comp_pow
+            ok_v = v > 1e-6
+            i_draw = np.where(ok_v, demand / np.where(ok_v, v, 1.0), 0.0)
+            collapsed &= ~ok_v
+            collapsing = ~ok_v & (demand > 0.0) & ~collapsed
+            if collapsing.any():
+                for k in np.nonzero(collapsing)[0].tolist():
+                    collapsed[k] = True
+                    events[k].append(("node_collapse", t))
+                    tels[k].event("node.collapse", t, track="engine")
+            i_net = i_pv - i_draw
+
+            # Batched capacitor update, preserving the scalar
+            # expression order (leak subtraction only when leaking and
+            # charged; left-associative V + (I*dt)/C; clamp to
+            # [0, rating]).
             adj = np.where(
                 (cap_leak > 0.0) & (v > 0.0), i_net - cap_leak, i_net
             )
             v_next = np.minimum(
                 np.maximum(v + adj * dt / cap_c, 0.0), cap_vmax
             )
-            if not np.all(np.isfinite(v_next if all_alive else v_next[alive])):
+            if not np.all(np.isfinite(v_next)):
                 raise SimulationError(
                     f"node voltage became non-finite at t={t}"
                 )
             v_prev = v
-            v = v_next if all_alive else np.where(alive, v_next, v)
+            v = v_next
 
             # Comparator observations feed the next step's views.
             if pend_rows:
@@ -582,38 +537,42 @@ class FleetSimulator:
                 pend[pend_rows] = False
                 pend_rows = []
             for k, bank in banks:
-                if alive[k]:
-                    new_events = bank.observe(t + dt, float(v[k]))
-                    if new_events:
-                        pending_events[k] = tuple(new_events)
-                        pend[k] = True
-                        pend_rows.append(k)
+                new_events = bank.observe(t + dt, float(v[k]))
+                if new_events:
+                    pending_events[k] = tuple(new_events)
+                    pend[k] = True
+                    pend_rows.append(k)
 
             t += dt
 
-        # Lanes that reached the end of the grid finish here, exactly
-        # like the scalar engine's after-loop block.
-        for k in range(n):
-            if alive[k]:
-                recorded[k] = step // cfg.record_every + 1
-                finish_lane(k, step, t, float(cycles[k]))
+        # Every lane reaches the end of the grid: the scalar engine's
+        # after-loop block, lane by lane.
+        for k, tel in enumerate(tels):
+            outage_start = outage_started_s[k]
+            if outage_start is not None:
+                tel.end_span(t)
+                tel.observe("brownout.outage_s", t - outage_start)
+            tel.end_span(t, steps=float(steps + 1))
+            tel.count("engine.steps", float(steps + 1))
+            tel.gauge("brownout.downtime_s", float(downtime[k]))
+            tel.gauge("engine.final_cycles", float(cycles[k]))
+            tel.profile("engine.run_wall_s", watch.elapsed_s())
 
         results: List[SimulationResult] = []
         for k, node in enumerate(nodes):
             # The scalar engine mutates its capacitor in place
             # throughout; the core writes the final voltage back.
             node.capacitor.charge(float(v[k]))
-            m = recorded[k]
             result = SimulationResult(
-                time_s=rec_t[:m, k].copy(),
-                node_voltage_v=rec_vnode[:m, k].copy(),
-                processor_voltage_v=rec_vproc[:m, k].copy(),
-                frequency_hz=rec_f[:m, k].copy(),
-                harvest_power_w=rec_ppv[:m, k].copy(),
-                processor_power_w=rec_pproc[:m, k].copy(),
-                draw_power_w=rec_pdraw[:m, k].copy(),
-                irradiance=rec_irr[:m, k].copy(),
-                mode=rec_mode[:m, k].copy(),
+                time_s=rec_t[:, k].copy(),
+                node_voltage_v=rec_vnode[:, k].copy(),
+                processor_voltage_v=rec_vproc[:, k].copy(),
+                frequency_hz=rec_f[:, k].copy(),
+                harvest_power_w=rec_ppv[:, k].copy(),
+                processor_power_w=rec_pproc[:, k].copy(),
+                draw_power_w=rec_pdraw[:, k].copy(),
+                irradiance=rec_irr[:, k].copy(),
+                mode=rec_mode[:, k].copy(),
                 completed=bool(completed[k]),
                 completion_time_s=completion_time[k],
                 browned_out=brownout_time[k] is not None,

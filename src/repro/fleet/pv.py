@@ -5,8 +5,9 @@ the array form of :meth:`~repro.pv.cell.SingleDiodeCell.current_scalar`
 shared with :meth:`~repro.pv.cell.SingleDiodeCell.current`.  This module
 holds only what is fleet-specific: per-lane parameters packed as
 structure-of-arrays (:class:`CellParams`) and :func:`batched_current`,
-which solves the active lanes one by one through ``current_scalar`` up
-to :data:`PER_LANE_MAX_LANES` of them and as one array Newton above.
+which solves every lane of a batch one by one through
+``current_scalar`` up to :data:`PER_LANE_MAX_LANES` lanes and as one
+array Newton above; the batch width alone picks the path.
 ``tests/fleet/test_pv.py`` asserts lane-for-lane bit-identity with the
 scalar solve on both sides of that crossover, over dense
 voltage/irradiance grids and hypothesis-driven parameter draws.
@@ -22,7 +23,7 @@ import numpy as np
 from repro.errors import ModelParameterError
 from repro.pv.cell import SingleDiodeCell, newton_current
 
-#: Largest live-lane count :func:`batched_current` solves lane by lane.
+#: Widest batch :func:`batched_current` solves lane by lane.
 #: numpy's fixed cost per call (a dozen calls per Newton iteration)
 #: makes the array solve cost a flat ~100-140 us per step whatever the
 #: batch, while a per-lane solve costs ~4.5 us.  Swept on (voltage,
@@ -91,40 +92,34 @@ def batched_current(
     params: CellParams,
     voltage_v: np.ndarray,
     irradiance: np.ndarray,
-    active: np.ndarray,
 ) -> np.ndarray:
     """Terminal current per lane, bit-identical to the scalar solves.
 
-    ``voltage_v``/``irradiance`` are lane-indexed arrays; ``active`` is
-    a boolean mask selecting the lanes to solve (dead lanes cost
-    nothing and return 0.0 placeholders that the engine never reads).
-    Up to :data:`PER_LANE_MAX_LANES` active lanes each call their own
+    ``voltage_v``/``irradiance`` are lane-indexed arrays.  A batch of
+    up to :data:`PER_LANE_MAX_LANES` lanes calls each lane's own
     cell's ``current_scalar``; wider batches go through
     :func:`repro.pv.cell.newton_current`.  Either way lane ``i`` equals
     ``cells[i].current_scalar(voltage_v[i], irradiance[i])`` bit for
-    bit, and a negative irradiance on an active lane raises
+    bit, and a negative irradiance raises
     :class:`~repro.errors.ModelParameterError`.
     """
-    act_idx = np.flatnonzero(active)
-    if act_idx.size <= PER_LANE_MAX_LANES:
-        volts = voltage_v.tolist()
-        irrs = irradiance.tolist()
-        cells = params.cells
-        currents = [0.0] * len(volts)
-        for k in act_idx.tolist():
-            currents[k] = cells[k].current_scalar(volts[k], irrs[k])
-        return np.array(currents)
-    out = np.zeros(voltage_v.shape[0])
-    irr = irradiance[act_idx]
-    if np.any(irr < 0.0):
-        bad = float(irr[irr < 0.0][0])
+    if params.lanes <= PER_LANE_MAX_LANES:
+        return np.array(
+            [
+                cell.current_scalar(volts, irr)
+                for cell, volts, irr in zip(
+                    params.cells, voltage_v.tolist(), irradiance.tolist()
+                )
+            ]
+        )
+    if np.any(irradiance < 0.0):
+        bad = float(irradiance[irradiance < 0.0][0])
         raise ModelParameterError(f"irradiance must be >= 0, got {bad}")
-    out[act_idx] = newton_current(
-        voltage_v[act_idx],
-        params.photo_current_full_sun_a[act_idx] * irr,
-        params.saturation_current_a[act_idx],
-        params.diode_scale_v[act_idx],
-        params.series_resistance_ohm[act_idx],
-        params.shunt_resistance_ohm[act_idx],
+    return newton_current(
+        voltage_v,
+        params.photo_current_full_sun_a * irradiance,
+        params.saturation_current_a,
+        params.diode_scale_v,
+        params.series_resistance_ohm,
+        params.shunt_resistance_ohm,
     )
-    return out

@@ -51,7 +51,8 @@ _IRR_PRECOMPUTE_MAX_SAMPLES = 2_000_001
 #: mapping is a pure function, so resetting is value-transparent.
 _DECISION_CACHE_MAX = 65_536
 
-#: Type of the per-run decision memo shared with the fleet engine.
+#: Type of the scalar engine's per-run decision memo (the fleet engine
+#: resolves with ``cache=None``).
 DecisionCache = Optional[Dict[Tuple[float, float], Tuple[float, float]]]
 
 

@@ -133,7 +133,13 @@ def run_batch(
 
 
 def lane_vectorizes(scenario: Scenario) -> bool:
-    """Whether ``scenario``'s lane runs in the fleet's vectorized core."""
+    """Whether the per-lane classifier admits ``scenario``'s lane.
+
+    The lane then runs in the fleet's vectorized core unless its
+    batch's config may stop a lane early (``stop_on_brownout`` or
+    ``stop_on_completion``), which sends the whole batch to the scalar
+    engine.
+    """
     duration_s = scenario.duration_s or scenario.trace.duration_s
     steps = int(math.ceil(duration_s / scenario.config.time_step_s))
     return vectorizable(
@@ -471,8 +477,10 @@ RECOVERY_CONFIG = SimulationConfig(
     recovery_voltage_v=1.05,
 )
 
-#: Early-exit scenarios, both on vectorized MPPT lanes: death by
-#: brownout and a short job's completion.
+#: Early-exit scenarios on MPPT lanes the classifier admits: death by
+#: brownout and a short job's completion.  The vectorized core runs
+#: every lane to the end of the grid, so a batch under either config
+#: runs all its lanes on the scalar engine.
 STOP_SCENARIOS: "Tuple[Scenario, ...]" = (
     Scenario(
         "stop_on_brownout",

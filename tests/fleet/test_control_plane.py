@@ -13,9 +13,10 @@ subclass, a DVFS transition model or a trace without
 * batch-N is bit-identical to N batches of one, and to the scalar
   reference engine, lane by lane -- results and each lane's
   capacitor, written back to its final voltage;
-* core lanes stay independent through death (``stop_on_brownout``),
-  brownout recovery and early completion, and a fallback lane outlasts
-  core lanes that complete early;
+* core lanes stay independent through brownout recovery; a batch that
+  may stop a lane early (``stop_on_brownout``, ``stop_on_completion``)
+  runs every lane on the scalar engine, where lanes stay independent
+  through death and early completion;
 * lane order is physically meaningless (results, capacitors and the
   classification counts all travel with their lanes);
 * lanes whose switched-capacitor regulators differ -- ratio banks of
@@ -67,6 +68,7 @@ from tests.fleet.scenarios import (
     MATRIX_TRACE,
     RECOVERY_CONFIG,
     RECOVERY_TRACE,
+    STOP_SCENARIOS,
     SYSTEM,
     TRACKER,
     VECTORIZED_LANES,
@@ -136,6 +138,35 @@ class TestClassification:
             "vectorized": len(core),
             "fallback": len(fallback),
         }
+
+
+@pytest.mark.parametrize(
+    "stop", STOP_SCENARIOS, ids=[scenario.name for scenario in STOP_SCENARIOS]
+)
+def test_stopping_config_sends_every_lane_to_the_scalar_engine(
+    stop: Scenario,
+) -> None:
+    """The core runs every lane to the end of the grid, so a batch whose
+    config may stop a lane early runs on the scalar engine whole, even
+    though the classifier admits each of its MPPT lanes.  The stopping
+    lane ends early; the plain Fig. 8 lane beside it runs to the end."""
+    scenarios = (
+        stop,
+        Scenario("fig8_mppt", stop.config, stop.trace, _fig8_mppt_parts),
+        stop,
+    )
+    simulator, results, _ = run_batch(scenarios)
+    assert all(lane_vectorizes(scenario) for scenario in scenarios)
+    assert simulator.control_summary == {
+        "lanes": 3,
+        "vectorized": 0,
+        "fallback": 3,
+    }
+    assert len(results[0].time_s) < len(results[1].time_s)
+    for lane, scenario in enumerate(scenarios):
+        scalar, capacitor = run_scalar_lane(scenario)
+        assert_results_identical(scalar, results[lane])
+        assert_capacitor_written_back(simulator, lane, capacitor)
 
 
 class _CustomDecide(MppTrackingController):
@@ -226,9 +257,12 @@ def _mixed_batch(
 
 class TestLaneIndependence:
     def test_death_by_brownout_leaves_other_lanes_untouched(self) -> None:
-        # record_every=1: the death step is a recording step, so the
-        # core writes the dying lane's final record column (the
-        # ``stop_on_brownout`` matrix lane dies between columns).
+        """A ``stop_on_brownout`` batch runs on the scalar engine, even
+        where the classifier admits its lanes, and a lane's death still
+        leaves its neighbours untouched.  record_every=1: the death step
+        is a recording step, so the dying lane keeps a final record
+        column (the ``stop_on_brownout`` matrix lane dies between
+        columns)."""
         config = SimulationConfig(
             time_step_s=micro_seconds(10),
             record_every=1,
@@ -237,8 +271,11 @@ class TestLaneIndependence:
         scenarios = _mixed_batch(config, DEATH_TRACE)
         simulator, results, _ = run_batch(scenarios)
         assert [lane_vectorizes(s) for s in scenarios] == [True, True, False]
-        assert simulator.control_summary is not None
-        assert simulator.control_summary["vectorized"] == 2
+        assert simulator.control_summary == {
+            "lanes": 3,
+            "vectorized": 0,
+            "fallback": 3,
+        }
         # The blind lane really dies mid-run; its neighbour does not.
         assert results[0].brownout_count == 1
         assert results[1].brownout_count == 0
@@ -267,9 +304,10 @@ class TestLaneIndependence:
             assert_capacitor_written_back(simulator, lane, capacitor)
 
     def test_state_time_is_latest_lane_end(self) -> None:
-        """Core lanes that complete early leave the fallback lane as the
-        last one running: its ``engine.steps`` count is the batch's
-        largest."""
+        """A ``stop_on_completion`` batch runs on the scalar engine: the
+        MPPT lanes that complete early leave the transition-model lane
+        as the last one running, so its ``engine.steps`` count is the
+        batch's largest."""
         config = SimulationConfig(
             time_step_s=micro_seconds(10),
             record_every=4,
@@ -292,9 +330,12 @@ class TestLaneIndependence:
             Scenario("transitions", config, MATRIX_TRACE, _transitions_parts),
         )
         simulator, results, _ = run_batch(scenarios, with_metrics=True)
-        assert simulator.control_summary is not None
-        assert simulator.control_summary["vectorized"] == 2
-        assert simulator.control_summary["fallback"] == 1
+        assert [lane_vectorizes(s) for s in scenarios] == [True, True, False]
+        assert simulator.control_summary == {
+            "lanes": 3,
+            "vectorized": 0,
+            "fallback": 3,
+        }
         for lane, scenario in enumerate(scenarios):
             scalar, capacitor = run_scalar_lane(
                 scenario, telemetry=TelemetrySession()
@@ -307,7 +348,7 @@ class TestLaneIndependence:
         for result in results:
             assert result.metrics is not None
             steps.append(result.metrics["engine.steps"])
-        # The fallback lane's count is the largest.
+        # The lane that never completes has the largest count.
         assert steps[1] < steps[0] < steps[2]
 
 

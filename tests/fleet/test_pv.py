@@ -1,9 +1,9 @@
 """Bit-identity of the batched PV solve vs the scalar solver.
 
-Up to :data:`~repro.fleet.pv.PER_LANE_MAX_LANES` live lanes are solved
-one by one through ``current_scalar``; wider batches take the array
-Newton.  Every test below that names a batch size runs on both sides
-of that crossover.
+A batch of up to :data:`~repro.fleet.pv.PER_LANE_MAX_LANES` lanes is
+solved lane by lane through ``current_scalar``; wider batches take the
+array Newton.  Every test below that names a batch size runs on both
+sides of that crossover.
 """
 
 from __future__ import annotations
@@ -89,10 +89,7 @@ def test_dense_grid_matches_scalar_bitwise() -> None:
         )
         params = CellParams.from_cells([CELL] * len(voltages))
         batched = batched_current(
-            params,
-            voltages,
-            np.full(len(voltages), irradiance),
-            np.ones(len(voltages), dtype=bool),
+            params, voltages, np.full(len(voltages), irradiance)
         )
         assert batched.tolist() == scalar.tolist()  # bit-for-bit
 
@@ -101,9 +98,7 @@ def test_zero_series_resistance_closed_form() -> None:
     cell = _zero_rs_cell()
     params = CellParams.from_cells([cell, cell])
     voltages = np.array([0.2, 0.45])
-    batched = batched_current(
-        params, voltages, np.array([1.0, 0.4]), np.ones(2, dtype=bool)
-    )
+    batched = batched_current(params, voltages, np.array([1.0, 0.4]))
     expected = [
         cell.current_scalar(0.2, 1.0),
         cell.current_scalar(0.45, 0.4),
@@ -111,14 +106,21 @@ def test_zero_series_resistance_closed_form() -> None:
     assert batched.tolist() == expected
 
 
-def test_inactive_lanes_are_masked_out() -> None:
+def test_inactive_lanes_are_masked_out(array_solves: "list[int]") -> None:
+    """The solve has no lane mask: a narrow batch solves every lane on
+    its own, so a lane's current does not depend on its neighbours."""
     params = CellParams.from_cells([CELL] * 3)
     voltages = np.array([0.4, 0.5, 0.6])
-    active = np.array([True, False, True])
-    out = batched_current(params, voltages, np.full(3, 1.0), active)
-    assert out[1] == 0.0
-    assert out[0] == CELL.current_scalar(0.4, 1.0)
-    assert out[2] == CELL.current_scalar(0.6, 1.0)
+    out = batched_current(params, voltages, np.full(3, 1.0))
+    assert out.tolist() == [
+        CELL.current_scalar(0.4, 1.0),
+        CELL.current_scalar(0.5, 1.0),
+        CELL.current_scalar(0.6, 1.0),
+    ]
+    neighbours = np.array([0.4, 1.2, 0.6])
+    moved = batched_current(params, neighbours, np.array([1.0, 0.1, 1.0]))
+    assert moved[0] == out[0] and moved[2] == out[2]
+    assert array_solves == []
 
 
 @pytest.mark.parametrize("lanes", BATCH_SIZES)
@@ -129,9 +131,7 @@ def test_lanes_match_current_scalar_across_crossover(
     params = CellParams.from_cells(cells)
     assert params is not None
     voltages, irradiance = _lane_points(11, lanes, (0.0, 1.6), (0.0, 1.2))
-    out = batched_current(
-        params, voltages, irradiance, np.ones(lanes, dtype=bool)
-    )
+    out = batched_current(params, voltages, irradiance)
     assert out.tolist() == [
         cell.current_scalar(float(v), float(g))
         for cell, v, g in zip(cells, voltages, irradiance)
@@ -143,39 +143,36 @@ def test_lanes_match_current_scalar_across_crossover(
 def test_live_count_dropping_below_crossover(
     array_solves: "list[int]",
 ) -> None:
-    """One batch whose lanes die one after another: each call picks its
-    path from the live count, and live lanes stay bit-identical."""
+    """Batches narrowing one lane at a time across the crossover: each
+    call picks its path from the batch width alone, and every lane
+    stays bit-identical."""
     lanes = PER_LANE_MAX_LANES + 3
     cells = _mixed_cells(lanes)
-    params = CellParams.from_cells(cells)
-    assert params is not None
     voltages, irradiance = _lane_points(7, lanes, (0.2, 1.4), (0.05, 1.0))
-    active = np.ones(lanes, dtype=bool)
-    live_counts = []
-    # Kill the lanes from the last one down, one per call.
-    for dead in range(lanes - 1, lanes - 7, -1):
-        out = batched_current(params, voltages, irradiance, active)
-        live_counts.append(int(active.sum()))
-        for k, cell in enumerate(cells):
-            expected = (
-                cell.current_scalar(float(voltages[k]), float(irradiance[k]))
-                if active[k]
-                else 0.0
+    widths = list(range(lanes, lanes - 6, -1))
+    for width in widths:
+        params = CellParams.from_cells(cells[:width])
+        assert params is not None and params.lanes == width
+        out = batched_current(params, voltages[:width], irradiance[:width])
+        assert out.tolist() == [
+            cell.current_scalar(float(v), float(g))
+            for cell, v, g in zip(
+                cells[:width], voltages[:width], irradiance[:width]
             )
-            assert out[k] == expected
-        active[dead] = False
-    assert live_counts[0] > PER_LANE_MAX_LANES >= live_counts[-1]
+        ]
+    assert widths[0] > PER_LANE_MAX_LANES >= widths[-1]
     assert array_solves == [
-        count for count in live_counts if count > PER_LANE_MAX_LANES
+        width for width in widths if width > PER_LANE_MAX_LANES
     ]
 
 
 def test_fleet_run_crossing_the_crossover_matches_scalar(
     array_solves: "list[int]",
 ) -> None:
-    """A fleet run whose lanes complete one after another moves from the
-    array solve to per-lane solves mid-run; every lane still equals its
-    scalar run."""
+    """A batch wider than the crossover whose lanes complete one after
+    another under ``stop_on_completion`` may stop lanes early, so it
+    runs on the scalar engine: no batched solve, and every lane equals
+    its scalar run."""
     config = SimulationConfig(
         time_step_s=micro_seconds(10),
         record_every=4,
@@ -192,8 +189,13 @@ def test_fleet_run_crossing_the_crossover_matches_scalar(
         )
         for k in range(lanes)
     )
-    _, results, _ = run_batch(scenarios)
-    assert array_solves and set(array_solves) == {lanes, lanes - 1}
+    simulator, results, _ = run_batch(scenarios)
+    assert simulator.control_summary == {
+        "lanes": lanes,
+        "vectorized": 0,
+        "fallback": lanes,
+    }
+    assert array_solves == []
     assert all(result.completed for result in results)
     for scenario, result in zip(scenarios, results):
         assert results_bit_identical(run_scalar(scenario), result)
@@ -214,12 +216,7 @@ def _assert_negative_irradiance_rejected(lanes: int) -> None:
     irradiance = np.full(lanes, 0.5)
     irradiance[-1] = -0.1
     with pytest.raises(ModelParameterError, match="irradiance"):
-        batched_current(
-            params,
-            np.full(lanes, 0.5),
-            irradiance,
-            np.ones(lanes, dtype=bool),
-        )
+        batched_current(params, np.full(lanes, 0.5), irradiance)
 
 
 def test_from_cells_requires_single_diode() -> None:
@@ -249,9 +246,6 @@ def test_property_batched_equals_scalar(
 ) -> None:
     assert PARAMS is not None
     batched = batched_current(
-        PARAMS,
-        np.array([voltage]),
-        np.array([irradiance]),
-        np.ones(1, dtype=bool),
+        PARAMS, np.array([voltage]), np.array([irradiance])
     )
     assert batched.tolist() == [CELL.current_scalar(voltage, irradiance)]

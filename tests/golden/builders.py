@@ -302,7 +302,7 @@ def fleet_16node_payload() -> "dict[str, object]":
     :class:`~repro.fleet.engine.FleetSimulator` with per-lane
     telemetry.  The fixture pins every lane's ``summary()`` -- the
     headline physics plus the sorted ``metrics.*`` telemetry keys --
-    so drift in the batched PV solve, the masked integrator or the
+    so drift in the batched PV solve, the batched integrator or the
     per-lane bookkeeping shows up seed by seed.
     """
     from repro.faults.campaign import _make_controller
