@@ -2,8 +2,12 @@
 
 Runs the 50-seed robustness campaign twice, serially (``workers=1``)
 and fanned across ``workers=4`` processes, and records both wall-clock
-times to ``BENCH_parallel_campaign.json`` at the repository root.  Two
-claims:
+times to a ``BENCH_parallel_campaign.json`` report in the test's
+``tmp_path``; the run leaves the checkout as it found it.  To refresh
+the committed ``BENCH_parallel_campaign.json`` at the repository root,
+run the module with a known base directory
+(``pytest benchmarks/test_parallel_campaign.py --basetemp=DIR``) and
+copy the report from ``DIR``.  Two claims:
 
 * **bit-identity** (asserted unconditionally): the parallel summary --
   every aggregate statistic and every per-run record -- equals the
@@ -32,6 +36,7 @@ CONFIG = CampaignConfig(runs=50, scheme="holistic")
 WORKERS = 4
 TARGET_SPEEDUP = 2.0
 
+#: The committed report; a run writes its own copy under ``tmp_path``.
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_parallel_campaign.json"
 
 
@@ -59,7 +64,7 @@ BENCH_SCHEMA = {
 }
 
 
-def test_parallel_campaign_speedup_and_bit_identity(campaign_cache):
+def test_parallel_campaign_speedup_and_bit_identity(campaign_cache, tmp_path):
     started = time.perf_counter()
     serial = run_transient_campaign(SPEC, CONFIG, workers=1)
     serial_s = time.perf_counter() - started
@@ -93,7 +98,7 @@ def test_parallel_campaign_speedup_and_bit_identity(campaign_cache):
         "python": platform.python_version(),
     }
     assert_bench_schema(payload, BENCH_SCHEMA)
-    BENCH_PATH.write_text(
+    (tmp_path / BENCH_PATH.name).write_text(
         json.dumps(payload, indent=2, sort_keys=True) + "\n"
     )
 

@@ -1,19 +1,22 @@
 """Planner bench -- oracle-bounds chain and frozen sim-world deltas.
 
 Runs the DP energy planner's scenario matrix (dim-step, MPPT-dim,
-cloud burst, volatile walk, sunset ramp) and records the report to
-``BENCH_planner.json`` at the repository root (the same file
-``python -m repro bench --planner`` writes).  Claims:
+cloud burst, volatile walk, sunset ramp) and writes the fresh report
+to ``BENCH_planner.json`` in the test's ``tmp_path``, so the run
+leaves the checkout as it found it.  The committed
+``BENCH_planner.json`` at the repository root is refreshed with
+``python -m repro bench --planner``, which writes it by default.
+Claims:
 
 * **oracle-bounds chain** (asserted unconditionally, per scenario):
   in the model world ``oracle >= receding horizon >= greedy`` on
   completed cycles -- exactly, since cycle rewards are integer-valued
   and every value-function sum is an exact double;
-* **frozen report** (asserted before the file is rewritten): the
-  fresh report equals the committed ``BENCH_planner.json`` on every
-  key but the platform fields, so the sim-world numbers -- harvested
-  energy and deadline misses for planner vs oracle vs the paper
-  heuristic -- are an exact oracle.  The bin model's MPP income
+* **frozen report**: the fresh report equals the committed
+  ``BENCH_planner.json`` on every key but the platform fields, so the
+  sim-world numbers -- harvested energy and deadline misses for
+  planner vs oracle vs the paper heuristic -- are an exact oracle, and
+  the written copy parses back to the schema.  The bin model's MPP income
   upper-bounds plant harvest (an idle node drifts off the MPP
   voltage), and the report note explains the gap.
 
@@ -37,6 +40,7 @@ from repro.planner.bench import (
     write_report,
 )
 
+#: The committed report; a run writes its own copy under ``tmp_path``.
 BENCH_PATH = Path(__file__).resolve().parents[1] / "BENCH_planner.json"
 
 #: Key -> type contract of BENCH_planner.json.
@@ -79,7 +83,7 @@ SIM_SCHEMA = {
 PLATFORM_KEYS = ("platform", "python", "numpy")
 
 
-def test_planner_bench_chain_and_bit_identity():
+def test_planner_bench_chain_and_bit_identity(tmp_path):
     report = run_planner_benchmark()
     payload = report.as_dict()
     assert_bench_schema(payload, BENCH_SCHEMA)
@@ -98,9 +102,9 @@ def test_planner_bench_chain_and_bit_identity():
         committed.pop(key)
         fresh.pop(key)
     assert fresh == committed
-    write_report(report, BENCH_PATH)
+    written = write_report(report, tmp_path / BENCH_PATH.name)
     # The file on disk must parse back to the schema-checked payload.
-    assert_bench_schema(json.loads(BENCH_PATH.read_text()), BENCH_SCHEMA)
+    assert_bench_schema(json.loads(written.read_text()), BENCH_SCHEMA)
 
     emit(
         "Planner bench -- model-world cycles (exact)",

@@ -242,6 +242,14 @@ class ControlPlane:
 
         # -- static resolution groups ---------------------------------
         self._bands = ScBandTable(regulators)
+        # The lane groups of :meth:`resolve`, re-derived on the first
+        # step after a refresh (see :meth:`_derive_groups`).
+        self._groups_stale = True
+        self._halt_rows = np.zeros(0, dtype=np.intp)
+        self._halt_vout = np.zeros(0)
+        self._reg_rows = np.zeros(0, dtype=np.intp)
+        self._reg_cols: "tuple[np.ndarray, ...]" = ()
+        self._bypass: "list[tuple[int, ProcessorModel, float]]" = []
 
     # -- skip predicate -----------------------------------------------
 
@@ -251,7 +259,7 @@ class ControlPlane:
         time_s: float,
         v: np.ndarray,
         v_prev: np.ndarray,
-        recovering: np.ndarray,
+        recovering: "np.ndarray | None",
         brownouts: np.ndarray,
         pending: np.ndarray,
     ) -> np.ndarray:
@@ -262,16 +270,18 @@ class ControlPlane:
         :class:`~repro.core.mppt.MpptTriggerSnapshot`).  A flagged
         lane gets a real call; an unflagged lane's ``decide`` is
         provably a no-op returning the mirrored decision.  Every lane
-        is flagged at step 0.
+        is flagged at step 0.  ``recovering`` is ``None`` on a step
+        where no lane is recovering.
         """
         if step == 0:
             return np.ones(self.n, dtype=bool)
         settled = (time_s - self.mp_last_retune) >= self.mp_settle
         probe_down = (v < self.mp_down) & (v <= v_prev + 1e-6)
         retune = settled & (self.mp_pair | (v > self.mp_up) | probe_down)
-        return (
-            recovering | pending | (brownouts > self.mp_seen) | retune
-        )
+        need = pending | (brownouts > self.mp_seen) | retune
+        if recovering is not None:
+            need |= recovering
+        return need
 
     # -- refresh after a real decide call -----------------------------
 
@@ -293,6 +303,7 @@ class ControlPlane:
         (which is this call, since the decision is constant until the
         next refresh) is deliberately allowed to propagate.
         """
+        self._groups_stale = True
         self.dec_f[k] = decision.frequency_hz
         if decision.mode == "halt":
             self.res_kind[k] = K_HALT0
@@ -331,6 +342,34 @@ class ControlPlane:
 
     # -- vector resolution --------------------------------------------
 
+    def _derive_groups(self) -> None:
+        """Gather each resolution class's lanes and constants.
+
+        Between refreshes every lane's record is constant, so the const
+        halt lanes with their setpoints, the regulated lanes with their
+        ``rs_*`` columns and the bypass lanes with their processor and
+        command are gathered once, not on every step.
+        """
+        kind = self.res_kind
+        halt = np.flatnonzero(kind == K_CONSTHALT)
+        self._halt_rows = halt
+        self._halt_vout = self.rs_vout[halt]
+        reg = np.flatnonzero(kind == K_REG)
+        self._reg_rows = reg
+        self._reg_cols = (
+            self.rs_vout[reg],
+            self.rs_f[reg],
+            self.rs_pproc[reg],
+            self.rs_iout[reg],
+            self.rs_sw[reg],
+            self.rs_ithresh[reg],
+        )
+        self._bypass = [
+            (k, self._processors[k], float(self.byp_cmd[k]))
+            for k in np.flatnonzero(kind == K_BYP).tolist()
+        ]
+        self._groups_stale = False
+
     def resolve(
         self, v: np.ndarray
     ) -> "tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]":
@@ -340,36 +379,31 @@ class ControlPlane:
         frequency and mode feeding the engine's stall detection are
         :attr:`dec_f` and :attr:`dec_mode`.
         """
+        if self._groups_stale:
+            self._derive_groups()
         n = self.n
-        kind = self.res_kind
         v_proc = np.zeros(n)
         f = np.zeros(n)
         p_proc = np.zeros(n)
         p_draw = np.zeros(n)
         mode = np.full(n, M_HALT, dtype=np.int8)
-        const_halt = kind == K_CONSTHALT
-        if np.any(const_halt):
-            v_proc[const_halt] = self.rs_vout[const_halt]
-        sub = np.flatnonzero(kind == K_REG)
+        if self._halt_rows.size:
+            v_proc[self._halt_rows] = self._halt_vout
+        sub = self._reg_rows
         if sub.size:
+            vout, f_reg, pproc, iout, sw, ithresh = self._reg_cols
             feasible, draw = self._bands.scan(
-                sub,
-                v[sub],
-                self.rs_vout[sub],
-                self.rs_iout[sub],
-                self.rs_sw[sub],
-                self.rs_ithresh[sub],
+                sub, v[sub], vout, iout, sw, ithresh
             )
-            v_proc[sub] = self.rs_vout[sub]
-            f[sub] = np.where(feasible, self.rs_f[sub], 0.0)
-            p_proc[sub] = np.where(feasible, self.rs_pproc[sub], 0.0)
+            v_proc[sub] = vout
+            f[sub] = np.where(feasible, f_reg, 0.0)
+            p_proc[sub] = np.where(feasible, pproc, 0.0)
             p_draw[sub] = draw
             mode[sub] = np.where(feasible, M_REG, M_HALT).astype(np.int8)
         # Bypass lanes run the processor straight off the node, whose
         # voltage almost never repeats: each resolves on its own through
         # the scalar engine's function.
-        for k in np.flatnonzero(kind == K_BYP).tolist():
-            processor = self._processors[k]
+        for k, processor, command_hz in self._bypass:
             v_k = float(v[k])
             v_proc[k] = v_k
             if v_k < processor.min_operating_v:
@@ -377,7 +411,7 @@ class ControlPlane:
             f_k, p_k = clamped_frequency_and_power(
                 processor,
                 min(v_k, processor.max_operating_v),
-                float(self.byp_cmd[k]),
+                command_hz,
                 None,
             )
             f[k] = f_k

@@ -15,7 +15,9 @@ compute nodes.  Each run is split in three parts:
   capacitor integration run over every lane, and the control plane
   (:mod:`repro.fleet.control`) advances the decisions through a
   batched skip predicate and array resolution (real ``decide`` calls
-  only when a tracker's own trigger conditions fire);
+  only when a tracker's own trigger conditions fire).  Rare lane
+  states (recovery, brownout, node collapse) cost array work only
+  while some lane is in one;
 * every other lane -- any other controller among them -- runs through
   the scalar :class:`~repro.sim.engine.TransientSimulator` itself, so
   the scalar engine holds the only per-lane copy of the step
@@ -304,6 +306,7 @@ class FleetSimulator:
         v = np.array([node.capacitor.voltage_v for node in nodes])
         cap_c = np.array([node.capacitor.capacitance_f for node in nodes])
         cap_vmax = np.array([node.capacitor.max_voltage_v for node in nodes])
+        # Leakage current, 0 for a lane that does not leak.
         cap_leak = np.array(
             [node.capacitor.leakage_current_a for node in nodes]
         )
@@ -314,14 +317,18 @@ class FleetSimulator:
         in_bo = np.zeros(n, dtype=bool)
         completed = np.zeros(n, dtype=bool)
         collapsed = np.zeros(n, dtype=bool)
+        # Lanes in each rare state, counted as they enter and leave it:
+        # a state's array work runs only while some lane is in it.
+        n_recovering = n_in_bo = n_collapsed = 0
         downtime = np.zeros(n)
         bocount = np.zeros(n, dtype=np.int64)
         v_prev = v
         pend = np.zeros(n, dtype=bool)
-        target_arr = np.array(
-            [np.nan if target is None else float(target) for target in targets]
+        # The cycle count that completes a lane's job; inf for a lane
+        # with no workload or whose job has completed.
+        next_target = np.array(
+            [np.inf if target is None else float(target) for target in targets]
         )
-        has_target = ~np.isnan(target_arr)
         comp_pow = np.array(
             [
                 bank.total_power_w if bank is not None else 0.0
@@ -368,11 +375,12 @@ class FleetSimulator:
             p_pv = v * i_pv
 
             # Power-good release (see the scalar engine).
-            if recovering.any():
+            if n_recovering:
                 release = recovering & (v >= cfg.recovery_voltage_v)
-                for k in np.nonzero(release)[0].tolist():
+                for k in np.flatnonzero(release).tolist():
                     tel = tels[k]
                     recovering[k] = False
+                    n_recovering -= 1
                     events[k].append(("recovered", t))
                     tel.event(
                         "recovered", t, track="engine", node_v=float(v[k])
@@ -385,7 +393,13 @@ class FleetSimulator:
 
             # Real decide calls only where the skip predicate fires.
             need = plane.decision_flags(
-                step, t, v, v_prev, recovering, bocount, pend
+                step,
+                t,
+                v,
+                v_prev,
+                recovering if n_recovering else None,
+                bocount,
+                pend,
             )
             if need.any():
                 for k in np.nonzero(need)[0].tolist():
@@ -404,7 +418,7 @@ class FleetSimulator:
                     plane.refresh(k, controller.decide(view))
 
             v_proc, f, p_proc, p_draw, mode = plane.resolve(v)
-            if recovering.any():
+            if n_recovering:
                 v_proc = np.where(recovering, 0.0, v_proc)
                 f = np.where(recovering, 0.0, f)
                 p_proc = np.where(recovering, 0.0, p_proc)
@@ -426,20 +440,22 @@ class FleetSimulator:
                         )
                 tmode[changed] = mode[changed]
 
-            # Brownout: commanded work the supply cannot run.
-            stalled = (
-                (plane.dec_f > 0.0)
-                & (f == 0.0)
-                & (mode == M_HALT)
-                & (plane.dec_mode != M_HALT)
-                & ~completed
-                & ~recovering
-            )
-            entering = stalled & ~in_bo
-            if entering.any():
-                for k in np.nonzero(entering)[0].tolist():
+            # Brownout: commanded work the supply cannot run.  The full
+            # test runs only on a step where some lane may stall.
+            starved = (f == 0.0) & (plane.dec_f > 0.0)
+            if starved.any():
+                entering = (
+                    starved
+                    & (mode == M_HALT)
+                    & (plane.dec_mode != M_HALT)
+                    & ~completed
+                    & ~recovering
+                    & ~in_bo
+                )
+                for k in np.flatnonzero(entering).tolist():
                     tel = tels[k]
                     in_bo[k] = True
+                    n_in_bo += 1
                     bocount[k] += 1
                     if brownout_time[k] is None:
                         brownout_time[k] = t
@@ -450,6 +466,7 @@ class FleetSimulator:
                     )
                     if cfg.recover_from_brownout:
                         recovering[k] = True
+                        n_recovering += 1
                         if outage_started_s[k] is None:
                             tel.begin_span(
                                 "brownout.outage", t, track="engine"
@@ -460,7 +477,9 @@ class FleetSimulator:
                         p_proc[k] = 0.0
                         p_draw[k] = 0.0
                         mode[k] = M_HALT
-            in_bo[f > 0.0] = False
+            if n_in_bo:
+                in_bo[f > 0.0] = False
+                n_in_bo = int(np.count_nonzero(in_bo))
             prev_vproc = v_proc
 
             if step % cfg.record_every == 0:
@@ -480,10 +499,11 @@ class FleetSimulator:
 
             # Cycle bookkeeping and completion detection.
             new_cycles = cycles + f * dt
-            completing = has_target & ~completed & (new_cycles >= target_arr)
+            completing = new_cycles >= next_target
             if completing.any():
-                for k in np.nonzero(completing)[0].tolist():
+                for k in np.flatnonzero(completing).tolist():
                     completed[k] = True
+                    next_target[k] = np.inf
                     target = cast(float, targets[k])
                     f_k = float(f[k])
                     if f_k > 0.0:
@@ -498,28 +518,36 @@ class FleetSimulator:
                     )
             cycles = new_cycles
 
-            downtime[recovering | (in_bo & (f == 0.0))] += dt
+            if n_recovering or n_in_bo:
+                downtime[recovering | (in_bo & (f == 0.0))] += dt
 
-            # Node demand; the capacitor integration is batched.
+            # Node demand and the batched capacitor update, preserving
+            # the scalar expression order (leak subtraction only when
+            # leaking and charged; left-associative V + (I*dt)/C; clamp
+            # to [0, rating]).
             demand = p_draw + comp_pow
-            ok_v = v > 1e-6
-            i_draw = np.where(ok_v, demand / np.where(ok_v, v, 1.0), 0.0)
-            collapsed &= ~ok_v
-            collapsing = ~ok_v & (demand > 0.0) & ~collapsed
-            if collapsing.any():
-                for k in np.nonzero(collapsing)[0].tolist():
+            if v.min() > 1e-6:
+                # Every node is charged: subtracting a zero leak leaves
+                # a non-leaking lane's current bit for bit.
+                if n_collapsed:
+                    collapsed[:] = False
+                    n_collapsed = 0
+                adj = (i_pv - demand / v) - cap_leak
+            else:
+                # A collapsed node cannot source its demand.
+                ok_v = v > 1e-6
+                i_draw = np.where(ok_v, demand / np.where(ok_v, v, 1.0), 0.0)
+                collapsed &= ~ok_v
+                collapsing = ~ok_v & (demand > 0.0) & ~collapsed
+                for k in np.flatnonzero(collapsing).tolist():
                     collapsed[k] = True
                     events[k].append(("node_collapse", t))
                     tels[k].event("node.collapse", t, track="engine")
-            i_net = i_pv - i_draw
-
-            # Batched capacitor update, preserving the scalar
-            # expression order (leak subtraction only when leaking and
-            # charged; left-associative V + (I*dt)/C; clamp to
-            # [0, rating]).
-            adj = np.where(
-                (cap_leak > 0.0) & (v > 0.0), i_net - cap_leak, i_net
-            )
+                n_collapsed = int(np.count_nonzero(collapsed))
+                i_net = i_pv - i_draw
+                adj = np.where(
+                    (cap_leak > 0.0) & (v > 0.0), i_net - cap_leak, i_net
+                )
             v_next = np.minimum(
                 np.maximum(v + adj * dt / cap_c, 0.0), cap_vmax
             )
@@ -536,12 +564,15 @@ class FleetSimulator:
                     pending_events[k] = ()
                 pend[pend_rows] = False
                 pend_rows = []
-            for k, bank in banks:
-                new_events = bank.observe(t + dt, float(v[k]))
-                if new_events:
-                    pending_events[k] = tuple(new_events)
-                    pend[k] = True
-                    pend_rows.append(k)
+            if banks:
+                t_next = t + dt
+                v_now = v.tolist()
+                for k, bank in banks:
+                    new_events = bank.observe(t_next, v_now[k])
+                    if new_events:
+                        pending_events[k] = tuple(new_events)
+                        pend[k] = True
+                        pend_rows.append(k)
 
             t += dt
 

@@ -28,7 +28,12 @@ subclass, a DVFS transition model or a trace without
   ``min_operating_v``;
 * every comparator bank observes every step, so a batch mixing a
   noisy faulted bank, a noiseless bank and a lane with no bank matches
-  the scalar runs lane for lane.
+  the scalar runs lane for lane;
+* the quiet step: a batch whose lanes pass through every rare state
+  (node collapse, brownout and recovery, completion, no workload,
+  bypass) matches the scalar runs, the recovery work runs only while
+  some lane recovers, and the control plane re-derives its lane groups
+  once per step with a real ``decide`` call.
 """
 
 from __future__ import annotations
@@ -44,8 +49,13 @@ from repro.core.mppt import DischargeTimeMppTracker, MppTrackingController
 from repro.core.operating_point import OperatingPoint
 from repro.errors import OperatingRangeError
 from repro.fleet import classify_controller
-from repro.fleet.control import ScBandTable
-from repro.pv.traces import step_trace
+from repro.fleet.control import ControlPlane, ScBandTable
+from repro.pv.traces import (
+    cloud_trace,
+    concatenate,
+    constant_trace,
+    step_trace,
+)
 from repro.regulators.switched_capacitor import (
     FIG4_BENCH_INPUT_V,
     SwitchedCapacitorRegulator,
@@ -56,7 +66,7 @@ from repro.sim.result import SimulationResult, results_bit_identical
 from repro.sim.transitions import DvfsTransitionModel
 from repro.storage.capacitor import Capacitor
 from repro.telemetry.session import TelemetrySession
-from repro.units import micro_seconds
+from repro.units import micro_amps, micro_seconds
 
 from tests.fleet.scenarios import (
     CAMPAIGN_CONFIG,
@@ -634,3 +644,151 @@ class TestComparatorService:
             scalar, capacitor = run_scalar_lane(scenario)
             assert results_bit_identical(scalar, results[lane])
             assert_capacitor_written_back(simulator, lane, capacitor)
+
+
+def _collapsed_leaky_parts(telemetry: Any) -> Dict[str, Any]:
+    """An MPPT lane whose leaking node starts empty."""
+    parts = _fig8_mppt_parts(telemetry)
+    parts["capacitor"] = Capacitor(
+        SYSTEM.node_capacitance_f,
+        initial_voltage_v=0.0,
+        leakage_current_a=micro_amps(2.0),
+    )
+    return parts
+
+
+_RARE_DURATION_S = RECOVERY_TRACE.duration_s
+
+#: Dark for 3 ms, then a passing cloud over the rest of the run.
+_DARK_THEN_CLOUD = concatenate(
+    [
+        constant_trace(0.0, 3e-3),
+        cloud_trace(
+            1.0,
+            0.01,
+            8e-3,
+            6e-3,
+            _RARE_DURATION_S - 3e-3,
+            edge_s=micro_seconds(500),
+        ),
+    ]
+)
+
+#: One lane per rare state of the core, on the recovery config: a
+#: leaking node that starts collapsed in the dark and recharges, a
+#: lane that browns out and recovers, a job that completes mid-run, a
+#: lane with no workload, and a bypass lane that a dark cloud browns
+#: out.
+RARE_STATE_SCENARIOS = (
+    Scenario(
+        "collapse_then_recharge",
+        RECOVERY_CONFIG,
+        _DARK_THEN_CLOUD,
+        _collapsed_leaky_parts,
+    ),
+    Scenario(
+        "brownout_recovery", RECOVERY_CONFIG, RECOVERY_TRACE, _blind_mppt_parts
+    ),
+    Scenario(
+        "completes",
+        RECOVERY_CONFIG,
+        RECOVERY_TRACE,
+        short_job(_fig8_mppt_parts, 5_000_000),
+    ),
+    Scenario("no_workload", RECOVERY_CONFIG, RECOVERY_TRACE, _fig8_mppt_parts),
+    Scenario(
+        "bypass",
+        RECOVERY_CONFIG,
+        cloud_trace(
+            1.0, 0.0, 2e-3, 6e-3, _RARE_DURATION_S, edge_s=micro_seconds(500)
+        ),
+        _bypass_mppt_parts,
+    ),
+)
+
+
+class TestQuietStep:
+    """The core does a rare state's array work only while a lane is in
+    that state, and every lane still matches its scalar run."""
+
+    def test_rare_state_lanes_match_scalar(self, monkeypatch) -> None:
+        recovering_args: "List[bool | None]" = []
+        flags = ControlPlane.decision_flags
+
+        def spy(self, step, time_s, v, v_prev, recovering, *rest):
+            recovering_args.append(
+                None if recovering is None else bool(recovering.any())
+            )
+            return flags(self, step, time_s, v, v_prev, recovering, *rest)
+
+        monkeypatch.setattr(ControlPlane, "decision_flags", spy)
+        scenarios = RARE_STATE_SCENARIOS
+        simulator, results, _ = run_batch(scenarios)
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == len(scenarios)
+
+        collapse, recovery, completes, idle, bypass = results
+        assert [name for name, _ in collapse.events] == [
+            "brownout",
+            "node_collapse",
+            "recovered",
+        ]
+        assert collapse.node_voltage_v[-1] > 1.0
+        assert [name for name, _ in recovery.events] == [
+            "brownout",
+            "recovered",
+        ]
+        assert completes.completed
+        assert [name for name, _ in completes.events] == ["completed"]
+        assert 0.0 < completes.events[0][1] < _RARE_DURATION_S
+        assert not idle.completed and idle.events == []
+        bypass_code = SimulationResult.MODE_CODES["bypass"]
+        assert (bypass.mode == bypass_code).sum() > 100
+        assert [name for name, _ in bypass.events] == [
+            "brownout",
+            "recovered",
+        ]
+        for lane, scenario in enumerate(scenarios):
+            scalar, capacitor = run_scalar_lane(scenario)
+            assert_results_identical(scalar, results[lane])
+            assert_capacitor_written_back(simulator, lane, capacitor)
+
+        # The recovery mask reaches the skip predicate only on steps
+        # where some lane is recovering, and on no other step.
+        assert True in recovering_args
+        assert None in recovering_args
+        assert False not in recovering_args
+
+    def test_groups_derived_once_per_step_with_a_decide_call(
+        self, monkeypatch
+    ) -> None:
+        """A 16-lane campaign batch re-derives the resolution groups on
+        exactly the steps that made a real ``decide`` call (a count,
+        not a time)."""
+        flagged_steps: List[bool] = []
+        derivations: List[int] = []
+        flags = ControlPlane.decision_flags
+        derive = ControlPlane._derive_groups
+
+        def flag_spy(self, *args):
+            need = flags(self, *args)
+            flagged_steps.append(bool(need.any()))
+            return need
+
+        def derive_spy(self):
+            derivations.append(len(flagged_steps))
+            derive(self)
+
+        monkeypatch.setattr(ControlPlane, "decision_flags", flag_spy)
+        monkeypatch.setattr(ControlPlane, "_derive_groups", derive_spy)
+        scenarios = tuple(campaign_scenario(seed) for seed in range(16))
+        simulator, _, _ = run_batch(scenarios)
+        assert simulator.control_summary is not None
+        assert simulator.control_summary["vectorized"] == 16
+
+        decide_steps = [
+            step for step, flagged in enumerate(flagged_steps, 1) if flagged
+        ]
+        assert derivations == decide_steps
+        # Quiet steps are the common case.
+        assert 0 < len(decide_steps) < len(flagged_steps) // 2
