@@ -15,12 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from repro.baselines.mppt_only import DATASHEET_SETPOINT_V, MpptOnlyBaseline
 from repro.core.mep import HolisticMepOptimizer
 from repro.core.operating_point import OperatingPoint, OperatingPointOptimizer
 from repro.core.policies import Policy
 from repro.core.sprint import SprintController, SprintPlan, SprintScheduler
 from repro.core.system import EnergyHarvestingSoC
-from repro.errors import ModelParameterError
+from repro.errors import InfeasibleOperatingPointError, ModelParameterError
 from repro.processor.workloads import Workload
 from repro.sim.dvfs import (
     BypassController,
@@ -29,10 +30,6 @@ from repro.sim.dvfs import (
     FixedOperatingPointController,
 )
 from repro.telemetry.session import Telemetry
-
-#: The regulator-datasheet operating voltage a conventional design
-#: centres on (the 0.55 V anchor of the paper's Figs. 3-5).
-CONVENTIONAL_SETPOINT_V = 0.55
 
 
 @dataclass(frozen=True)
@@ -129,27 +126,22 @@ class HolisticEnergyManager:
             return self.optimizer.best_point(self.regulator_name, irradiance)
 
         if policy is Policy.CONVENTIONAL_REGULATED:
-            # Datasheet sweet spot, power-limited clock.
-            regulator = self.system.regulator(self.regulator_name)
-            mpp = self.system.mpp(irradiance)
-            v = CONVENTIONAL_SETPOINT_V
-            available = regulator.max_output_power(v, mpp.power_w, v_in=mpp.voltage_v)
-            f = processor.frequency_for_power(v, available)
-            p_proc = float(processor.power(v, f)) if f > 0.0 else 0.0
-            extracted = (
-                regulator.input_power(v, p_proc, v_in=mpp.voltage_v)
-                if f > 0.0
-                else 0.0
-            )
-            return OperatingPoint(
-                processor_voltage_v=v,
-                frequency_hz=f,
-                delivered_power_w=p_proc,
-                extracted_power_w=extracted,
-                node_voltage_v=mpp.voltage_v,
-                regulator_name=self.regulator_name,
-                bypassed=False,
-            )
+            # The MPPT-only baseline's datasheet point; where leakage
+            # eats all the converter delivers, the plan stalls (f = 0).
+            try:
+                return MpptOnlyBaseline(
+                    self.system, self.regulator_name
+                ).operating_point(irradiance)
+            except InfeasibleOperatingPointError:
+                return OperatingPoint(
+                    processor_voltage_v=DATASHEET_SETPOINT_V,
+                    frequency_hz=0.0,
+                    delivered_power_w=0.0,
+                    extracted_power_w=0.0,
+                    node_voltage_v=self.system.mpp(irradiance).voltage_v,
+                    regulator_name=self.regulator_name,
+                    bypassed=False,
+                )
 
         if policy in (Policy.CONVENTIONAL_MEP, Policy.HOLISTIC_MEP):
             if policy is Policy.CONVENTIONAL_MEP:

@@ -36,7 +36,9 @@ scalar iteration would return -- see :mod:`repro.fleet.pv` -- the
 vectorised capacitor update preserves the scalar expression order,
 and the control plane's resolution replays
 :func:`repro.sim.engine.resolve_decision` expression by expression),
-and skipped controller calls are provably no-ops.
+and skipped controller calls are provably no-ops.  A lane's events,
+sim-time trace, metrics and result come from its
+:class:`~repro.sim.result.RunLog`, the scalar engine's own bookkeeping.
 ``tests/fleet/`` asserts this across the full scenario matrix; the
 differential harness is the contract.
 
@@ -79,10 +81,9 @@ from repro.sim.engine import (
     SimulationConfig,
     TransientSimulator,
 )
-from repro.sim.result import SimulationResult
+from repro.sim.result import RunLog, SimulationResult
 from repro.sim.transitions import DvfsTransitionModel
 from repro.storage.capacitor import Capacitor
-from repro.telemetry.profiling import Stopwatch
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
 
 
@@ -278,10 +279,6 @@ class FleetSimulator:
         ]
         processors = [node.processor for node in nodes]
         comparators = [node.comparators for node in nodes]
-        tels = [
-            node.telemetry if node.telemetry is not None else NULL_TELEMETRY
-            for node in nodes
-        ]
         targets: "List[float | None]" = [
             node.workload.cycles if node.workload is not None else None
             for node in nodes
@@ -337,10 +334,6 @@ class FleetSimulator:
         )
         pend_rows: "List[int]" = []
         pending_events: "List[tuple]" = [()] * n
-        completion_time: "List[float | None]" = [None] * n
-        brownout_time: "List[float | None]" = [None] * n
-        outage_started_s: "List[float | None]" = [None] * n
-        events: "List[list]" = [[] for _ in range(n)]
 
         # Step-major record buffers: one row per record column, so a
         # recording step stores whole rows.
@@ -360,12 +353,15 @@ class FleetSimulator:
             (k, bank) for k, bank in enumerate(comparators) if bank is not None
         ]
 
-        watch = Stopwatch()
-        for tel in tels:
-            tel.begin_span(
-                "engine.run", 0.0, track="engine",
-                dt_s=dt, planned_steps=steps,
+        # One run log per lane: the scalar engine's events, trace and
+        # metrics, emitted by the same code.
+        logs = [
+            RunLog(
+                NULL_TELEMETRY if node.telemetry is None else node.telemetry,
+                dt, steps,
             )
+            for node in nodes
+        ]
 
         t = 0.0
         for step in range(steps + 1):
@@ -378,18 +374,9 @@ class FleetSimulator:
             if n_recovering:
                 release = recovering & (v >= cfg.recovery_voltage_v)
                 for k in np.flatnonzero(release).tolist():
-                    tel = tels[k]
                     recovering[k] = False
                     n_recovering -= 1
-                    events[k].append(("recovered", t))
-                    tel.event(
-                        "recovered", t, track="engine", node_v=float(v[k])
-                    )
-                    outage_start = outage_started_s[k]
-                    if outage_start is not None:
-                        tel.end_span(t)
-                        tel.observe("brownout.outage_s", t - outage_start)
-                        outage_started_s[k] = None
+                    logs[k].recovered(t, float(v[k]))
 
             # Real decide calls only where the skip predicate fires.
             need = plane.decision_flags(
@@ -431,12 +418,11 @@ class FleetSimulator:
                 for k in np.nonzero(changed)[0].tolist():
                     old_code = int(tmode[k])
                     if old_code != NO_MODE:
-                        tels[k].count("regulator.mode_switches")
-                        tels[k].event(
-                            "regulator.mode_switch", t, track="engine",
-                            previous=MODE_NAMES[old_code],
-                            new=MODE_NAMES[int(mode[k])],
-                            node_v=float(v[k]),
+                        logs[k].mode_switch(
+                            t,
+                            MODE_NAMES[old_code],
+                            MODE_NAMES[int(mode[k])],
+                            float(v[k]),
                         )
                 tmode[changed] = mode[changed]
 
@@ -453,25 +439,13 @@ class FleetSimulator:
                     & ~in_bo
                 )
                 for k in np.flatnonzero(entering).tolist():
-                    tel = tels[k]
                     in_bo[k] = True
                     n_in_bo += 1
                     bocount[k] += 1
-                    if brownout_time[k] is None:
-                        brownout_time[k] = t
-                    events[k].append(("brownout", t))
-                    tel.count("brownout.count")
-                    tel.event(
-                        "brownout", t, track="engine", node_v=float(v[k])
-                    )
+                    logs[k].brownout(t, float(v[k]), cfg.recover_from_brownout)
                     if cfg.recover_from_brownout:
                         recovering[k] = True
                         n_recovering += 1
-                        if outage_started_s[k] is None:
-                            tel.begin_span(
-                                "brownout.outage", t, track="engine"
-                            )
-                            outage_started_s[k] = t
                         v_proc[k] = 0.0
                         f[k] = 0.0
                         p_proc[k] = 0.0
@@ -504,17 +478,11 @@ class FleetSimulator:
                 for k in np.flatnonzero(completing).tolist():
                     completed[k] = True
                     next_target[k] = np.inf
-                    target = cast(float, targets[k])
-                    f_k = float(f[k])
-                    if f_k > 0.0:
-                        crossed_t = t + (target - float(cycles[k])) / f_k
-                    else:
-                        crossed_t = t
-                    completion_time[k] = crossed_t
-                    events[k].append(("completed", crossed_t))
-                    tels[k].event(
-                        "workload.completed", crossed_t,
-                        track="engine", cycles=float(target),
+                    logs[k].completed(
+                        t,
+                        float(cycles[k]),
+                        float(f[k]),
+                        cast(float, targets[k]),
                     )
             cycles = new_cycles
 
@@ -541,8 +509,7 @@ class FleetSimulator:
                 collapsing = ~ok_v & (demand > 0.0) & ~collapsed
                 for k in np.flatnonzero(collapsing).tolist():
                     collapsed[k] = True
-                    events[k].append(("node_collapse", t))
-                    tels[k].event("node.collapse", t, track="engine")
+                    logs[k].collapsed(t)
                 n_collapsed = int(np.count_nonzero(collapsed))
                 i_net = i_pv - i_draw
                 adj = np.where(
@@ -576,43 +543,20 @@ class FleetSimulator:
 
             t += dt
 
-        # Every lane reaches the end of the grid: the scalar engine's
-        # after-loop block, lane by lane.
-        for k, tel in enumerate(tels):
-            outage_start = outage_started_s[k]
-            if outage_start is not None:
-                tel.end_span(t)
-                tel.observe("brownout.outage_s", t - outage_start)
-            tel.end_span(t, steps=float(steps + 1))
-            tel.count("engine.steps", float(steps + 1))
-            tel.gauge("brownout.downtime_s", float(downtime[k]))
-            tel.gauge("engine.final_cycles", float(cycles[k]))
-            tel.profile("engine.run_wall_s", watch.elapsed_s())
-
+        # Every lane reaches the end of the grid.
+        records = (
+            rec_t, rec_vnode, rec_vproc, rec_f, rec_ppv,
+            rec_pproc, rec_pdraw, rec_irr, rec_mode,
+        )
         results: List[SimulationResult] = []
         for k, node in enumerate(nodes):
             # The scalar engine mutates its capacitor in place
             # throughout; the core writes the final voltage back.
             node.capacitor.charge(float(v[k]))
-            result = SimulationResult(
-                time_s=rec_t[:, k].copy(),
-                node_voltage_v=rec_vnode[:, k].copy(),
-                processor_voltage_v=rec_vproc[:, k].copy(),
-                frequency_hz=rec_f[:, k].copy(),
-                harvest_power_w=rec_ppv[:, k].copy(),
-                processor_power_w=rec_pproc[:, k].copy(),
-                draw_power_w=rec_pdraw[:, k].copy(),
-                irradiance=rec_irr[:, k].copy(),
-                mode=rec_mode[:, k].copy(),
-                completed=bool(completed[k]),
-                completion_time_s=completion_time[k],
-                browned_out=brownout_time[k] is not None,
-                brownout_time_s=brownout_time[k],
-                brownout_count=int(bocount[k]),
-                downtime_s=float(downtime[k]),
-                final_cycles=float(cycles[k]),
-                events=events[k],
-                metrics=tels[k].result_metrics(),
+            results.append(
+                logs[k].result(
+                    t, steps + 1, int(bocount[k]), float(downtime[k]),
+                    float(cycles[k]), [record[:, k] for record in records],
+                )
             )
-            results.append(result)
         return results

@@ -19,7 +19,6 @@ management scheme (the contribution).
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
@@ -37,7 +36,7 @@ from repro.pv.cell import SingleDiodeCell
 from repro.pv.traces import IrradianceTrace
 from repro.regulators.base import Regulator
 from repro.sim.dvfs import ControlDecision, ControllerView, DvfsController
-from repro.sim.result import SimulationResult
+from repro.sim.result import RunLog, SimulationResult
 from repro.sim.transitions import DvfsTransitionModel
 from repro.storage.capacitor import Capacitor
 from repro.telemetry.session import NULL_TELEMETRY, Telemetry
@@ -281,17 +280,11 @@ class TransientSimulator:
             if sampler is not None:
                 irr_samples = sampler(dt, steps).tolist()
 
-        # Telemetry: sim-time tracing plus wall-clock profiling.  The
-        # default sink is a shared no-op, so the per-step cost when
+        # Events, sim-time trace and metrics go through the run log.
+        # The default sink is a shared no-op, so the per-step cost when
         # disabled is one string comparison (the mode-switch check).
-        tel = self.telemetry
-        wall_started = time.perf_counter()
-        tel.begin_span(
-            "engine.run", 0.0, track="engine",
-            dt_s=dt, planned_steps=steps,
-        )
+        log = RunLog(self.telemetry, dt, steps)
         telemetry_mode: "str | None" = None
-        outage_started_s: "float | None" = None
 
         record_count = steps // cfg.record_every + 1
         rec_t = np.empty(record_count)
@@ -318,15 +311,11 @@ class TransientSimulator:
         transition_count = 0
         pending_events: "tuple" = ()
         completed = False
-        completion_time = None
-        browned_out = False
-        brownout_time = None
         brownout_count = 0
         downtime_s = 0.0
         recovering = False
         in_brownout = False
         node_collapsed = False
-        events: list = []
         recorded = 0
 
         t = 0.0
@@ -343,12 +332,7 @@ class TransientSimulator:
             # recovery threshold, so the load may reconnect this step.
             if recovering and v_node >= cfg.recovery_voltage_v:
                 recovering = False
-                events.append(("recovered", t))
-                tel.event("recovered", t, track="engine", node_v=v_node)
-                if outage_started_s is not None:
-                    tel.end_span(t)
-                    tel.observe("brownout.outage_s", t - outage_started_s)
-                    outage_started_s = None
+                log.recovered(t, v_node)
 
             view = ControllerView(
                 time_s=t,
@@ -375,12 +359,7 @@ class TransientSimulator:
                     prev_mode, prev_setpoint_v, mode, v_proc
                 ):
                     transition_count += 1
-                    tel.count("dvfs.transitions")
-                    tel.event(
-                        "dvfs.transition", t, track="engine",
-                        previous=prev_mode or "", new=mode,
-                        setpoint_v=v_proc,
-                    )
+                    log.transition(t, prev_mode or "", mode, v_proc)
                     lockout_until = t + self.transitions.settle_time_s
                     recharge = self.transitions.transition_energy_j(
                         prev_setpoint_v, v_proc
@@ -416,11 +395,7 @@ class TransientSimulator:
             # halt is still counted when stop_on_brownout breaks the loop.
             if mode != telemetry_mode:
                 if telemetry_mode is not None:
-                    tel.count("regulator.mode_switches")
-                    tel.event(
-                        "regulator.mode_switch", t, track="engine",
-                        previous=telemetry_mode, new=mode, node_v=v_node,
-                    )
+                    log.mode_switch(t, telemetry_mode, mode, v_node)
                 telemetry_mode = mode
 
             # Brownout: the controller asked for work the supply cannot run.
@@ -434,13 +409,8 @@ class TransientSimulator:
             )
             if stalled and not in_brownout:
                 in_brownout = True
-                browned_out = True
                 brownout_count += 1
-                if brownout_time is None:
-                    brownout_time = t
-                events.append(("brownout", t))
-                tel.count("brownout.count")
-                tel.event("brownout", t, track="engine", node_v=v_node)
+                log.brownout(t, v_node, cfg.recover_from_brownout)
                 if cfg.stop_on_brownout:
                     if step % cfg.record_every == 0:
                         rec_t[recorded] = t
@@ -458,9 +428,6 @@ class TransientSimulator:
                     # Enter halt-and-recharge: power-gate the load until
                     # the node climbs back to the recovery threshold.
                     recovering = True
-                    if outage_started_s is None:
-                        tel.begin_span("brownout.outage", t, track="engine")
-                        outage_started_s = t
                     v_proc, f, p_proc, p_draw, mode = (
                         0.0, 0.0, 0.0, 0.0, "halt",
                     )
@@ -492,16 +459,7 @@ class TransientSimulator:
                 and new_cycles >= target_cycles
             ):
                 completed = True
-                # Linear interpolation of the crossing instant.
-                if f > 0.0:
-                    completion_time = t + (target_cycles - cycles) / f
-                else:
-                    completion_time = t
-                events.append(("completed", completion_time))
-                tel.event(
-                    "workload.completed", completion_time, track="engine",
-                    cycles=float(target_cycles),
-                )
+                log.completed(t, cycles, f, target_cycles)
                 if cfg.stop_on_completion:
                     cycles = new_cycles
                     break
@@ -526,8 +484,7 @@ class TransientSimulator:
                 i_draw = 0.0
                 if demand_w > 0.0 and not node_collapsed:
                     node_collapsed = True
-                    events.append(("node_collapse", t))
-                    tel.event("node.collapse", t, track="engine")
+                    log.collapsed(t)
             node_capacitor.apply_current(i_pv - i_draw, dt)
             if not math.isfinite(node_capacitor.voltage_v):
                 raise SimulationError(f"node voltage became non-finite at t={t}")
@@ -542,36 +499,13 @@ class TransientSimulator:
 
             t += dt
 
-        if outage_started_s is not None:
-            # Run ended while still browned out: close the span at the
-            # final simulated time so the trace stays balanced.
-            tel.end_span(t)
-            tel.observe("brownout.outage_s", t - outage_started_s)
-        tel.end_span(t, steps=float(step + 1))
-        tel.count("engine.steps", float(step + 1))
-        tel.gauge("brownout.downtime_s", downtime_s)
-        tel.gauge("engine.final_cycles", float(cycles))
-        tel.profile("engine.run_wall_s", time.perf_counter() - wall_started)
-
-        result = SimulationResult(
-            time_s=rec_t[:recorded].copy(),
-            node_voltage_v=rec_vnode[:recorded].copy(),
-            processor_voltage_v=rec_vproc[:recorded].copy(),
-            frequency_hz=rec_f[:recorded].copy(),
-            harvest_power_w=rec_ppv[:recorded].copy(),
-            processor_power_w=rec_pproc[:recorded].copy(),
-            draw_power_w=rec_pdraw[:recorded].copy(),
-            irradiance=rec_irr[:recorded].copy(),
-            mode=rec_mode[:recorded].copy(),
-            completed=completed,
-            completion_time_s=completion_time,
-            browned_out=browned_out,
-            brownout_time_s=brownout_time,
-            brownout_count=brownout_count,
-            downtime_s=downtime_s,
-            final_cycles=cycles,
-            events=events,
-            metrics=tel.result_metrics(),
+        records = (
+            rec_t, rec_vnode, rec_vproc, rec_f, rec_ppv,
+            rec_pproc, rec_pdraw, rec_irr, rec_mode,
+        )
+        result = log.result(
+            t, step + 1, brownout_count, downtime_s, cycles,
+            [record[:recorded] for record in records],
         )
         result.events.extend(
             [("transitions", float(transition_count))]

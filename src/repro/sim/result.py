@@ -1,19 +1,27 @@
-"""Simulation result container.
+"""Simulation result container and the run log that builds it.
 
 Everything the figure reproductions need from a transient run: full
 waveform traces as numpy arrays (the paper's Fig. 8(c), 9(b), 11(b)
 waveforms), energy integrals, and completion/brownout bookkeeping.
+:class:`RunLog` records a run's events, sim-time trace and metrics and
+assembles its :class:`SimulationResult`, for the scalar engine and for
+every lane of the fleet core alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from pathlib import Path
 
 from repro.errors import ModelParameterError
+from repro.telemetry.profiling import Stopwatch
+
+if TYPE_CHECKING:
+    from repro.telemetry.session import Telemetry
 
 
 @dataclass
@@ -162,6 +170,120 @@ class SimulationResult:
             for name in sorted(self.metrics):
                 out[f"metrics.{name}"] = self.metrics[name]
         return out
+
+
+class RunLog:
+    """The bookkeeping of one transient run, shared by both engines.
+
+    Owns the run's events, its first-brownout and completion times, its
+    open outage span and its wall-clock timer, and emits every engine
+    event, span and end-of-run metric into ``telemetry``.  The scalar
+    engine keeps one per run and the fleet core one per lane, calling
+    it only when something happens and at the end of the run, so a
+    lane's events, trace and metrics match its scalar run by
+    construction.  Opening the log opens the ``engine.run`` span.
+    """
+
+    def __init__(self, telemetry: "Telemetry", dt_s: float, steps: int) -> None:
+        self.telemetry = telemetry
+        self.events: list = []
+        self.brownout_time_s: "float | None" = None
+        self.completion_time_s: "float | None" = None
+        self._outage_started_s: "float | None" = None
+        self._watch = Stopwatch()
+        telemetry.begin_span(
+            "engine.run", 0.0, track="engine", dt_s=dt_s, planned_steps=steps
+        )
+
+    def recovered(self, t: float, node_v: float) -> None:
+        """Power-good: the load reconnects and the outage span closes."""
+        self.events.append(("recovered", t))
+        self.telemetry.event("recovered", t, track="engine", node_v=node_v)
+        self._close_outage(t)
+
+    def mode_switch(
+        self, t: float, previous: str, new: str, node_v: float
+    ) -> None:
+        """The converter path changed (regulated/bypass/halt)."""
+        self.telemetry.count("regulator.mode_switches")
+        self.telemetry.event(
+            "regulator.mode_switch", t, track="engine",
+            previous=previous, new=new, node_v=node_v,
+        )
+
+    def transition(
+        self, t: float, previous: str, new: str, setpoint_v: float
+    ) -> None:
+        """A DVFS mode or setpoint change (transition-model runs)."""
+        self.telemetry.count("dvfs.transitions")
+        self.telemetry.event(
+            "dvfs.transition", t, track="engine",
+            previous=previous, new=new, setpoint_v=setpoint_v,
+        )
+
+    def brownout(self, t: float, node_v: float, recover: bool) -> None:
+        """A brownout; with ``recover`` the outage span opens."""
+        if self.brownout_time_s is None:
+            self.brownout_time_s = t
+        self.events.append(("brownout", t))
+        self.telemetry.count("brownout.count")
+        self.telemetry.event("brownout", t, track="engine", node_v=node_v)
+        if recover and self._outage_started_s is None:
+            self.telemetry.begin_span("brownout.outage", t, track="engine")
+            self._outage_started_s = t
+
+    def completed(self, t: float, cycles: float, f: float, target: float) -> None:
+        """The step from ``t`` (``cycles`` done, clock ``f``) crossed
+        ``target``; the crossing instant is interpolated linearly."""
+        crossed_t = t + (target - cycles) / f if f > 0.0 else t
+        self.completion_time_s = crossed_t
+        self.events.append(("completed", crossed_t))
+        self.telemetry.event(
+            "workload.completed", crossed_t, track="engine",
+            cycles=float(target),
+        )
+
+    def collapsed(self, t: float) -> None:
+        """The node hit 0 V while the load still drew power."""
+        self.events.append(("node_collapse", t))
+        self.telemetry.event("node.collapse", t, track="engine")
+
+    def _close_outage(self, t: float) -> None:
+        started = self._outage_started_s
+        if started is not None:
+            self.telemetry.end_span(t)
+            self.telemetry.observe("brownout.outage_s", t - started)
+            self._outage_started_s = None
+
+    def result(
+        self, t: float, steps: int, brownout_count: int, downtime_s: float,
+        cycles: float, records: Sequence[np.ndarray],
+    ) -> SimulationResult:
+        """End the run at ``t`` after ``steps`` steps and build its result.
+
+        An outage still open closes at ``t``, so the trace stays
+        balanced.  ``records`` are the nine recorded trace arrays in
+        :class:`SimulationResult` field order; the result copies them.
+        """
+        tel = self.telemetry
+        self._close_outage(t)
+        tel.end_span(t, steps=float(steps))
+        tel.count("engine.steps", float(steps))
+        tel.gauge("brownout.downtime_s", downtime_s)
+        tel.gauge("engine.final_cycles", float(cycles))
+        tel.profile("engine.run_wall_s", self._watch.elapsed_s())
+        return SimulationResult(
+            *(record.copy() for record in records),
+            completed=self.completion_time_s is not None,
+            completion_time_s=self.completion_time_s,
+            browned_out=self.brownout_time_s is not None,
+            brownout_time_s=self.brownout_time_s,
+            brownout_count=brownout_count,
+            downtime_s=downtime_s,
+            final_cycles=cycles,
+            events=self.events,
+            metrics=tel.result_metrics(),
+        )
 
 
 def results_bit_identical(a: SimulationResult, b: SimulationResult) -> bool:

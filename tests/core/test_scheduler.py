@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.baselines.mppt_only import MpptOnlyBaseline
+from repro.core.operating_point import OperatingPoint
 from repro.core.policies import Policy
 from repro.core.scheduler import HolisticEnergyManager, OperatingPlan
 from repro.core.system import paper_system
-from repro.errors import ModelParameterError
+from repro.errors import InfeasibleOperatingPointError, ModelParameterError
 from repro.processor.workloads import image_frame_workload
 from repro.pv.traces import constant_trace
 from repro.sim.dvfs import (
@@ -72,6 +74,33 @@ class TestPlanning:
     def test_conventional_regulated_pins_datasheet_voltage(self, manager):
         plan = manager.plan(Policy.CONVENTIONAL_REGULATED, 1.0)
         assert plan.operating_point.processor_voltage_v == pytest.approx(0.55)
+
+    @pytest.mark.parametrize("regulator_name", ["sc", "buck"])
+    @pytest.mark.parametrize("irradiance", [1.0, 0.5, 0.2, 0.1, 0.02])
+    def test_conventional_regulated_is_the_mppt_only_point(
+        self, system, regulator_name, irradiance
+    ):
+        """The plan is the MPPT-only baseline's datasheet point; where
+        the baseline is infeasible (too dark for the datasheet voltage)
+        the plan stalls there at f = 0."""
+        manager = HolisticEnergyManager(system, regulator_name=regulator_name)
+        point = manager.plan(
+            Policy.CONVENTIONAL_REGULATED, irradiance
+        ).operating_point
+        baseline = MpptOnlyBaseline(system, regulator_name)
+        try:
+            expected = baseline.operating_point(irradiance)
+        except InfeasibleOperatingPointError:
+            expected = OperatingPoint(
+                processor_voltage_v=baseline.setpoint_v,
+                frequency_hz=0.0,
+                delivered_power_w=0.0,
+                extracted_power_w=0.0,
+                node_voltage_v=system.mpp(irradiance).voltage_v,
+                regulator_name=regulator_name,
+                bypassed=False,
+            )
+        assert point == expected
 
     def test_plan_validation(self):
         with pytest.raises(ModelParameterError):

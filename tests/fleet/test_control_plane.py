@@ -723,7 +723,9 @@ class TestQuietStep:
 
         monkeypatch.setattr(ControlPlane, "decision_flags", spy)
         scenarios = RARE_STATE_SCENARIOS
-        simulator, results, _ = run_batch(scenarios)
+        simulator, results, sessions = run_batch(
+            scenarios, with_metrics=True
+        )
         assert simulator.control_summary is not None
         assert simulator.control_summary["vectorized"] == len(scenarios)
 
@@ -749,9 +751,15 @@ class TestQuietStep:
             "recovered",
         ]
         for lane, scenario in enumerate(scenarios):
-            scalar, capacitor = run_scalar_lane(scenario)
+            scalar_session = TelemetrySession()
+            scalar, capacitor = run_scalar_lane(scenario, scalar_session)
             assert_results_identical(scalar, results[lane])
             assert_capacitor_written_back(simulator, lane, capacitor)
+            # The sim-time trace: event attributes, spans, outages.
+            lane_session = sessions[lane]
+            assert lane_session is not None
+            assert lane_session.tracer.events == scalar_session.tracer.events
+            assert lane_session.tracer.spans == scalar_session.tracer.spans
 
         # The recovery mask reaches the skip predicate only on steps
         # where some lane is recovering, and on no other step.

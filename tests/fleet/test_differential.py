@@ -46,11 +46,15 @@ SCENARIOS = ALL_SCENARIOS + tuple(
     "scenario", SCENARIOS, ids=[s.name for s in SCENARIOS]
 )
 def test_batch_of_one_bit_identical_to_scalar(scenario) -> None:
-    scalar = run_scalar(scenario, telemetry=TelemetrySession())
+    scalar_session = TelemetrySession()
+    scalar = run_scalar(scenario, telemetry=scalar_session)
     _, results, sessions = run_batch([scenario], with_metrics=True)
     assert sessions[0] is not None
     assert_results_identical(scalar, results[0])
     assert results[0].metrics is not None  # telemetry really recorded
+    # The sim-time trace too: event attributes, span nesting, outages.
+    assert sessions[0].tracer.events == scalar_session.tracer.events
+    assert sessions[0].tracer.spans == scalar_session.tracer.spans
 
 
 @pytest.mark.parametrize(
