@@ -81,9 +81,10 @@ ENGINES = ("auto", "scalar", "fleet")
 
 #: Crossover shard size below which ``engine="auto"`` routes to the
 #: scalar path.  Measured on real holistic campaigns (the "Fleet vs
-#: scalar" table under ROADMAP's open items): the fleet is 1.14x
-#: faster at 16 seeds (scalar/fleet time; 0.93 at 8), 1.61x at 50 and
-#: 1.79x at 256; schemes other than ``holistic`` run every
+#: scalar" table under ROADMAP's open items, re-measured after the
+#: lean scalar step): the two engines tie at 16 seeds (scalar/fleet
+#: time 1.00; 0.79 at 8), and the fleet is 1.43x faster at 50 and
+#: 1.61x at 256; schemes other than ``holistic`` run every
 #: lane as a fallback lane and tie.  ROADMAP item 4 decides the value.
 #: A campaign under a resilience policy runs 1-seed shards, so
 #: ``auto`` picks scalar there.  Explicit

@@ -39,6 +39,8 @@ _SIGN_BAND = 1e-9
 #: Largest diode exponent ``(V + |I|*Rs)/s`` at which the Newton
 #: solve's +-60 clamp is certain not to engage near the root.
 _CLAMP_FREE_EXPONENT = 59.0
+#: ``np.exp`` bound once at module level for the scalar solve's loop.
+_exp = np.exp
 
 
 def newton_current(
@@ -263,7 +265,10 @@ class SingleDiodeCell:
         because it is bit-identical to the vectorised ``np.exp`` element,
         which keeps :func:`newton_current` equal to this loop.
         """
-        iph = self.photo_current(irradiance)
+        # ``photo_current`` inlined: this is the per-step call.
+        if irradiance < 0.0:
+            raise ModelParameterError(f"irradiance must be >= 0, got {irradiance}")
+        iph = self.photo_current_full_sun_a * irradiance
         scale = self.diode_scale_v
         i0 = self.saturation_current_a
         rsh = self.shunt_resistance_ohm
@@ -273,18 +278,23 @@ class SingleDiodeCell:
             exponent = -60.0
         elif exponent > 60.0:
             exponent = 60.0
-        ideal = i0 * (float(np.exp(exponent)) - 1.0)
-
-        if self.series_resistance_ohm == 0.0:
-            return iph - ideal - voltage / rsh
+        ideal = i0 * (float(_exp(exponent)) - 1.0)
 
         rs = self.series_resistance_ohm
+        if rs == 0.0:
+            return iph - ideal - voltage / rsh
+
         current = iph - ideal
         lo = -iph - 1e-3
         if current < lo:
             current = lo
         elif current > iph:
             current = iph
+        # Loop-invariant subexpressions of ``df``, each computed exactly
+        # as the full expression ``-i0 * e * rs / scale - rs / rsh - 1.0``
+        # evaluates it, so the iterates keep their doubles.
+        neg_i0 = -i0
+        rs_over_rsh = rs / rsh
         for _ in range(_NEWTON_MAX_ITERATIONS):
             diode_v = voltage + current * rs
             exponent = diode_v / scale
@@ -292,9 +302,9 @@ class SingleDiodeCell:
                 exponent = -60.0
             elif exponent > 60.0:
                 exponent = 60.0
-            exp_term = float(np.exp(exponent))
+            exp_term = float(_exp(exponent))
             f = iph - i0 * (exp_term - 1.0) - diode_v / rsh - current
-            df = -i0 * exp_term * rs / scale - rs / rsh - 1.0
+            df = neg_i0 * exp_term * rs / scale - rs_over_rsh - 1.0
             step = f / df
             current = current - step
             if abs(step) < _NEWTON_TOLERANCE_A:

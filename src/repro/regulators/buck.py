@@ -77,8 +77,12 @@ class BuckRegulator(Regulator):
         self, v_out: float, p_out: float, v_in: "float | None" = None
     ) -> float:
         v_in_resolved = self._resolve_input(v_in)
-        self.check_output_voltage(v_out)
-        self._check_duty(v_out, v_in_resolved)
+        # The range and duty checks are inlined (this is the engine's
+        # per-step call); the check methods run only to raise.
+        if not self.min_output_v <= v_out <= self.max_output_v:
+            self.check_output_voltage(v_out)
+        if v_out > self.max_duty * v_in_resolved:
+            self._check_duty(v_out, v_in_resolved)
         if p_out < 0.0:
             raise OperatingRangeError(
                 f"{self.name}: output power must be >= 0, got {p_out}"

@@ -298,10 +298,22 @@ class TransientSimulator:
         rec_mode = np.empty(record_count, dtype=np.int8)
 
         mode_codes = SimulationResult.MODE_CODES
+        comparators = self.comparators
         comparator_power = (
-            self.comparators.total_power_w if self.comparators is not None else 0.0
+            comparators.total_power_w if comparators is not None else 0.0
         )
+        observe = comparators.observe if comparators is not None else None
         target_cycles = self.workload.cycles if self.workload is not None else None
+
+        # Per-run invariants, bound once: the loop body reads locals only.
+        decide = self.controller.decide
+        transitions = self.transitions
+        apply_current = node_capacitor.apply_current
+        record_every = cfg.record_every
+        recovery_voltage_v = cfg.recovery_voltage_v
+        stop_on_brownout = cfg.stop_on_brownout
+        recover_from_brownout = cfg.recover_from_brownout
+        stop_on_completion = cfg.stop_on_completion
 
         cycles = 0.0
         prev_v_proc = 0.0
@@ -317,10 +329,12 @@ class TransientSimulator:
         in_brownout = False
         node_collapsed = False
         recorded = 0
+        # Steps 0, record_every, 2*record_every, ... are recorded.
+        next_record = 0
 
         t = 0.0
+        v_node = node_capacitor.voltage_v
         for step in range(steps + 1):
-            v_node = node_capacitor.voltage_v
             irr = irr_samples[step] if irr_samples is not None else trace(t)
 
             # Single PV solve per step: current once, power derived
@@ -330,20 +344,16 @@ class TransientSimulator:
 
             # Power-good release: the node has recharged past the
             # recovery threshold, so the load may reconnect this step.
-            if recovering and v_node >= cfg.recovery_voltage_v:
+            if recovering and v_node >= recovery_voltage_v:
                 recovering = False
                 log.recovered(t, v_node)
 
-            view = ControllerView(
-                time_s=t,
-                node_voltage_v=v_node,
-                processor_voltage_v=prev_v_proc,
-                cycles_done=cycles,
-                comparator_events=pending_events,
-                recovering=recovering,
-                brownout_count=brownout_count,
+            decision = decide(
+                ControllerView(
+                    t, v_node, prev_v_proc, cycles, pending_events,
+                    recovering, brownout_count,
+                )
             )
-            decision = self.controller.decide(view)
             v_proc, f, p_proc, p_draw, mode = resolve_decision(
                 processor, regulator, decision, v_node, decision_cache
             )
@@ -354,14 +364,14 @@ class TransientSimulator:
             prev_v_proc = v_proc
 
             # DVFS transition accounting: settle lockout + rail recharge.
-            if self.transitions is not None:
-                if self.transitions.is_transition(
+            if transitions is not None:
+                if transitions.is_transition(
                     prev_mode, prev_setpoint_v, mode, v_proc
                 ):
                     transition_count += 1
                     log.transition(t, prev_mode or "", mode, v_proc)
-                    lockout_until = t + self.transitions.settle_time_s
-                    recharge = self.transitions.transition_energy_j(
+                    lockout_until = t + transitions.settle_time_s
+                    recharge = transitions.transition_energy_j(
                         prev_setpoint_v, v_proc
                     )
                     if recharge > 0.0:
@@ -398,21 +408,25 @@ class TransientSimulator:
                     log.mode_switch(t, telemetry_mode, mode, v_node)
                 telemetry_mode = mode
 
-            # Brownout: the controller asked for work the supply cannot run.
-            stalled = (
-                decision.frequency_hz > 0.0
+            # Brownout: the controller asked for work the supply cannot
+            # run.  A running clock (the common step) rules a stall out.
+            if f > 0.0:
+                # Work resumed: the next stall is a fresh brownout.
+                in_brownout = False
+            elif (
+                not in_brownout
+                and decision.frequency_hz > 0.0
                 and f == 0.0
                 and mode == "halt"
                 and decision.mode != "halt"
                 and not completed
                 and not recovering
-            )
-            if stalled and not in_brownout:
+            ):
                 in_brownout = True
                 brownout_count += 1
-                log.brownout(t, v_node, cfg.recover_from_brownout)
-                if cfg.stop_on_brownout:
-                    if step % cfg.record_every == 0:
+                log.brownout(t, v_node, recover_from_brownout)
+                if stop_on_brownout:
+                    if step == next_record:
                         rec_t[recorded] = t
                         rec_vnode[recorded] = v_node
                         rec_vproc[recorded] = v_proc
@@ -424,7 +438,7 @@ class TransientSimulator:
                         rec_mode[recorded] = mode_codes["halt"]
                         recorded += 1
                     break
-                if cfg.recover_from_brownout:
+                if recover_from_brownout:
                     # Enter halt-and-recharge: power-gate the load until
                     # the node climbs back to the recovery threshold.
                     recovering = True
@@ -432,11 +446,8 @@ class TransientSimulator:
                         0.0, 0.0, 0.0, 0.0, "halt",
                     )
                     prev_v_proc = 0.0
-            elif f > 0.0:
-                # Work resumed: the next stall is a fresh brownout.
-                in_brownout = False
 
-            if step % cfg.record_every == 0:
+            if step == next_record:
                 rec_t[recorded] = t
                 rec_vnode[recorded] = v_node
                 rec_vproc[recorded] = v_proc
@@ -447,6 +458,7 @@ class TransientSimulator:
                 rec_irr[recorded] = irr
                 rec_mode[recorded] = mode_codes[mode]
                 recorded += 1
+                next_record += record_every
 
             if step == steps:
                 break
@@ -460,7 +472,7 @@ class TransientSimulator:
             ):
                 completed = True
                 log.completed(t, cycles, f, target_cycles)
-                if cfg.stop_on_completion:
+                if stop_on_completion:
                     cycles = new_cycles
                     break
             cycles = new_cycles
@@ -485,17 +497,13 @@ class TransientSimulator:
                 if demand_w > 0.0 and not node_collapsed:
                     node_collapsed = True
                     log.collapsed(t)
-            node_capacitor.apply_current(i_pv - i_draw, dt)
-            if not math.isfinite(node_capacitor.voltage_v):
+            v_node = apply_current(i_pv - i_draw, dt)
+            if not math.isfinite(v_node):
                 raise SimulationError(f"node voltage became non-finite at t={t}")
 
             # Comparator observation feeds the next step's view.
-            if self.comparators is not None:
-                pending_events = tuple(
-                    self.comparators.observe(t + dt, node_capacitor.voltage_v)
-                )
-            else:
-                pending_events = ()
+            if observe is not None:
+                pending_events = tuple(observe(t + dt, v_node))
 
             t += dt
 
@@ -509,7 +517,7 @@ class TransientSimulator:
         )
         result.events.extend(
             [("transitions", float(transition_count))]
-            if self.transitions is not None
+            if transitions is not None
             else []
         )
         return result

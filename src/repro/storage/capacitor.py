@@ -116,11 +116,18 @@ class Capacitor:
         """
         if dt_s < 0.0:
             raise OperatingRangeError(f"time step must be >= 0, got {dt_s}")
-        if self.leakage_current_a > 0.0 and self._voltage_v > 0.0:
+        v = self._voltage_v
+        if self.leakage_current_a > 0.0 and v > 0.0:
             current_a -= self.leakage_current_a
-        self._voltage_v += current_a * dt_s / self.capacitance_f
-        self._voltage_v = min(max(self._voltage_v, 0.0), self.max_voltage_v)
-        return self._voltage_v
+        v += current_a * dt_s / self.capacitance_f
+        # ``min(max(v, 0.0), rating)`` without the builtins: a NaN and a
+        # -0.0 pass through unchanged, exactly as they do there.
+        if v < 0.0:
+            v = 0.0
+        if v > self.max_voltage_v:
+            v = self.max_voltage_v
+        self._voltage_v = v
+        return v
 
     def apply_power(self, power_w: float, dt_s: float) -> float:
         """Integrate a net power for ``dt_s`` (positive = charging).

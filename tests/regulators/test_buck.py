@@ -1,5 +1,8 @@
 """Tests for the buck regulator model (paper Fig. 5, test chip)."""
 
+import struct
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -132,3 +135,53 @@ class TestSupportsOutputVoltage:
 
     def test_nominal_input_by_default(self, buck):
         assert buck.supports_output_voltage(0.55) == accepts(buck, 0.55, None)
+
+
+class TestInputPowerContract:
+    """``input_power`` rejects exactly as the range checks do, with
+    their messages, and is the derated loss sum to the bit."""
+
+    @pytest.mark.parametrize(
+        "v_out, p_out, v_in, message",
+        [
+            (0.2, 1e-3, 1.2, "Buck: output 0.200 V outside [0.250, 0.850] V"),
+            (0.9, 1e-3, 1.2, "Buck: output 0.900 V outside [0.250, 0.850] V"),
+            (float("nan"), 1e-3, 1.2,
+             "Buck: output nan V outside [0.250, 0.850] V"),
+            (0.8, 1e-3, 0.82,
+             "Buck: output 0.800 V exceeds max duty 0.95 from input 0.820 V"),
+            (0.55, -1e-3, 1.2, "Buck: output power must be >= 0, got -0.001"),
+            (0.55, 1e-3, 0.0, "Buck: input voltage must be positive, got 0.0"),
+            (0.55, 1e-3, -1.0,
+             "Buck: input voltage must be positive, got -1.0"),
+            # Several faults at once: the first check in order wins.
+            (0.9, -1e-3, 0.0, "Buck: input voltage must be positive, got 0.0"),
+            (0.9, -1e-3, 0.5, "Buck: output 0.900 V outside [0.250, 0.850] V"),
+            (0.8, -1e-3, 0.5,
+             "Buck: output 0.800 V exceeds max duty 0.95 from input 0.500 V"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, buck, v_out, p_out, v_in, message):
+        with pytest.raises(OperatingRangeError) as info:
+            buck.input_power(v_out, p_out, v_in=v_in)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("derating", [1.0, 0.8])
+    def test_bitwise_the_derated_loss_sum(self, derating):
+        buck = paper_buck()
+        buck.set_efficiency_derating(derating)
+        for v_in in (None, 0.6, 1.0, 1.2, 1.5):
+            v_in_resolved = buck.nominal_input_v if v_in is None else v_in
+            top = min(buck.max_output_v, buck.max_duty * v_in_resolved)
+            for v_out in np.linspace(buck.min_output_v, top, 23):
+                v_out = float(v_out)
+                for p_out in (0.0, 1e-6, 1e-3, 7.3e-3, 20e-3):
+                    expected = buck.derate_input_power(
+                        p_out
+                        + buck.conduction.power(p_out / v_out)
+                        + buck.fixed.power(v_in_resolved)
+                    )
+                    actual = buck.input_power(v_out, p_out, v_in=v_in)
+                    assert struct.pack("<d", actual) == struct.pack(
+                        "<d", expected
+                    ), (v_out, p_out, v_in)

@@ -1,10 +1,14 @@
 """Tests for the storage capacitor model."""
 
+import math
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import ModelParameterError, OperatingRangeError
 from repro.storage.capacitor import Capacitor
+from repro.units import micro_amps
 
 
 class TestConstruction:
@@ -86,6 +90,46 @@ class TestIntegration:
         cap = Capacitor(47e-6, initial_voltage_v=1.0, max_voltage_v=3.0)
         cap.apply_power(power, dt)
         assert 0.0 <= cap.voltage_v <= 3.0
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+class TestNonFiniteIntegration:
+    """The node update is the clamped Euler step
+    ``min(max(v + i*dt/C, 0), rating)`` to the bit, non-finite and
+    signed-zero inputs included: the engine's non-finite guard relies
+    on a NaN reaching the stored voltage."""
+
+    CURRENTS = (
+        0.0, -0.0, 1e-3, -1e-3, 10.0, -10.0,
+        math.inf, -math.inf, math.nan,
+    )
+
+    @pytest.mark.parametrize("current", CURRENTS)
+    @pytest.mark.parametrize("initial", [0.0, -0.0, 1.0, 5.0])
+    def test_matches_clamped_euler_step(self, current, initial):
+        cap = Capacitor(1e-3, initial_voltage_v=initial, max_voltage_v=5.0)
+        expected = min(max(initial + current * 1e-3 / 1e-3, 0.0), 5.0)
+        returned = cap.apply_current(current, 1e-3)
+        assert _bits(returned) == _bits(expected)
+        assert _bits(cap.voltage_v) == _bits(returned)
+
+    def test_returns_the_stored_voltage(self):
+        cap = Capacitor(47e-6, initial_voltage_v=1.2, leakage_current_a=micro_amps(1))
+        for current in (2e-3, -5e-3, 0.0, -1.0, 1.0):
+            returned = cap.apply_current(current, 10e-6)
+            assert _bits(returned) == _bits(cap.voltage_v)
+
+    def test_nan_current_propagates(self):
+        cap = Capacitor(47e-6, initial_voltage_v=1.2)
+        assert math.isnan(cap.apply_current(math.nan, 10e-6))
+        assert math.isnan(cap.voltage_v)
+
+    def test_negative_zero_is_kept(self):
+        cap = Capacitor(47e-6, initial_voltage_v=-0.0)
+        assert math.copysign(1.0, cap.apply_current(-0.0, 10e-6)) == -1.0
 
 
 class TestDischargeTime:
