@@ -349,8 +349,10 @@ class FleetSimulator:
         rec_mode = np.empty((record_count, n), dtype=np.int8)
 
         # Every bank observes every step, as in the scalar engine.
-        banks = [
-            (k, bank) for k, bank in enumerate(comparators) if bank is not None
+        observes = [
+            (k, bank.observe)
+            for k, bank in enumerate(comparators)
+            if bank is not None
         ]
 
         # One run log per lane: the scalar engine's events, trace and
@@ -531,13 +533,13 @@ class FleetSimulator:
                     pending_events[k] = ()
                 pend[pend_rows] = False
                 pend_rows = []
-            if banks:
+            if observes:
                 t_next = t + dt
                 v_now = v.tolist()
-                for k, bank in banks:
-                    new_events = bank.observe(t_next, v_now[k])
+                for k, observe in observes:
+                    new_events = observe(t_next, v_now[k])
                     if new_events:
-                        pending_events[k] = tuple(new_events)
+                        pending_events[k] = new_events
                         pend[k] = True
                         pend_rows.append(k)
 

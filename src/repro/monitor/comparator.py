@@ -112,30 +112,6 @@ class ThresholdComparator:
             self._noise = []
             self._noise_index = 0
 
-    def _trip_voltage(self) -> float:
-        """The threshold the comparator actually trips at this sample."""
-        trip = self.threshold_v + self.offset_v
-        rng = self._rng
-        if self.noise_sigma_v > 0.0 and rng is not None:
-            trip += self.noise_sigma_v * self._next_noise(rng)
-        return trip
-
-    def _next_noise(self, rng: np.random.Generator) -> float:
-        """The next standard-normal draw of the noise stream.
-
-        Draws come in blocks of :data:`NOISE_BLOCK` and are used in
-        order: a block of ``standard_normal(k)`` is the same stream as
-        ``k`` scalar draws, one numpy call instead of ``k``.  The block
-        and its cursor are plain attributes, so a pickled or copied
-        comparator continues the same stream.
-        """
-        if self._noise_index == len(self._noise):
-            self._noise = rng.standard_normal(NOISE_BLOCK).tolist()
-            self._noise_index = 0
-        draw = self._noise[self._noise_index]
-        self._noise_index += 1
-        return draw
-
     def observe(self, time_s: float, voltage_v: float) -> "CrossingEvent | None":
         """Feed one sample; report a crossing if one occurred.
 
@@ -143,17 +119,59 @@ class ThresholdComparator:
         estimator believes the design value even when offset or noise
         has moved the physical trip point.
         """
-        trip = self._trip_voltage()
-        if self._state is None:
-            self._state = voltage_v >= trip
-            return None
-        if self._state and voltage_v < trip - 0.5 * self.hysteresis_v:
-            self._state = False
-            return CrossingEvent(time_s, self.threshold_v, "falling")
-        if not self._state and voltage_v > trip + 0.5 * self.hysteresis_v:
-            self._state = True
-            return CrossingEvent(time_s, self.threshold_v, "rising")
-        return None
+        events = _observe((self,), time_s, voltage_v, None)
+        return events[0] if events else None
+
+
+def _observe(
+    comparators: "Sequence[ThresholdComparator]",
+    time_s: float,
+    voltage_v: float,
+    history: "List[CrossingEvent] | None",
+) -> "tuple[CrossingEvent, ...]":
+    """Feed one sample to each comparator in turn; the one copy of the
+    trip logic, shared by :meth:`ThresholdComparator.observe` and
+    :meth:`ComparatorBank.observe`.
+
+    Each comparator trips at ``threshold + offset``, plus
+    ``noise_sigma * draw`` when it is noisy.  Draws come in blocks of
+    :data:`NOISE_BLOCK` and are used in order: a block of
+    ``standard_normal(k)`` is the same stream as ``k`` scalar draws,
+    one numpy call instead of ``k``.  The block (``_noise``) and its
+    cursor (``_noise_index``) are plain attributes, so a pickled or
+    copied comparator continues the same stream.  Crossings are
+    appended to ``history`` when one is given.
+    """
+    events: "tuple[CrossingEvent, ...]" = ()
+    for c in comparators:
+        trip = c.threshold_v + c.offset_v
+        if c.noise_sigma_v > 0.0 and c._rng is not None:
+            index = c._noise_index
+            noise = c._noise
+            if index == len(noise):
+                noise = c._noise = c._rng.standard_normal(NOISE_BLOCK).tolist()
+                index = 0
+            c._noise_index = index + 1
+            trip += c.noise_sigma_v * noise[index]
+        state = c._state
+        if state is None:
+            c._state = voltage_v >= trip
+            continue
+        if state:
+            if voltage_v < trip - 0.5 * c.hysteresis_v:
+                c._state = False
+                event = CrossingEvent(time_s, c.threshold_v, "falling")
+            else:
+                continue
+        elif voltage_v > trip + 0.5 * c.hysteresis_v:
+            c._state = True
+            event = CrossingEvent(time_s, c.threshold_v, "rising")
+        else:
+            continue
+        events += (event,)
+        if history is not None:
+            history.append(event)
+    return events
 
 
 class ComparatorBank:
@@ -220,15 +238,11 @@ class ComparatorBank:
             comparator.reset()
         self.history.clear()
 
-    def observe(self, time_s: float, voltage_v: float) -> "list[CrossingEvent]":
+    def observe(
+        self, time_s: float, voltage_v: float
+    ) -> "tuple[CrossingEvent, ...]":
         """Feed one sample to every comparator; return new crossings."""
-        events = []
-        for comparator in self.comparators:
-            event = comparator.observe(time_s, voltage_v)
-            if event is not None:
-                events.append(event)
-                self.history.append(event)
-        return events
+        return _observe(self.comparators, time_s, voltage_v, self.history)
 
     def last_falling_interval(
         self, upper_v: float, lower_v: float

@@ -503,7 +503,7 @@ class TransientSimulator:
 
             # Comparator observation feeds the next step's view.
             if observe is not None:
-                pending_events = tuple(observe(t + dt, v_node))
+                pending_events = observe(t + dt, v_node)
 
             t += dt
 

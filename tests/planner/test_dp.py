@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.system import paper_system
 from repro.errors import ModelParameterError
@@ -238,3 +239,129 @@ class TestSuffixRows:
             value_row, policy_row = backup.row(full.value[slot + 1], actual)
             assert np.array_equal(value_row, reference.value[0])
             assert np.array_equal(policy_row, reference.policy[0])
+
+
+def parent_row(actions, grid, next_value, income_j):
+    """``BellmanBackup.row`` as first written: action rows in table
+    order, copied into work-first order on every call, ``np.clip`` on
+    the transition and both clamps on the level index."""
+    energies = grid.level_energies()
+    draws = np.array([a.draw_j for a in actions])[:, None]
+    thresholds = np.array([a.min_energy_j for a in actions])[:, None]
+    rewards = np.array([a.cycles for a in actions])[:, None]
+    order = np.array(
+        sorted(
+            range(len(actions)),
+            key=lambda a: (-actions[a].cycles, actions[a].draw_j, a),
+        ),
+        dtype=np.int64,
+    )
+    nxt = np.clip((energies - draws) + income_j, 0.0, grid.capacity_j)
+    q = np.where(
+        energies >= thresholds,
+        rewards + next_value[grid.indices_of(nxt)],
+        -np.inf,
+    )
+    best = order[np.argmax(q[order], axis=0)]
+    return q[best, np.arange(grid.levels)], best
+
+
+grids = st.builds(
+    EnergyGrid,
+    capacity_j=st.floats(min_value=0.05, max_value=4.0),
+    levels=st.integers(min_value=2, max_value=64),
+)
+#: Incomes from none to twice the store: many transitions saturate at
+#: ``capacity_j`` and land on the top grid level.
+saturating_incomes = st.one_of(
+    st.floats(min_value=0.0, max_value=8.0),
+    st.sampled_from([0.0, 0.05, 0.5, 1.0, 4.0]),
+)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestLeanRow:
+    """The row keeps its action rows in work-first order and clamps the
+    level index only at the top; it equals the first version's
+    expression bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        planner_actions(),
+        grids,
+        saturating_incomes,
+        st.data(),
+    )
+    def test_row_equals_the_parent_expression(self, actions, grid, income, data):
+        next_value = np.array(
+            data.draw(
+                st.lists(
+                    st.one_of(
+                        st.floats(min_value=0.0, max_value=1e9),
+                        st.integers(min_value=0, max_value=10**6).map(float),
+                    ),
+                    min_size=grid.levels,
+                    max_size=grid.levels,
+                )
+            )
+        )
+        value, policy = BellmanBackup(actions, grid).row(next_value, income)
+        expected_value, expected_policy = parent_row(
+            actions, grid, next_value, income
+        )
+        assert same_bits(value, expected_value)
+        assert same_bits(policy, expected_policy)
+
+    def test_saturating_income_reaches_the_top_level(self):
+        actions = (
+            CHARGE_ACTION,
+            PlannerAction("work", "bypass", 0.5, 1e6, 0.1, 7.0, 0.1),
+        )
+        next_value = np.arange(GRID.levels, dtype=float)
+        for income in (GRID.capacity_j, 2.0 * GRID.capacity_j, 1e300):
+            value, policy = BellmanBackup(actions, GRID).row(next_value, income)
+            expected_value, expected_policy = parent_row(
+                actions, GRID, next_value, income
+            )
+            assert same_bits(value, expected_value)
+            assert same_bits(policy, expected_policy)
+            assert value[-1] == 7.0 + GRID.levels - 1
+
+    def test_nan_income_lands_where_the_lower_clamp_put_it(self):
+        actions = (
+            CHARGE_ACTION,
+            PlannerAction("work", "bypass", 0.5, 1e6, 0.1, 7.0, 0.1),
+        )
+        next_value = np.arange(GRID.levels, dtype=float) + 1.0
+        value, policy = BellmanBackup(actions, GRID).row(next_value, np.nan)
+        with np.errstate(invalid="ignore"):
+            expected_value, expected_policy = parent_row(
+                actions, GRID, next_value, np.nan
+            )
+        assert same_bits(value, expected_value)
+        assert same_bits(policy, expected_policy)
+
+    @settings(max_examples=60, deadline=None)
+    @given(planner_actions(), income_series(), grids)
+    def test_solve_tables_equal_the_parent_rows(self, actions, income, grid):
+        plan = solve_plan(income, actions, grid, 0.0, 1.0)
+        value = np.zeros((len(income) + 1, grid.levels))
+        policy = np.zeros((len(income), grid.levels), dtype=np.int64)
+        for t in range(len(income) - 1, -1, -1):
+            value[t], policy[t] = parent_row(actions, grid, value[t + 1], income[t])
+        assert same_bits(plan.value, value)
+        assert same_bits(plan.policy, policy)
+
+    def test_paper_table_solve_equals_the_parent_rows(self, paper_table, system):
+        actions, grid = paper_table
+        income = np.linspace(0.0, 2.0 * grid.capacity_j / 5.0, 40)
+        plan = solve_plan(income, actions, grid, 0.0, 1e-3)
+        value = np.zeros((len(income) + 1, grid.levels))
+        policy = np.zeros((len(income), grid.levels), dtype=np.int64)
+        for t in range(len(income) - 1, -1, -1):
+            value[t], policy[t] = parent_row(actions, grid, value[t + 1], income[t])
+        assert same_bits(plan.value, value)
+        assert same_bits(plan.policy, policy)
